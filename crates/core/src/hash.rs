@@ -348,7 +348,8 @@ where
         self.spilled_entries += hashpage::n_items(&pin.read()) as u64;
         self.spilled_pages.push(pin.page_id().num);
         self.set.spill_page_out(pin)?;
-        // The freed frame guarantees this allocation succeeds.
+        // The freed frame makes room for this allocation (`new_page`
+        // evicts for it in the rare case a racing round kept the frame).
         let fresh = self.set.new_page()?;
         hashpage::init(&mut fresh.write(), self.n_buckets, depth)?;
         self.pages[page_idx] = Some(fresh);

@@ -407,9 +407,16 @@ impl StorageNode {
 
     /// Explicitly spills a pinned page: flushes its bytes to the set's
     /// file and removes it from the pool, recycling its memory. The
-    /// caller must hold the *only* pin. Used by the hash service when a
-    /// full hash page must be "unpinned and spilled to disk as
-    /// partial-aggregation results" (paper §8).
+    /// caller hands over its pin, which must be the only one it holds.
+    /// Used by the hash service when a full hash page must be "unpinned
+    /// and spilled to disk as partial-aggregation results" (paper §8).
+    ///
+    /// The frame is removed *while still pinned* ([`BufferPool::
+    /// evict_pinned`]): unpinning first would let an eviction round on
+    /// another thread take the page — or its short flush pin — in
+    /// between. A round that already holds that flush pin keeps the
+    /// page resident instead; it is clean by then, so that round or a
+    /// later one drops it without writing.
     pub(crate) fn spill_page_out(&self, state: &SetState, pin: PagePin) -> Result<()> {
         let page = pin.page_id();
         {
@@ -420,14 +427,12 @@ impl StorageNode {
                 .spill_bytes
                 .fetch_add(bytes.len() as u64, Ordering::Relaxed);
         }
-        drop(pin);
-        if !self.inner.pool.drop_page(page)? {
-            return Err(PangeaError::usage(format!(
-                "page {page} vanished while being spilled"
-            )));
-        }
-        self.inner.strategy.lock().on_page_evicted(page);
+        pin.mark_clean();
         self.inner.disks.stats().record_flush();
+        if let Ok(frame) = self.inner.pool.evict_pinned(pin) {
+            drop(frame); // recycles the arena block
+            self.inner.strategy.lock().on_page_evicted(page);
+        }
         Ok(())
     }
 

@@ -84,6 +84,21 @@ pub fn append_framed(bytes: &mut [u8], framed: &[u8]) -> usize {
     fits
 }
 
+/// Payload of record `i` in a page whose records all carry `len`-byte
+/// payloads. Such a page has a fixed stride, so a record is addressed
+/// directly rather than by walking the prefixes before it. `None` when
+/// record `i` does not lie inside the used region.
+pub fn fixed_record(bytes: &[u8], len: usize, i: usize) -> Option<&[u8]> {
+    let start = i
+        .checked_mul(RECORD_PREFIX + len)?
+        .checked_add(RECORD_PREFIX)?;
+    let end = start.checked_add(len)?;
+    if end > used_bytes(bytes) {
+        return None;
+    }
+    bytes.get(PAGE_HEADER + start..PAGE_HEADER + end)
+}
+
 /// Iterates the records of one page snapshot (a byte slice from a read
 /// guard or a disk read). A *lending* iterator: each `next` borrows the
 /// underlying bytes, so no per-record allocation happens.
@@ -248,6 +263,21 @@ mod tests {
         let mut q = page(64);
         assert_eq!(append_framed(&mut q, &staged[taken..]), 4 + 2);
         assert_eq!(RecordSlices::new(&q).next(), Some(b"cc".as_slice()));
+    }
+
+    #[test]
+    fn fixed_record_addresses_by_stride() {
+        let mut p = page(PAGE_HEADER + 3 * (RECORD_PREFIX + 8) + 5);
+        for v in [10u64, 20, 30] {
+            assert!(append_record(&mut p, &v.to_le_bytes()));
+        }
+        for (i, v) in [10u64, 20, 30].into_iter().enumerate() {
+            assert_eq!(fixed_record(&p, 8, i), Some(v.to_le_bytes().as_slice()));
+        }
+        assert_eq!(fixed_record(&p, 8, 3), None, "past the used region");
+        assert_eq!(fixed_record(&p, 8, usize::MAX), None, "no overflow");
+        set_used(&mut p, 1000);
+        assert_eq!(fixed_record(&p, 8, 50), None, "corrupt header, no panic");
     }
 
     #[test]

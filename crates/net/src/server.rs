@@ -30,8 +30,8 @@ use crate::wire::{
 };
 use pangea_common::{fx_hash64, FxHashMap, IoStats, PangeaError, PartitionId, Result};
 use pangea_core::{
-    HashConfig, ObjectIter, ReduceBuffer, SetOptions, ShuffleConfig, ShuffleService, SpillLedger,
-    StorageNode,
+    HashConfig, ObjectIter, ReduceBuffer, SeqWriter, SetOptions, ShuffleConfig, ShuffleService,
+    SpillLedger, StorageNode,
 };
 use pangea_obs::{names, Counter, Gauge, MetricValue, Obs, Registry, SpanRecord, TraceCtx};
 use parking_lot::Mutex;
@@ -733,6 +733,19 @@ struct IngestSession {
     /// worker. The per-batch totals then count partials *accepted into
     /// the fold*, and the sealed totals count what was materialized.
     reduce: Option<(ReduceSpec, ReduceBuffer)>,
+    /// Map-only mode: the one sequential writer every append of this
+    /// session goes through, opened by the first append, so that small
+    /// batches share pages instead of sealing one each. `IngestEnd`
+    /// finishes it; a session that dies any other way (poisoned,
+    /// replaced by a new begin, `DropSet`) seals the open page through
+    /// the writer's own `Drop`.
+    writer: Option<SeqWriter>,
+    /// Set, under the session lock, when a batch failed part-way or a
+    /// new begin replaced this session. Later appends no longer find
+    /// the session; one that was already queued on its lock must fail
+    /// the same way instead of running on the half-updated state (a
+    /// reduce accumulator whose spill failed panics on its next use).
+    poisoned: bool,
 }
 
 /// Per-push batching thresholds for the survivor's streaming loop
@@ -1421,6 +1434,15 @@ impl Pangead {
                     page_size: Some(existing.page_size()),
                     estimated_pages: None,
                 };
+                // A session a failed attempt left open still pins its
+                // writer's page in the set about to be dropped: close it
+                // first (waiting out an append in flight on it).
+                let stale = self.ingests.lock().remove(&set);
+                if let Some(stale) = stale {
+                    let mut stale = stale.lock();
+                    stale.poisoned = true;
+                    stale.writer = None;
+                }
                 self.node.drop_set(existing.id())?;
                 self.node.create_set(&set, options)?;
                 self.ingests_ended.lock().remove(&set);
@@ -1449,6 +1471,8 @@ impl Pangead {
                     appended: 0,
                     bytes: 0,
                     reduce,
+                    writer: None,
+                    poisoned: false,
                 };
                 let live = {
                     let mut ingests = self.ingests.lock();
@@ -1509,7 +1533,12 @@ impl Pangead {
                         writer.finish()?;
                         (n, b)
                     }
-                    None => (session.appended, session.bytes),
+                    None => {
+                        if let Some(mut writer) = session.writer.take() {
+                            writer.finish()?;
+                        }
+                        (session.appended, session.bytes)
+                    }
                 };
                 self.ingests_ended.lock().insert(set, (appended, bytes));
                 let reg = self.obs.registry();
@@ -1882,13 +1911,14 @@ impl Pangead {
     ///
     /// The session lock serializes concurrent mapper pushes into one
     /// destination set: tag check and append are atomic per record, and
-    /// the storage writer sees one writer's order. Unrelated sets
-    /// proceed in parallel. Any failure mid-batch (a record append or
-    /// the final seal) leaves "what was durably stored" unknowable
-    /// while some tags may already sit in the ledger — a retried append
-    /// would dedup those records away — so the session is poisoned:
-    /// retries of this attempt fail loudly, and the job-level retry's
-    /// `IngestBegin` truncates and starts clean.
+    /// the session's one storage writer sees one writer's order (a page
+    /// is sealed when it fills or at `IngestEnd`, not per batch).
+    /// Unrelated sets proceed in parallel. Any failure mid-batch leaves
+    /// "what was stored" unknowable while some tags may already sit in
+    /// the ledger — a retried append would dedup those records away —
+    /// so the session is poisoned: retries of this attempt fail loudly,
+    /// and the job-level retry's `IngestBegin` truncates and starts
+    /// clean.
     fn ingest_append_session(
         &self,
         set: &str,
@@ -1896,13 +1926,21 @@ impl Pangead {
         over_wire: bool,
     ) -> Result<(u64, u64)> {
         let target = self.get_set(set)?;
-        let session = self.ingests.lock().get(set).cloned().ok_or_else(|| {
-            PangeaError::usage(format!("no ingest session for '{set}'; IngestBegin first"))
-        })?;
+        let gone =
+            || PangeaError::usage(format!("no ingest session for '{set}'; IngestBegin first"));
+        let session = self.ingests.lock().get(set).cloned().ok_or_else(gone)?;
         let mut session = session.lock();
+        if session.poisoned {
+            return Err(gone());
+        }
         let dedup = self.obs.registry().counter(names::INGEST_DEDUP_HITS);
         let outcome = (|| -> Result<(u64, u64)> {
-            let IngestSession { seen, reduce, .. } = &mut *session;
+            let IngestSession {
+                seen,
+                reduce,
+                writer,
+                ..
+            } = &mut *session;
             let (mut appended, mut bytes) = (0u64, 0u64);
             match reduce {
                 // Reducing session: fold accepted partials into the
@@ -1926,7 +1964,7 @@ impl Pangead {
                     }
                 }
                 None => {
-                    let mut writer = target.writer();
+                    let writer = writer.get_or_insert_with(|| target.writer());
                     for (tag, rec) in entries {
                         if over_wire {
                             self.stats.record_net(rec.len());
@@ -1940,7 +1978,6 @@ impl Pangead {
                         appended += 1;
                         bytes += rec.len() as u64;
                     }
-                    writer.finish()?;
                 }
             }
             Ok((appended, bytes))
@@ -1960,6 +1997,7 @@ impl Pangead {
                 Ok((appended, bytes))
             }
             Err(e) => {
+                session.poisoned = true;
                 drop(session);
                 self.ingests.lock().remove(set);
                 Err(e)
@@ -2965,6 +3003,131 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(d.stats().snapshot().shuffle_bytes > 0);
+    }
+
+    /// A map-only session writes through one writer, so small batches
+    /// fill pages instead of sealing one each — and the page that
+    /// writer keeps pinned must not get in the way of a retry's begin
+    /// or a `DropSet`.
+    #[test]
+    fn map_only_session_packs_small_batches_into_shared_pages() {
+        let d = Pangead::new(node("ingest-pages"));
+        d.handle(Request::CreateSet {
+            name: "out".into(),
+            durability: "write-back".into(),
+            page_size: None,
+        });
+        let begin = Request::IngestBegin {
+            set: "out".into(),
+            reduce: None,
+        };
+        assert_eq!(d.handle(begin.clone()), Response::Ok);
+        let mut framed = 0usize;
+        for batch in 0..100u64 {
+            let entries: Vec<(u64, Vec<u8>)> = (0..3u64)
+                .map(|i| {
+                    let rec = format!("batch-{batch:03}-record-{i}").into_bytes();
+                    framed += pangea_core::page::RECORD_PREFIX + rec.len();
+                    (crate::wire::ingest_tag(0, batch * 3 + i, &rec), rec)
+                })
+                .collect();
+            assert!(matches!(
+                d.handle(Request::IngestAppend {
+                    set: "out".into(),
+                    entries,
+                }),
+                Response::IngestAck { appended: 3, .. }
+            ));
+        }
+        let set = d.node.get_set("out").unwrap();
+        let room = set.page_size() - pangea_core::page::PAGE_HEADER;
+        assert_eq!(set.num_pages(), framed.div_ceil(room) as u64);
+        assert!(set.num_pages() < 10, "not a page per batch");
+
+        // A retry's begin replaces the still-open session: its pinned
+        // page goes with it, and the truncated set starts empty.
+        assert_eq!(d.handle(begin), Response::Ok);
+        match d.handle(Request::Scan { set: "out".into() }) {
+            Response::Records { records } => assert!(records.is_empty(), "{records:?}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(
+            d.handle(Request::IngestAppend {
+                set: "out".into(),
+                entries: vec![(1, b"again".to_vec())],
+            }),
+            Response::IngestAck { appended: 1, .. }
+        ));
+        assert!(matches!(
+            d.handle(Request::IngestEnd { set: "out".into() }),
+            Response::IngestAck { appended: 1, .. }
+        ));
+        assert_eq!(d.node.pool().pool_stats().pinned_pages, 0, "sealed");
+        match d.handle(Request::Scan { set: "out".into() }) {
+            Response::Records { records } => assert_eq!(records, vec![b"again".to_vec()]),
+            other => panic!("{other:?}"),
+        }
+
+        // So does a drop with the session open.
+        assert_eq!(
+            d.handle(Request::IngestBegin {
+                set: "out".into(),
+                reduce: None,
+            }),
+            Response::Ok
+        );
+        d.handle(Request::IngestAppend {
+            set: "out".into(),
+            entries: vec![(2, b"open".to_vec())],
+        });
+        assert_eq!(
+            d.handle(Request::DropSet { set: "out".into() }),
+            Response::Ok
+        );
+        assert_eq!(d.node.pool().pool_stats().pinned_pages, 0);
+    }
+
+    /// An append that was already waiting on the session lock when the
+    /// batch ahead of it failed must fail too — it used to run on the
+    /// poisoned session's half-updated state (and, on a reduce
+    /// accumulator whose spill had failed, panic the io thread, leaving
+    /// its sender waiting for an ack forever).
+    #[test]
+    fn append_queued_behind_a_failed_batch_fails_too() {
+        let d = Arc::new(Pangead::new(node("ingest-poison")));
+        d.handle(Request::CreateSet {
+            name: "out".into(),
+            durability: "write-back".into(),
+            page_size: None,
+        });
+        d.handle(Request::IngestBegin {
+            set: "out".into(),
+            reduce: None,
+        });
+        let session = d.ingests.lock().get("out").cloned().unwrap();
+        let mut guard = session.lock();
+        let queued = {
+            let d = Arc::clone(&d);
+            std::thread::spawn(move || {
+                d.handle(Request::IngestAppend {
+                    set: "out".into(),
+                    entries: vec![(1, b"late".to_vec())],
+                })
+            })
+        };
+        // The map, this test and the queued append each hold the session.
+        while Arc::strong_count(&session) < 3 {
+            std::thread::yield_now();
+        }
+        // What a failing batch does before it lets go of the lock.
+        guard.poisoned = true;
+        drop(guard);
+        d.ingests.lock().remove("out");
+        assert!(matches!(queued.join().unwrap(), Response::Err { .. }));
+        match d.handle(Request::Scan { set: "out".into() }) {
+            Response::Records { records } => assert!(records.is_empty(), "{records:?}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     /// A reducing ingest session folds incoming `key|value` partials

@@ -254,6 +254,32 @@ impl BufferPool {
         }))
     }
 
+    /// Removes a page its caller still holds pinned, consuming that pin.
+    /// Succeeds when `pin` is the page's only pin; the check and the
+    /// removal happen under the frame-table lock, so no other thread can
+    /// pin (or evict) the page in between — which an unpin followed by
+    /// [`BufferPool::evict`] cannot promise. When someone else also
+    /// holds a pin the page stays resident and the pin is handed back.
+    pub fn evict_pinned(&self, pin: PagePin) -> std::result::Result<EvictedFrame, PagePin> {
+        let mut frames = self.inner.frames.lock();
+        // Pins are only ever added from an existing pin (`clone`) or
+        // under the table lock (`pin_existing`), so a count of one seen
+        // here — ours — cannot grow before the frame leaves the table.
+        if pin.frame.pin_count.load(Ordering::Acquire) != 1 {
+            return Err(pin);
+        }
+        let Some(frame) = frames.remove(&pin.frame.page) else {
+            return Err(pin);
+        };
+        drop(frames);
+        drop(pin);
+        self.inner.stats.record_eviction();
+        Ok(EvictedFrame {
+            frame,
+            pool: Arc::clone(&self.inner),
+        })
+    }
+
     /// Discards an unpinned page without offering its bytes back (used for
     /// lifetime-ended transient data, which is never flushed).
     pub fn drop_page(&self, page: PageId) -> Result<bool> {
@@ -517,6 +543,25 @@ mod tests {
         assert!(ev.is_dirty());
         drop(ev);
         assert_eq!(p.used(), 0, "arena block recycled after eviction");
+    }
+
+    #[test]
+    fn evict_pinned_needs_the_only_pin() {
+        let p = pool(1 << 16);
+        let pin = p.create_page(pid(1, 0), 128).unwrap();
+        let other = p.pin_existing(pid(1, 0)).unwrap();
+        let Err(pin) = p.evict_pinned(pin) else {
+            panic!("a second pin is live");
+        };
+        assert!(p.contains(pid(1, 0)), "the page stays resident");
+        drop(other);
+        let Ok(ev) = p.evict_pinned(pin) else {
+            panic!("the sole pin must evict");
+        };
+        assert!(!p.contains(pid(1, 0)));
+        drop(ev);
+        assert_eq!(p.used(), 0, "arena block recycled");
+        assert_eq!(p.stats().snapshot().pages_evicted, 1);
     }
 
     #[test]
