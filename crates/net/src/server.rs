@@ -1261,7 +1261,9 @@ impl Pangead {
             Request::RecoverBegin { set, present_from } => {
                 let target = self.get_set(&set)?;
                 let mut session = RepairSession {
-                    seen: SpillLedger::new(
+                    // Unindexed until a change claims `repair` (see
+                    // `SpillLedger`, "Staged roll-out").
+                    seen: SpillLedger::unindexed(
                         &self.node,
                         self.session_set_name(&set, "repair-ledger"),
                         LEDGER_SPILL_ENTRIES,
@@ -1462,8 +1464,16 @@ impl Pangead {
                     }
                     None => None,
                 };
+                // Map-only sessions probe their ledger through the run
+                // filters; reducing ones stay unindexed until a change
+                // claims them (see `SpillLedger`, "Staged roll-out").
+                let open = if reduce.is_some() {
+                    SpillLedger::unindexed
+                } else {
+                    SpillLedger::new
+                };
                 let session = IngestSession {
-                    seen: SpillLedger::new(
+                    seen: open(
                         &self.node,
                         self.session_set_name(&set, "ingest-ledger"),
                         LEDGER_SPILL_ENTRIES,
@@ -2155,7 +2165,7 @@ impl Pangead {
         }
         let keep = match filter {
             RepairFilter::Absent => {
-                let mut present = SpillLedger::new(
+                let mut present = SpillLedger::unindexed(
                     &self.node,
                     self.session_set_name(target_set, "absent-diff"),
                     LEDGER_SPILL_ENTRIES,
