@@ -81,6 +81,18 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
+/// The splitmix64 finalizer: a bijection on `u64` that spreads
+/// sequential and strided inputs over the whole range. [`fx_hash64`]
+/// leaves its low bits only as varied as the low bytes of the last
+/// word it folded; callers that carve several independent indexes out
+/// of one hash pass it through this first.
+#[inline]
+pub fn mix64(x: u64) -> u64 {
+    let x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// Hashes a byte slice to a `u64` in one call.
 ///
 /// This is the hash used for shuffle partitioning and for the in-page hash

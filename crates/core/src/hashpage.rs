@@ -17,8 +17,25 @@
 //! entry is unlinked and a new one appended. When the bump heap reaches
 //! the end of the page the table reports [`HashInsert::Full`] and the
 //! virtual hash buffer splits the partition or spills the page.
+//!
+//! **One hash, three indexes.** Every operation takes the key's
+//! [`hash_key`], computed once by the caller, and the page and the
+//! virtual hash buffer carve it up so that no two choices read the same
+//! bits:
+//!
+//! ```text
+//! bits  0..32   root partition      (`root_of`: multiply-shift by K)
+//! bits 32..52   split bits, upward  (`split_bits`: bit 32+d splits depth d)
+//! bits   ..64   bucket, downward    (the top log2(n_buckets) bits)
+//! ```
+//!
+//! Keys that share a page agree on the root and on the page's `d` split
+//! bits, so a bucket index drawn from either would leave most of the
+//! page's buckets empty and its chains that much longer. Bucket and
+//! split bits meet only when `d + log2(n_buckets) > 32`, i.e. when one
+//! root partition holds more than 2^32 buckets' worth of pages.
 
-use pangea_common::{fx_hash64, PangeaError, Result};
+use pangea_common::{fx_hash64, mix64, PangeaError, Result};
 
 /// Fixed header size.
 const HDR: usize = 16;
@@ -34,6 +51,27 @@ pub enum HashInsert {
     Updated,
     /// The page has no room; split or spill.
     Full,
+}
+
+/// The hash every page operation takes: `fx_hash64` finished with
+/// `mix64`, so that all 64 bits vary with every byte of the key (fx's
+/// low bits do not: for a key of exactly eight bytes they are the first
+/// byte's).
+#[inline]
+pub fn hash_key(key: &[u8]) -> u64 {
+    mix64(fx_hash64(key))
+}
+
+/// The root partition, of `k`, that `hash` belongs to.
+#[inline]
+pub fn root_of(hash: u64, k: u32) -> usize {
+    (((hash & 0xFFFF_FFFF) * k as u64) >> 32) as usize
+}
+
+/// The bits an extendible directory of depth `d` indexes by its low `d`.
+#[inline]
+pub fn split_bits(hash: u64) -> u64 {
+    hash >> 32
 }
 
 /// Chooses a bucket count for a page: one bucket per ~64 bytes keeps
@@ -102,10 +140,12 @@ pub fn set_local_depth(bytes: &mut [u8], depth: u32) {
     write_u32(bytes, 12, depth);
 }
 
+/// Byte offset of the bucket head `hash` chains from: multiply-shift of
+/// the hash's high half, i.e. its top `log2(n_buckets)` bits.
 #[inline]
 fn bucket_slot(bytes: &[u8], hash: u64) -> usize {
     let nb = n_buckets(bytes) as u64;
-    HDR + ((hash & (nb - 1)) as usize) * 4
+    HDR + (((hash >> 32) * nb) >> 32) as usize * 4
 }
 
 // Entry accessors -------------------------------------------------------
@@ -124,56 +164,87 @@ fn entry_val_range(bytes: &[u8], at: usize) -> (usize, usize) {
     (start, start + vlen)
 }
 
-/// Looks a key up, returning its value bytes.
-pub fn lookup<'a>(bytes: &'a [u8], key: &[u8]) -> Option<&'a [u8]> {
-    let hash = fx_hash64(key);
-    let mut at = read_u32(bytes, bucket_slot(bytes, hash)) as usize;
-    while at != 0 {
-        if entry_key(bytes, at) == key {
-            let (s, e) = entry_val_range(bytes, at);
-            return Some(&bytes[s..e]);
-        }
-        at = read_u32(bytes, at) as usize;
-    }
-    None
+/// Where one walk of a key's bucket chain ended: at the key's entry, or
+/// at the end of the chain. [`value`] reads through it and [`put`]
+/// writes through it, so a lookup-then-store probes the page once. A
+/// probe is only good for the page bytes it was taken from, unchanged.
+#[derive(Debug, Clone, Copy)]
+#[must_use]
+pub struct Probe {
+    /// Offset of the bucket head.
+    slot: usize,
+    /// Offset of the `next` link that points at `at`: the bucket head,
+    /// or the entry before it in the chain.
+    link: usize,
+    /// Offset of the key's entry; 0 when the key is absent.
+    at: usize,
 }
 
-/// Inserts or replaces `key → val`. Same-length replacements happen in
-/// place; different-length replacements unlink and re-append (the old
-/// entry's bytes become dead slab space, as in a real slab allocator).
-pub fn insert(bytes: &mut [u8], key: &[u8], val: &[u8]) -> Result<HashInsert> {
+/// Walks `key`'s bucket chain once. `hash` must be `hash_key(key)`.
+pub fn find(bytes: &[u8], hash: u64, key: &[u8]) -> Probe {
+    let slot = bucket_slot(bytes, hash);
+    let mut link = slot;
+    let mut at = read_u32(bytes, slot) as usize;
+    while at != 0 && entry_key(bytes, at) != key {
+        link = at;
+        at = read_u32(bytes, at) as usize;
+    }
+    Probe { slot, link, at }
+}
+
+/// The value bytes of the entry `probe` found, if it found one.
+pub fn value(bytes: &[u8], probe: Probe) -> Option<&[u8]> {
+    (probe.at != 0).then(|| {
+        let (s, e) = entry_val_range(bytes, probe.at);
+        &bytes[s..e]
+    })
+}
+
+/// Stores `key → val` where `probe` (from [`find`] on these bytes, for
+/// this key) ended. A replacement of the same length happens in place;
+/// one of a different length unlinks the old entry (its bytes become
+/// dead slab space, as in a real slab allocator) and appends a new one.
+/// On [`HashInsert::Full`] the key is no longer in the page: the caller
+/// holds the only copy of its value.
+pub fn put(bytes: &mut [u8], probe: Probe, key: &[u8], val: &[u8]) -> Result<HashInsert> {
+    if probe.at != 0 {
+        let (s, e) = entry_val_range(bytes, probe.at);
+        if e - s == val.len() {
+            bytes[s..e].copy_from_slice(val);
+            return Ok(HashInsert::Updated);
+        }
+        let next = read_u32(bytes, probe.at);
+        write_u32(bytes, probe.link, next);
+        write_u32(bytes, 4, n_items(bytes) - 1);
+    }
+    push(bytes, probe.slot, key, val)
+}
+
+/// Adds `key → val` without looking for `key` first: for a key the
+/// caller knows the page does not hold (a split's redistribution, a
+/// retry after [`put`] reported the page full).
+pub fn append(bytes: &mut [u8], hash: u64, key: &[u8], val: &[u8]) -> Result<HashInsert> {
+    let slot = bucket_slot(bytes, hash);
+    push(bytes, slot, key, val)
+}
+
+/// Bump-allocates an entry at the heap top and links it at the head of
+/// the bucket at `slot`. An entry no empty page could hold is an error,
+/// not `Full`: making room would never help.
+fn push(bytes: &mut [u8], slot: usize, key: &[u8], val: &[u8]) -> Result<HashInsert> {
     if key.len() > u16::MAX as usize || val.len() > u16::MAX as usize {
         return Err(PangeaError::usage("hash key/value longer than 64 KiB"));
     }
-    let hash = fx_hash64(key);
-    let slot = bucket_slot(bytes, hash);
-    // Probe the chain for an existing key.
-    let mut prev: Option<usize> = None;
-    let mut at = read_u32(bytes, slot) as usize;
-    while at != 0 {
-        if entry_key(bytes, at) == key {
-            let (s, e) = entry_val_range(bytes, at);
-            if e - s == val.len() {
-                bytes[s..e].copy_from_slice(val);
-                return Ok(HashInsert::Updated);
-            }
-            // Unlink; fall through to append the resized entry.
-            let next = read_u32(bytes, at);
-            match prev {
-                Some(p) => write_u32(bytes, p, next),
-                None => write_u32(bytes, slot, next),
-            }
-            let n = n_items(bytes);
-            write_u32(bytes, 4, n - 1);
-            break;
-        }
-        prev = Some(at);
-        at = read_u32(bytes, at) as usize;
-    }
-    // Append a fresh entry at the heap top.
     let heap_top = used_bytes(bytes);
     let need = ENTRY_HDR + key.len() + val.len();
     if heap_top + need > bytes.len() {
+        let heap_start = HDR + n_buckets(bytes) as usize * 4;
+        if heap_start + need > bytes.len() {
+            return Err(PangeaError::usage(format!(
+                "hash entry of {need} B does not fit an empty {} B hash page",
+                bytes.len()
+            )));
+        }
         return Ok(HashInsert::Full);
     }
     let head = read_u32(bytes, slot);
@@ -188,25 +259,36 @@ pub fn insert(bytes: &mut [u8], key: &[u8], val: &[u8]) -> Result<HashInsert> {
     Ok(HashInsert::Inserted)
 }
 
-/// Calls `f(key, value)` for every live entry.
-pub fn for_each(bytes: &[u8], mut f: impl FnMut(&[u8], &[u8])) {
+/// Calls `f(key, value)` for every live entry, stopping at its first
+/// error.
+pub fn for_each(bytes: &[u8], mut f: impl FnMut(&[u8], &[u8]) -> Result<()>) -> Result<()> {
     let nb = n_buckets(bytes);
     for b in 0..nb {
         let mut at = read_u32(bytes, HDR + b as usize * 4) as usize;
         while at != 0 {
             let key = entry_key(bytes, at);
             let (s, e) = entry_val_range(bytes, at);
-            f(key, &bytes[s..e]);
+            f(key, &bytes[s..e])?;
             at = read_u32(bytes, at) as usize;
         }
     }
+    Ok(())
 }
 
-/// Collects every live entry (tests and spill paths).
-pub fn entries(bytes: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-    let mut out = Vec::with_capacity(n_items(bytes) as usize);
-    for_each(bytes, |k, v| out.push((k.to_vec(), v.to_vec())));
-    out
+/// Length of every bucket's chain, in bucket order.
+#[cfg(test)]
+pub(crate) fn chain_lengths(bytes: &[u8]) -> Vec<u32> {
+    (0..n_buckets(bytes) as usize)
+        .map(|b| {
+            let mut len = 0;
+            let mut at = read_u32(bytes, HDR + b * 4) as usize;
+            while at != 0 {
+                len += 1;
+                at = read_u32(bytes, at) as usize;
+            }
+            len
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -217,6 +299,25 @@ mod tests {
         let mut v = vec![0u8; cap];
         init(&mut v, buckets_for(cap), 0).unwrap();
         v
+    }
+
+    fn insert(bytes: &mut [u8], key: &[u8], val: &[u8]) -> Result<HashInsert> {
+        let probe = find(bytes, hash_key(key), key);
+        put(bytes, probe, key, val)
+    }
+
+    fn lookup<'a>(bytes: &'a [u8], key: &[u8]) -> Option<&'a [u8]> {
+        value(bytes, find(bytes, hash_key(key), key))
+    }
+
+    fn entries(bytes: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::with_capacity(n_items(bytes) as usize);
+        for_each(bytes, |k, v| {
+            out.push((k.to_vec(), v.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        out
     }
 
     #[test]
@@ -309,6 +410,40 @@ mod tests {
             assert_eq!(u32::from_le_bytes(v.try_into().unwrap()), i);
         }
         assert_eq!(entries(&p).len(), 64);
+    }
+
+    #[test]
+    fn append_skips_the_probe_and_chains_like_put() {
+        let mut p = fresh(2048);
+        for i in 0..40u32 {
+            let k = format!("key-{i}");
+            let r = append(
+                &mut p,
+                hash_key(k.as_bytes()),
+                k.as_bytes(),
+                &i.to_le_bytes(),
+            );
+            assert_eq!(r.unwrap(), HashInsert::Inserted);
+        }
+        assert_eq!(n_items(&p), 40);
+        for i in 0..40u32 {
+            let v = lookup(&p, format!("key-{i}").as_bytes()).expect("present");
+            assert_eq!(u32::from_le_bytes(v.try_into().unwrap()), i);
+        }
+    }
+
+    #[test]
+    fn an_entry_no_empty_page_could_hold_is_an_error_not_full() {
+        let mut p = fresh(256);
+        assert!(insert(&mut p, b"k", &[0u8; 300]).is_err());
+        assert_eq!(
+            insert(&mut p, b"k", &[0u8; 100]).unwrap(),
+            HashInsert::Inserted
+        );
+        // A resize that no longer fits leaves the key out of the page.
+        assert_eq!(insert(&mut p, b"k", &[0u8; 150]).unwrap(), HashInsert::Full);
+        assert!(lookup(&p, b"k").is_none());
+        assert_eq!(n_items(&p), 0);
     }
 
     #[test]

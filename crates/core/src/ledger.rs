@@ -41,24 +41,23 @@
 //! the entries present at freeze time, in a stable order, regardless of
 //! later inserts or flushes.
 //!
-//! **Staged roll-out.** Only map-only ingest sessions probe this way so
-//! far. Reducing ingest sessions, repair sessions and a survivor's
-//! `Absent` diff open their ledger with
-//! [`SpillLedger::unindexed`], which flushes the same pages but
-//! builds no filter and answers a probe as before: one pin per run and a
-//! walk of that page's records. The filtered probe makes those sessions'
-//! jobs two and four times as fast, and the benchmark check cannot
-//! resolve a move of that size on a metric a change does not claim (the
-//! run-to-run spread it allows is a quarter of the *parent's* median).
-//! The change that claims them switches the three call sites in
-//! `pangea-net`'s server to [`SpillLedger::new`] and deletes
-//! `unindexed` and `scan_page` with it.
+//! **Staged roll-out.** Ingest sessions, map-only and reducing, probe
+//! this way. A repair session's ledger and a survivor's `Absent` diff
+//! still open theirs with [`SpillLedger::unindexed`], which flushes the
+//! same pages but builds no filter and answers a probe as before: one
+//! pin per run and a walk of that page's records. The filtered probe
+//! makes `repair` jobs nearly four times as fast, and the benchmark
+//! check cannot resolve a move of that size on a metric a change does
+//! not claim (the run-to-run spread it allows is a quarter of the
+//! *parent's* median). The change that claims `repair` switches those
+//! two call sites in `pangea-net`'s server to [`SpillLedger::new`] and
+//! deletes `unindexed` and `scan_page` with them.
 
 use crate::attributes::SetOptions;
 use crate::node::StorageNode;
 use crate::page::{self, RecordSlices};
 use crate::set::LocalitySet;
-use pangea_common::{FxHashSet, PageNum, PangeaError, Result};
+use pangea_common::{mix64, FxHashSet, PageNum, PangeaError, Result};
 use pangea_paging::{ReadPattern, WritePattern};
 use std::cmp::Ordering;
 
@@ -122,14 +121,6 @@ const FILTER_BLOCK_BITS: usize = 512;
 #[derive(Debug, Clone, Copy, Default)]
 #[repr(align(64))]
 struct FilterBlock([u64; FILTER_BLOCK_BITS / 64]);
-
-/// The splitmix64 finalizer: a bijection on `u64` that spreads
-/// sequential and strided inputs over the whole range.
-fn mix64(x: u64) -> u64 {
-    let x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    let x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// What one hash looks like to every run's filter, computed once per
 /// probe: the value that picks its block, and the bits it sets there.
@@ -240,7 +231,7 @@ impl SpillLedger {
     /// [`SpillLedger::new`] without the per-run filter and the in-page
     /// binary search: a probe pins one page of every run whose fences
     /// admit the hash and walks its records. See "Staged roll-out" in the
-    /// module documentation for which sessions still use it and why.
+    /// module documentation for the two repair callers left and why.
     pub fn unindexed(node: &StorageNode, name: impl Into<String>, threshold: usize) -> Self {
         Self::with_probe(node, name.into(), threshold, false)
     }

@@ -1464,16 +1464,8 @@ impl Pangead {
                     }
                     None => None,
                 };
-                // Map-only sessions probe their ledger through the run
-                // filters; reducing ones stay unindexed until a change
-                // claims them (see `SpillLedger`, "Staged roll-out").
-                let open = if reduce.is_some() {
-                    SpillLedger::unindexed
-                } else {
-                    SpillLedger::new
-                };
                 let session = IngestSession {
-                    seen: open(
+                    seen: SpillLedger::new(
                         &self.node,
                         self.session_set_name(&set, "ingest-ledger"),
                         LEDGER_SPILL_ENTRIES,
@@ -3095,6 +3087,105 @@ mod tests {
             Response::Ok
         );
         assert_eq!(d.node.pool().pool_stats().pinned_pages, 0);
+    }
+
+    /// A reducing session dedups through the indexed ledger like a
+    /// map-only one: past two flushed runs, a lost-ack replay of an early
+    /// batch is refused record by record at one page pin each, and the
+    /// fresh partials before it stop at the run filters.
+    #[test]
+    fn reducing_session_replay_dedups_across_flushed_runs_without_page_walks() {
+        use crate::wire::{KeySpec, ReduceSpec};
+        use std::collections::BTreeMap;
+        const BATCH: u64 = 256;
+        let fresh = 2 * LEDGER_SPILL_ENTRIES as u64 + 4 * BATCH;
+        let d = Pangead::new(node("ingest-reduce-replay"));
+        d.handle(Request::CreateSet {
+            name: "sums".into(),
+            durability: "write-back".into(),
+            page_size: None,
+        });
+        let reduce = ReduceSpec::sum(KeySpec::WholeRecord, b'|', 1);
+        assert_eq!(
+            d.handle(Request::IngestBegin {
+                set: "sums".into(),
+                reduce: Some(reduce.clone()),
+            }),
+            Response::Ok
+        );
+        let batch = |b: u64| -> Vec<(u64, Vec<u8>)> {
+            (b * BATCH..(b + 1) * BATCH)
+                .map(|i| {
+                    let rec = format!("w{:04}|{}", i % 2000, i % 17).into_bytes();
+                    (crate::wire::ingest_tag(0, i, &rec), rec)
+                })
+                .collect()
+        };
+        let pins = |d: &Pangead| {
+            let s = d.node.paging_stats();
+            s.hits + s.misses
+        };
+        let mut expect: BTreeMap<Vec<u8>, i64> = BTreeMap::new();
+        let before = pins(&d);
+        for b in 0..fresh / BATCH {
+            let entries = batch(b);
+            for (_, rec) in &entries {
+                let (key, value) = reduce.decode_record(rec).unwrap();
+                *expect.entry(key.to_vec()).or_insert(0) += value;
+            }
+            assert!(matches!(
+                d.handle(Request::IngestAppend {
+                    set: "sums".into(),
+                    entries,
+                }),
+                Response::IngestAck {
+                    appended: BATCH,
+                    ..
+                }
+            ));
+        }
+        let fresh_pins = pins(&d) - before;
+        assert!(
+            fresh_pins * 20 < fresh,
+            "{fresh_pins} pins probing {fresh} fresh tags"
+        );
+
+        let dedup = d.obs.registry().counter(names::INGEST_DEDUP_HITS);
+        let (hits_before, before) = (dedup.get(), pins(&d));
+        assert!(matches!(
+            d.handle(Request::IngestAppend {
+                set: "sums".into(),
+                entries: batch(1),
+            }),
+            Response::IngestAck {
+                appended: 0,
+                bytes: 0,
+                ..
+            }
+        ));
+        assert_eq!(dedup.get() - hits_before, BATCH);
+        let replay_pins = pins(&d) - before;
+        assert!(
+            replay_pins <= BATCH + BATCH / 10,
+            "{replay_pins} pins refusing {BATCH} replayed tags"
+        );
+
+        let want: Vec<Vec<u8>> = expect
+            .iter()
+            .map(|(key, value)| reduce.encode_record(key, *value))
+            .collect();
+        let bytes: u64 = want.iter().map(|r| r.len() as u64).sum();
+        match d.handle(Request::IngestEnd { set: "sums".into() }) {
+            Response::IngestAck {
+                appended, bytes: b, ..
+            } => assert_eq!((appended, b), (want.len() as u64, bytes)),
+            other => panic!("{other:?}"),
+        }
+        match d.handle(Request::Scan { set: "sums".into() }) {
+            Response::Records { records } => assert_eq!(records, want),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(d.node.pool().pool_stats().pinned_pages, 0, "sealed");
     }
 
     /// An append that was already waiting on the session lock when the

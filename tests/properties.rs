@@ -46,7 +46,10 @@ proptest! {
     }
 
     /// The in-page hash table behaves like a map for any operation
-    /// sequence that fits, and signals Full instead of corrupting.
+    /// sequence that fits, and signals Full instead of corrupting. Every
+    /// store goes through the one probe (`find`, then `value` and `put`
+    /// on what it found); a key the model knows is absent alternates
+    /// between that and the probe-less `append`.
     #[test]
     fn hashpage_matches_model(
         ops in prop::collection::vec(
@@ -58,24 +61,43 @@ proptest! {
         let mut bytes = vec![0u8; 4096];
         hashpage::init(&mut bytes, hashpage::buckets_for(4096), 0).unwrap();
         let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
-        for (k, v) in &ops {
-            match hashpage::insert(&mut bytes, k, v).unwrap() {
-                hashpage::HashInsert::Full => break,
-                _ => {
-                    model.insert(k.clone(), v.clone());
+        for (i, (k, v)) in ops.iter().enumerate() {
+            let hash = hashpage::hash_key(k);
+            let probe = hashpage::find(&bytes, hash, k);
+            prop_assert_eq!(
+                hashpage::value(&bytes, probe),
+                model.get(k).map(|x| x.as_slice())
+            );
+            let outcome = if !model.contains_key(k) && i % 2 == 0 {
+                hashpage::append(&mut bytes, hash, k, v).unwrap()
+            } else {
+                hashpage::put(&mut bytes, probe, k, v).unwrap()
+            };
+            match (outcome, model.insert(k.clone(), v.clone())) {
+                (hashpage::HashInsert::Updated, Some(old)) => prop_assert_eq!(old.len(), v.len()),
+                (hashpage::HashInsert::Inserted, None) => {}
+                (hashpage::HashInsert::Inserted, Some(old)) => prop_assert!(old.len() != v.len()),
+                (hashpage::HashInsert::Full, _) => {
+                    // A store that found the page full leaves the key out.
+                    model.remove(k);
+                    break;
                 }
+                (outcome, old) => prop_assert!(false, "{:?} over {:?}", outcome, old),
             }
         }
         prop_assert_eq!(hashpage::n_items(&bytes) as usize, model.len());
         for (k, v) in &model {
-            prop_assert_eq!(hashpage::lookup(&bytes, k), Some(v.as_slice()));
+            let probe = hashpage::find(&bytes, hashpage::hash_key(k), k);
+            prop_assert_eq!(hashpage::value(&bytes, probe), Some(v.as_slice()));
         }
         // Everything enumerable matches the model too.
         let mut seen = 0;
         hashpage::for_each(&bytes, |k, v| {
             assert_eq!(model.get(k).map(|x| x.as_slice()), Some(v));
             seen += 1;
-        });
+            Ok(())
+        })
+        .unwrap();
         prop_assert_eq!(seen, model.len());
     }
 
