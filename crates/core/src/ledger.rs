@@ -40,22 +40,10 @@
 //! generation (≤ `threshold` entries); the snapshot enumerates exactly
 //! the entries present at freeze time, in a stable order, regardless of
 //! later inserts or flushes.
-//!
-//! **Staged roll-out.** Ingest sessions, map-only and reducing, probe
-//! this way. A repair session's ledger and a survivor's `Absent` diff
-//! still open theirs with [`SpillLedger::unindexed`], which flushes the
-//! same pages but builds no filter and answers a probe as before: one
-//! pin per run and a walk of that page's records. The filtered probe
-//! makes `repair` jobs nearly four times as fast, and the benchmark
-//! check cannot resolve a move of that size on a metric a change does
-//! not claim (the run-to-run spread it allows is a quarter of the
-//! *parent's* median). The change that claims `repair` switches those
-//! two call sites in `pangea-net`'s server to [`SpillLedger::new`] and
-//! deletes `unindexed` and `scan_page` with them.
 
 use crate::attributes::SetOptions;
 use crate::node::StorageNode;
-use crate::page::{self, RecordSlices};
+use crate::page;
 use crate::set::LocalitySet;
 use pangea_common::{mix64, FxHashSet, PageNum, PangeaError, Result};
 use pangea_paging::{ReadPattern, WritePattern};
@@ -94,20 +82,6 @@ fn search_page(page_bytes: &[u8], count: usize, h: u64) -> Result<bool> {
             Ordering::Less => lo = mid + 1,
             Ordering::Greater => hi = mid,
             Ordering::Equal => return Ok(true),
-        }
-    }
-    Ok(false)
-}
-
-/// The unindexed probe: walks a pinned run page record by record.
-fn scan_page(page_bytes: &[u8], h: u64) -> Result<bool> {
-    for rec in RecordSlices::new(page_bytes) {
-        let v = u64::from_le_bytes(
-            rec.try_into()
-                .map_err(|_| PangeaError::Corruption("ledger record length".into()))?,
-        );
-        if v >= h {
-            return Ok(v == h); // entries are sorted within a page
         }
     }
     Ok(false)
@@ -187,12 +161,12 @@ impl RunFilter {
     }
 }
 
-/// One flushed generation: its pages' fences in key order and, in an
-/// indexed ledger, the filter over everything they hold.
+/// One flushed generation: its pages' fences in key order and the
+/// filter over everything they hold.
 #[derive(Debug)]
 struct Run {
     pages: Vec<RunPage>,
-    filter: Option<RunFilter>,
+    filter: RunFilter,
 }
 
 /// The frozen-snapshot bookkeeping: how many runs were flushed before
@@ -211,7 +185,6 @@ pub struct SpillLedger {
     node: StorageNode,
     name: String,
     threshold: usize,
-    indexed: bool,
     gen: FxHashSet<u64>,
     set: Option<LocalitySet>,
     runs: Vec<Run>,
@@ -225,23 +198,10 @@ impl SpillLedger {
     /// leftover set under the same name (a predecessor that died without
     /// cleanup) is dropped first.
     pub fn new(node: &StorageNode, name: impl Into<String>, threshold: usize) -> Self {
-        Self::with_probe(node, name.into(), threshold, true)
-    }
-
-    /// [`SpillLedger::new`] without the per-run filter and the in-page
-    /// binary search: a probe pins one page of every run whose fences
-    /// admit the hash and walks its records. See "Staged roll-out" in the
-    /// module documentation for the two repair callers left and why.
-    pub fn unindexed(node: &StorageNode, name: impl Into<String>, threshold: usize) -> Self {
-        Self::with_probe(node, name.into(), threshold, false)
-    }
-
-    fn with_probe(node: &StorageNode, name: String, threshold: usize, indexed: bool) -> Self {
         Self {
             node: node.clone(),
-            name,
+            name: name.into(),
             threshold: threshold.max(1),
-            indexed,
             gen: FxHashSet::default(),
             set: None,
             runs: Vec::new(),
@@ -268,8 +228,7 @@ impl SpillLedger {
 
     /// Membership probe: the in-memory generation, then each flushed
     /// run's filter and fences, and only for a run that passes both one
-    /// page pin and a binary search of that page. An unindexed ledger
-    /// has no filters and walks the page instead.
+    /// page pin and a binary search of that page.
     pub fn contains(&self, h: u64) -> Result<bool> {
         if self.gen.contains(&h) {
             return Ok(true);
@@ -277,12 +236,10 @@ impl SpillLedger {
         let Some(set) = &self.set else {
             return Ok(false);
         };
-        let key = self.indexed.then(|| FilterKey::of(h));
+        let key = FilterKey::of(h);
         for run in &self.runs {
-            if let (Some(filter), Some(key)) = (&run.filter, &key) {
-                if !filter.may_contain(key) {
-                    continue;
-                }
+            if !run.filter.may_contain(&key) {
+                continue;
             }
             let idx = run.pages.partition_point(|p| p.max < h);
             let Some(p) = run.pages.get(idx) else {
@@ -293,12 +250,7 @@ impl SpillLedger {
             }
             let pin = set.pin_page(p.num)?;
             let guard = pin.read();
-            let found = if self.indexed {
-                search_page(&guard, p.count as usize, h)?
-            } else {
-                scan_page(&guard, h)?
-            };
-            if found {
+            if search_page(&guard, p.count as usize, h)? {
                 return Ok(true);
             }
         }
@@ -373,7 +325,7 @@ impl SpillLedger {
         self.spilled_len += sorted.len() as u64;
         self.runs.push(Run {
             pages,
-            filter: self.indexed.then(|| RunFilter::build(&sorted)),
+            filter: RunFilter::build(&sorted),
         });
         Ok(())
     }
@@ -525,17 +477,12 @@ mod tests {
         assert!(!l.contains(7 * 1000 + 3).unwrap());
     }
 
-    /// The ledger, indexed and not, against a `HashSet` over run shapes
-    /// from one entry per run (threshold 1) to several pages per run
-    /// (threshold 300 on 1 KB pages, which hold 84 entries), probed with
-    /// every member, fresh hashes, and the neighbours of every page fence.
+    /// The ledger against a `HashSet` over run shapes from one entry per
+    /// run (threshold 1) to several pages per run (threshold 300 on 1 KB
+    /// pages, which hold 84 entries), probed with every member, fresh
+    /// hashes, and the neighbours of every page fence.
     #[test]
     fn agrees_with_a_hash_set_reference() {
-        type Open = fn(&StorageNode, &'static str, usize) -> SpillLedger;
-        let opens: [(&str, Open); 2] = [
-            ("indexed", |n, name, t| SpillLedger::new(n, name, t)),
-            ("unindexed", |n, name, t| SpillLedger::unindexed(n, name, t)),
-        ];
         let boundary: Vec<u64> = [0, 1, 2, u64::MAX - 2, u64::MAX - 1, u64::MAX]
             .into_iter()
             .chain(uniform(11, 394))
@@ -546,47 +493,44 @@ mod tests {
             ("strided", (0..400u64).map(|i| i * 7 + 3).collect()),
             ("boundary", boundary),
         ];
-        for (probe, open) in opens {
-            for (page_size, threshold) in [KB, 16 * KB]
-                .into_iter()
-                .flat_map(|p| [1, 7, 64, 300].map(|t| (p, t)))
-            {
-                for (shape, input) in &inputs {
-                    let case =
-                        format!("{probe}, {shape}, threshold {threshold}, {page_size} B pages");
-                    let n = node_with(
-                        &format!("ref-{probe}-{shape}-{threshold}-{page_size}"),
-                        64 * KB,
-                        page_size,
+        for (page_size, threshold) in [KB, 16 * KB]
+            .into_iter()
+            .flat_map(|p| [1, 7, 64, 300].map(|t| (p, t)))
+        {
+            for (shape, input) in &inputs {
+                let case = format!("{shape}, threshold {threshold}, {page_size} B pages");
+                let n = node_with(
+                    &format!("ref-{shape}-{threshold}-{page_size}"),
+                    64 * KB,
+                    page_size,
+                );
+                let mut l = SpillLedger::new(&n, "led", threshold);
+                let mut want = HashSet::new();
+                // Every input once, then a replayed prefix.
+                for &h in input.iter().chain(&input[..50]) {
+                    assert_eq!(
+                        l.insert_if_absent(h).unwrap(),
+                        want.insert(h),
+                        "insert_if_absent({h}) ({case})"
                     );
-                    let mut l = open(&n, "led", threshold);
-                    let mut want = HashSet::new();
-                    // Every input once, then a replayed prefix.
-                    for &h in input.iter().chain(&input[..50]) {
-                        assert_eq!(
-                            l.insert_if_absent(h).unwrap(),
-                            want.insert(h),
-                            "insert_if_absent({h}) ({case})"
-                        );
-                    }
-                    assert_eq!(l.len(), want.len() as u64, "{case}");
-                    assert!(l.spilled_len() > 0, "{case}");
+                }
+                assert_eq!(l.len(), want.len() as u64, "{case}");
+                assert!(l.spilled_len() > 0, "{case}");
 
-                    let mut probes = input.clone();
-                    probes.extend([0, 1, u64::MAX - 1, u64::MAX]);
-                    probes.extend(uniform(99, 200));
-                    for p in l.runs.iter().flat_map(|r| r.pages.iter()) {
-                        for fence in [p.min, p.max] {
-                            probes.extend([fence.wrapping_sub(1), fence, fence.wrapping_add(1)]);
-                        }
+                let mut probes = input.clone();
+                probes.extend([0, 1, u64::MAX - 1, u64::MAX]);
+                probes.extend(uniform(99, 200));
+                for p in l.runs.iter().flat_map(|r| r.pages.iter()) {
+                    for fence in [p.min, p.max] {
+                        probes.extend([fence.wrapping_sub(1), fence, fence.wrapping_add(1)]);
                     }
-                    for h in probes {
-                        assert_eq!(
-                            l.contains(h).unwrap(),
-                            want.contains(&h),
-                            "contains({h}) ({case})"
-                        );
-                    }
+                }
+                for h in probes {
+                    assert_eq!(
+                        l.contains(h).unwrap(),
+                        want.contains(&h),
+                        "contains({h}) ({case})"
+                    );
                 }
             }
         }

@@ -98,7 +98,7 @@ const IO_METHODS: &[&str] = &[
     "checkout_peer",
     "dial_peer",
     "ping",
-    "hash_list",
+    "hash_list_for_each",
     "metrics_dump",
     "metrics_dump_since",
     "trace_push",

@@ -308,34 +308,48 @@ impl PangeaClient {
         }
     }
 
-    /// The remote set's record hashes, in storage order (no payload
-    /// crosses the wire — the peer pull of a repair session). Pages
-    /// through chunked replies, so sets of any size fit the frame limit.
-    pub fn hash_list(&mut self, set: &str) -> Result<Vec<u64>> {
-        let mut all = Vec::new();
+    /// Streams the remote set's record hashes, in storage order, one
+    /// wire chunk at a time (no payload crosses the wire — the peer pull
+    /// of a repair session). The client never holds more than one chunk,
+    /// so a share of any size seeds a ledger with bounded heap.
+    pub fn hash_list_for_each(
+        &mut self,
+        set: &str,
+        f: impl FnMut(Vec<u64>) -> Result<()>,
+    ) -> Result<()> {
+        let request = |(start_page, start_record)| Request::HashList {
+            set: set.to_string(),
+            start_page,
+            start_record,
+        };
+        self.hashes_for_each("hash-list", request, f)
+    }
+
+    /// The paging loop behind [`PangeaClient::hash_list_for_each`] and
+    /// [`PangeaClient::repair_ledger_for_each`]: asks `request(cursor)`
+    /// from `(0, 0)` on and hands every chunk of hashes to `f` as it
+    /// arrives, until a reply names no continuation.
+    fn hashes_for_each(
+        &mut self,
+        what: &str,
+        request: impl Fn((u64, u64)) -> Request,
+        mut f: impl FnMut(Vec<u64>) -> Result<()>,
+    ) -> Result<()> {
         let mut cursor = (0u64, 0u64);
         loop {
-            let req = Request::HashList {
-                set: set.to_string(),
-                start_page: cursor.0,
-                start_record: cursor.1,
-            };
-            match self.call(&req)? {
+            match self.call(&request(cursor))? {
                 Response::Hashes { hashes, next } => {
-                    match next {
-                        Some(n) if hashes.is_empty() || n <= cursor => {
-                            // A continuation must make progress, or a
-                            // confused server would loop us forever.
-                            return Err(PangeaError::Corruption(format!(
-                                "hash-list cursor did not advance past {cursor:?}"
-                            )));
-                        }
-                        _ => {}
+                    // A continuation must make progress, or a confused
+                    // server would loop us forever.
+                    if matches!(next, Some(n) if hashes.is_empty() || n <= cursor) {
+                        return Err(PangeaError::Corruption(format!(
+                            "{what} cursor did not advance past {cursor:?}"
+                        )));
                     }
-                    all.extend(hashes);
+                    f(hashes)?;
                     match next {
                         Some(n) => cursor = n,
-                        None => return Ok(all),
+                        None => return Ok(()),
                     }
                 }
                 other => return Err(Self::unexpected(other)),
@@ -505,8 +519,9 @@ impl PangeaClient {
     }
 
     /// The present-hash ledger of an open repair session on the remote
-    /// node, paged like [`PangeaClient::hash_list`] (no payload crosses
-    /// the wire) — what an `Absent`-filtered survivor diffs against.
+    /// node, paged like [`PangeaClient::hash_list_for_each`] (no payload
+    /// crosses the wire) — what an `Absent`-filtered survivor diffs
+    /// against.
     ///
     /// Materializes the whole ledger; prefer
     /// [`PangeaClient::repair_ledger_for_each`] when the caller can
@@ -528,33 +543,15 @@ impl PangeaClient {
     pub fn repair_ledger_for_each(
         &mut self,
         set: &str,
-        mut f: impl FnMut(Vec<u64>) -> Result<()>,
+        f: impl FnMut(Vec<u64>) -> Result<()>,
     ) -> Result<()> {
-        let mut start = 0u64;
-        loop {
-            let req = Request::RepairLedger {
-                set: set.to_string(),
-                start,
-            };
-            match self.call(&req)? {
-                Response::Hashes { hashes, next } => {
-                    match next {
-                        Some((_, n)) if hashes.is_empty() || n <= start => {
-                            return Err(PangeaError::Corruption(format!(
-                                "repair-ledger cursor did not advance past {start}"
-                            )));
-                        }
-                        _ => {}
-                    }
-                    f(hashes)?;
-                    match next {
-                        Some((_, n)) => start = n,
-                        None => return Ok(()),
-                    }
-                }
-                other => return Err(Self::unexpected(other)),
-            }
-        }
+        // The ledger's cursor is an entry index, carried in the second
+        // half of the shared `(page, record)` cursor.
+        let request = |(_, start)| Request::RepairLedger {
+            set: set.to_string(),
+            start,
+        };
+        self.hashes_for_each("repair-ledger", request, f)
     }
 
     /// Pulls the remote daemon's full observability dump: every

@@ -711,6 +711,19 @@ struct RepairSession {
     seen: SpillLedger,
     appended: u64,
     bytes: u64,
+    /// The one sequential writer every append of this session goes
+    /// through, as in a map-only [`IngestSession`]: opened by the first
+    /// append and finished by `RecoverEnd`, so a page is sealed when it
+    /// fills, not per batch. A `RecoverBegin` that replaces this session
+    /// closes it before re-seeding from the target, so the records of
+    /// the open page are part of what the retry dedups against; a
+    /// session that dies any other way seals through the writer's own
+    /// `Drop`.
+    writer: Option<SeqWriter>,
+    /// Set, under the session lock, when a batch failed part-way or a
+    /// new begin replaced this session; an append already queued on the
+    /// lock must then fail instead of writing behind a retry's back.
+    poisoned: bool,
 }
 
 /// One open shuffle-ingest session on a destination node: the
@@ -777,6 +790,11 @@ const LEDGER_SPILL_ENTRIES: usize = 64 * 1024;
 /// roots only set the floor of pinned pages per open session.
 const ACC_ROOT_PARTITIONS: u32 = 2;
 
+/// How a [`PipelinedPeer`] reads one ack of the batch family it
+/// carries (`PangeaClient::{ingest,recover}_append_await`): the acked
+/// `(appended, appended_bytes, credit)`.
+type AwaitAck = fn(&mut PangeaClient, u64, usize) -> Result<(u64, u64, u64)>;
+
 /// A checked-out peer connection plus its pipelined-push state: the
 /// correlation ids of unacked submits (oldest first, each with the
 /// payload bytes it carried, for ack-time net accounting) and the
@@ -784,6 +802,7 @@ const ACC_ROOT_PARTITIONS: u32 = 2;
 #[derive(Debug)]
 struct PipelinedPeer {
     client: PangeaClient,
+    await_ack: AwaitAck,
     /// `(correlation, payload_bytes)` of unacked submits, oldest first.
     inflight: VecDeque<(u64, usize)>,
     /// Latest credit grant from the receiver; `0` = no information yet
@@ -792,9 +811,10 @@ struct PipelinedPeer {
 }
 
 impl PipelinedPeer {
-    fn new(client: PangeaClient) -> Self {
+    fn new(client: PangeaClient, await_ack: AwaitAck) -> Self {
         Self {
             client,
+            await_ack,
             inflight: VecDeque::new(),
             credit: 0,
         }
@@ -812,6 +832,19 @@ impl PipelinedPeer {
         } else {
             configured.min(self.credit as usize).max(1)
         }
+    }
+
+    /// Awaits the oldest outstanding ack, adopting the receiver's fresh
+    /// credit grant. Returns the acked `(appended, appended_bytes)`.
+    fn await_oldest(&mut self) -> Result<(u64, u64)> {
+        // Nothing in flight means nothing to await — a no-op, not a
+        // panic, so callers can drain unconditionally.
+        let Some((corr, payload_bytes)) = self.inflight.pop_front() else {
+            return Ok((0, 0));
+        };
+        let (appended, bytes, credit) = (self.await_ack)(&mut self.client, corr, payload_bytes)?;
+        self.credit = credit;
+        Ok((appended, bytes))
     }
 }
 
@@ -1260,16 +1293,27 @@ impl Pangead {
             }
             Request::RecoverBegin { set, present_from } => {
                 let target = self.get_set(&set)?;
+                // A session a failed attempt left open still holds its
+                // writer's page: close it first (waiting out an append in
+                // flight on it), so the seeding scan below reads every
+                // record that attempt stored and the retry appends none
+                // of them twice.
+                let stale = self.repairs.lock().remove(&set);
+                if let Some(stale) = stale {
+                    let mut stale = stale.lock();
+                    stale.poisoned = true;
+                    stale.writer = None;
+                }
                 let mut session = RepairSession {
-                    // Unindexed until a change claims `repair` (see
-                    // `SpillLedger`, "Staged roll-out").
-                    seen: SpillLedger::unindexed(
+                    seen: SpillLedger::new(
                         &self.node,
                         self.session_set_name(&set, "repair-ledger"),
                         LEDGER_SPILL_ENTRIES,
                     ),
                     appended: 0,
                     bytes: 0,
+                    writer: None,
+                    poisoned: false,
                 };
                 // Seed with what this node already holds: a retried
                 // repair (some batches of a failed attempt committed
@@ -1283,13 +1327,17 @@ impl Pangead {
                 }
                 for addr in &present_from {
                     let mut peer = self.checkout_peer(addr)?;
-                    match peer.hash_list(&set) {
-                        Ok(hashes) => {
-                            self.checkin_peer(addr, peer);
-                            for h in hashes {
-                                session.seen.insert_if_absent(h)?;
-                            }
-                        }
+                    // One `HASH_CHUNK` of the peer's share at a time,
+                    // straight into the ledger: the heap this holds is a
+                    // chunk plus the ledger's generation, whatever the
+                    // share's size.
+                    let seeded = peer.hash_list_for_each(&set, |hashes| {
+                        hashes
+                            .into_iter()
+                            .try_for_each(|h| session.seen.insert_if_absent(h).map(drop))
+                    });
+                    match seeded {
+                        Ok(()) => self.checkin_peer(addr, peer),
                         Err(e) => {
                             // A failed RPC leaves the stream state
                             // unknown; account for the drop so the
@@ -1305,9 +1353,8 @@ impl Pangead {
                 // index-stable while concurrent pushes grow the live
                 // ledger).
                 session.seen.freeze_snapshot();
-                // Replace any stale session (and any sealed-totals
-                // tombstone): `RecoverBegin` is the idempotent open of a
-                // fresh repair attempt.
+                // Clear any sealed-totals tombstone: `RecoverBegin` is
+                // the idempotent open of a fresh repair attempt.
                 self.ended.lock().remove(&set);
                 let live = {
                     let mut repairs = self.repairs.lock();
@@ -1321,51 +1368,72 @@ impl Pangead {
             }
             Request::RecoverAppend { set, records } => {
                 let target = self.get_set(&set)?;
+                let gone = || {
+                    PangeaError::usage(format!(
+                        "no repair session for '{}'; RecoverBegin first",
+                        target.name()
+                    ))
+                };
                 let session = self
                     .repairs
                     .lock()
                     .get(target.name())
                     .cloned()
-                    .ok_or_else(|| {
-                        PangeaError::usage(format!(
-                            "no repair session for '{}'; RecoverBegin first",
-                            target.name()
-                        ))
-                    })?;
+                    .ok_or_else(gone)?;
                 // The session lock serializes concurrent survivor pushes
                 // into one target: the dedup check and the append must be
-                // atomic per record, and the storage writer gets batches
-                // in a single writer's order. Unrelated sets' sessions
+                // atomic per record, and the session's one storage writer
+                // sees a single writer's order. Unrelated sets' sessions
                 // proceed in parallel.
                 let mut session = session.lock();
-                let mut writer = target.writer();
-                let replays = self.obs.registry().counter(names::REPAIR_DEDUP_HITS);
-                let (mut appended, mut bytes) = (0u64, 0u64);
-                for rec in &records {
-                    self.stats.record_net(rec.len());
-                    let h = fx_hash64(rec);
-                    if session.seen.contains(h)? {
-                        replays.inc();
-                        continue;
-                    }
-                    // Ledger only after the record is stored: a failed
-                    // append must leave the hash unseen, or the
-                    // contractually-idempotent retry would dedup the
-                    // record away and lose it forever.
-                    writer.add_object(rec)?;
-                    session.seen.insert(h)?;
-                    appended += 1;
-                    bytes += rec.len() as u64;
+                if session.poisoned {
+                    return Err(gone());
                 }
-                writer.finish()?;
-                session.appended += appended;
-                session.bytes += bytes;
-                self.stats.record_repair(bytes as usize);
-                Ok(Response::RepairAck {
-                    appended,
-                    bytes,
-                    credit: self.flow_credit(),
-                })
+                let replays = self.obs.registry().counter(names::REPAIR_DEDUP_HITS);
+                let outcome = (|| -> Result<(u64, u64)> {
+                    let RepairSession { seen, writer, .. } = &mut *session;
+                    let writer = writer.get_or_insert_with(|| target.writer());
+                    let (mut appended, mut bytes) = (0u64, 0u64);
+                    for rec in &records {
+                        self.stats.record_net(rec.len());
+                        let h = fx_hash64(rec);
+                        if seen.contains(h)? {
+                            replays.inc();
+                            continue;
+                        }
+                        // Ledger only after the record is stored: a
+                        // failed append must leave the hash unseen, or
+                        // the contractually-idempotent retry would dedup
+                        // the record away and lose it forever.
+                        writer.add_object(rec)?;
+                        seen.insert(h)?;
+                        appended += 1;
+                        bytes += rec.len() as u64;
+                    }
+                    Ok((appended, bytes))
+                })();
+                match outcome {
+                    Ok((appended, bytes)) => {
+                        session.appended += appended;
+                        session.bytes += bytes;
+                        self.stats.record_repair(bytes as usize);
+                        Ok(Response::RepairAck {
+                            appended,
+                            bytes,
+                            credit: self.flow_credit(),
+                        })
+                    }
+                    // What the writer holds after a failed batch is
+                    // unknown, so the session ends here, still under its
+                    // lock: appends queued behind this one are refused,
+                    // and the retry's `RecoverBegin` re-seeds from what
+                    // the target really stores.
+                    Err(e) => {
+                        session.poisoned = true;
+                        self.repairs.lock().remove(target.name());
+                        Err(e)
+                    }
+                }
             }
             Request::RecoverEnd { set } => {
                 // The orchestrator only ends a session after its pushes
@@ -1384,7 +1452,12 @@ impl Pangead {
                         "no repair session for '{set}' to end"
                     )));
                 };
-                let session = session.lock();
+                let mut session = session.lock();
+                // A failed seal leaves no tombstone: a retried end fails
+                // loudly, and the next attempt's begin re-seeds.
+                if let Some(mut writer) = session.writer.take() {
+                    writer.finish()?;
+                }
                 self.ended
                     .lock()
                     .insert(set, (session.appended, session.bytes));
@@ -1792,7 +1865,7 @@ impl Pangead {
                 let mut failed = None;
                 if let Some(peer) = conns.get_mut(&addr) {
                     while !peer.inflight.is_empty() {
-                        match self.await_ingest_ack(peer) {
+                        match peer.await_oldest() {
                             Ok((a, b)) => {
                                 report.appended += a;
                                 report.appended_bytes += b;
@@ -2038,10 +2111,11 @@ impl Pangead {
                 // produced them.
                 let mut conn = self.checkout_peer(addr)?;
                 conn.set_trace(ctx);
-                v.insert(PipelinedPeer::new(conn))
+                v.insert(PipelinedPeer::new(conn, PangeaClient::ingest_append_await))
             }
         };
-        match self.pipelined_ingest_step(peer, output, entries, window) {
+        let submit = |c: &mut PangeaClient| c.ingest_append_submit(output, entries);
+        match self.pipelined_submit(peer, window, submit) {
             Ok(acked) => Ok(acked),
             Err(e) => {
                 // Dropped, not returned — and counted, so a failed push
@@ -2054,22 +2128,21 @@ impl Pangead {
         }
     }
 
-    /// One pipelined submit against a destination: make window room
-    /// (awaiting oldest acks, with credit-stall accounting), then send.
-    /// Returns the totals of whatever acks were drained for room.
-    fn pipelined_ingest_step(
+    /// One pipelined submit against a peer: make window room (awaiting
+    /// oldest acks, with credit-stall accounting), then send. Returns
+    /// the totals of whatever acks were drained for room.
+    fn pipelined_submit(
         &self,
         peer: &mut PipelinedPeer,
-        output: &str,
-        entries: Vec<(u64, Vec<u8>)>,
         window: u32,
+        submit: impl FnOnce(&mut PangeaClient) -> Result<(u64, usize)>,
     ) -> Result<(u64, u64)> {
         let reg = self.obs.registry();
         let (mut appended, mut bytes) = (0u64, 0u64);
         while peer.inflight.len() >= peer.effective_window(window) {
             let credit_limited = peer.effective_window(window) < window.max(1) as usize;
             let start = Instant::now();
-            let (a, b) = self.await_ingest_ack(peer)?;
+            let (a, b) = peer.await_oldest()?;
             appended += a;
             bytes += b;
             if credit_limited {
@@ -2078,24 +2151,10 @@ impl Pangead {
                     .add(start.elapsed().as_millis() as u64);
             }
         }
-        let (corr, payload_bytes) = peer.client.ingest_append_submit(output, entries)?;
+        let (corr, payload_bytes) = submit(&mut peer.client)?;
         peer.inflight.push_back((corr, payload_bytes));
         reg.histogram(names::NET_INFLIGHT)
             .observe(peer.inflight.len() as u64);
-        Ok((appended, bytes))
-    }
-
-    /// Awaits the oldest outstanding ingest ack on `peer`, adopting the
-    /// receiver's fresh credit grant. Returns the acked `(appended,
-    /// appended_bytes)`.
-    fn await_ingest_ack(&self, peer: &mut PipelinedPeer) -> Result<(u64, u64)> {
-        // Nothing in flight means nothing to await — a no-op, not a
-        // panic, so callers can drain unconditionally.
-        let Some((corr, payload_bytes)) = peer.inflight.pop_front() else {
-            return Ok((0, 0));
-        };
-        let (appended, bytes, credit) = peer.client.ingest_append_await(corr, payload_bytes)?;
-        peer.credit = credit;
         Ok((appended, bytes))
     }
 
@@ -2121,18 +2180,19 @@ impl Pangead {
         // One pooled connection for the whole push: repeated pushes to
         // the same replacement (per survivor × source × pass) no longer
         // pay a fresh dial + handshake each (the ROADMAP hot-path item).
-        let mut peer = self.checkout_peer(target_addr)?;
-        peer.set_trace(ctx);
+        let mut client = self.checkout_peer(target_addr)?;
+        client.set_trace(ctx);
+        let mut peer = PipelinedPeer::new(client, PangeaClient::recover_append_await);
         match self.recover_push_with(&source, target_set, &mut peer, filter) {
             Ok(resp) => {
-                self.checkin_peer(target_addr, peer);
+                self.checkin_peer(target_addr, peer.client);
                 Ok(resp)
             }
             Err(e) => {
                 // Any mid-push failure leaves the stream state unknown;
                 // close the connection and account for it so the pool
                 // counters stay truthful on every error path.
-                self.discard_peer(peer);
+                self.discard_peer(peer.client);
                 Err(e)
             }
         }
@@ -2148,7 +2208,7 @@ impl Pangead {
         &self,
         source: &pangea_core::LocalitySet,
         target_set: &str,
-        peer: &mut PangeaClient,
+        peer: &mut PipelinedPeer,
         filter: &RepairFilter,
     ) -> Result<Response> {
         enum Keep {
@@ -2157,7 +2217,7 @@ impl Pangead {
         }
         let keep = match filter {
             RepairFilter::Absent => {
-                let mut present = SpillLedger::unindexed(
+                let mut present = SpillLedger::new(
                     &self.node,
                     self.session_set_name(target_set, "absent-diff"),
                     LEDGER_SPILL_ENTRIES,
@@ -2165,7 +2225,7 @@ impl Pangead {
                 // The snapshot enumerates each seeded hash exactly
                 // once, so a plain insert (no membership probe) is
                 // enough.
-                peer.repair_ledger_for_each(target_set, |hashes| {
+                peer.client.repair_ledger_for_each(target_set, |hashes| {
                     for h in hashes {
                         present.insert(h)?;
                     }
@@ -2185,81 +2245,45 @@ impl Pangead {
         // the window when its pool runs hot — repair streaming is the
         // heaviest sustained push in the system, exactly the traffic a
         // memory-pressured receiver must be able to slow down.
-        let configured = self.pipeline_window;
-        let reg = self.obs.registry();
-        let mut inflight: VecDeque<(u64, usize)> = VecDeque::new();
-        let mut credit = 0u64;
-        // Scoped so the closure's borrows of the pipeline state end
-        // before the tail drain below walks `inflight` directly.
-        {
-            let mut flush = |peer: &mut PangeaClient,
-                             batch: &mut Vec<Vec<u8>>,
-                             batch_bytes: &mut usize|
-             -> Result<()> {
-                if batch.is_empty() {
-                    return Ok(());
+        let mut flush = |peer: &mut PipelinedPeer, batch: &mut Vec<Vec<u8>>| -> Result<()> {
+            if batch.is_empty() {
+                return Ok(());
+            }
+            let records = std::mem::take(batch);
+            let (a, b) = self.pipelined_submit(peer, self.pipeline_window, |c| {
+                c.recover_append_submit(target_set, records)
+            })?;
+            appended += a;
+            appended_bytes += b;
+            Ok(())
+        };
+        for num in source.page_numbers() {
+            let pin = source.pin_page(num)?;
+            let mut it = ObjectIter::new(&pin);
+            while let Some(rec) = it.next() {
+                scanned += 1;
+                let wanted = match &keep {
+                    Keep::Compiled(f) => f(rec),
+                    Keep::Absent(present) => !present.contains(fx_hash64(rec))?,
+                };
+                if !wanted {
+                    continue;
                 }
-                loop {
-                    let effective = if credit == 0 {
-                        configured as usize
-                    } else {
-                        (configured as usize).min(credit as usize).max(1)
-                    };
-                    if inflight.len() < effective {
-                        break;
-                    }
-                    let credit_limited = effective < configured as usize;
-                    let start = Instant::now();
-                    // `inflight.len() >= effective >= 1` here, but an
-                    // empty queue just means the credit wait is over.
-                    let Some((corr, payload_bytes)) = inflight.pop_front() else {
-                        break;
-                    };
-                    let (a, b, c) = peer.recover_append_await(corr, payload_bytes)?;
-                    appended += a;
-                    appended_bytes += b;
-                    credit = c;
-                    if credit_limited {
-                        reg.counter(names::NET_CREDIT_STALLS).inc();
-                        reg.counter(names::NET_CREDIT_STALLS_MS)
-                            .add(start.elapsed().as_millis() as u64);
-                    }
-                }
-                let (corr, payload_bytes) =
-                    peer.recover_append_submit(target_set, std::mem::take(batch))?;
-                inflight.push_back((corr, payload_bytes));
-                reg.histogram(names::NET_INFLIGHT)
-                    .observe(inflight.len() as u64);
-                *batch_bytes = 0;
-                Ok(())
-            };
-            for num in source.page_numbers() {
-                let pin = source.pin_page(num)?;
-                let mut it = ObjectIter::new(&pin);
-                while let Some(rec) = it.next() {
-                    scanned += 1;
-                    let wanted = match &keep {
-                        Keep::Compiled(f) => f(rec),
-                        Keep::Absent(present) => !present.contains(fx_hash64(rec))?,
-                    };
-                    if !wanted {
-                        continue;
-                    }
-                    pushed += 1;
-                    pushed_bytes += rec.len() as u64;
-                    batch_bytes += rec.len();
-                    batch.push(rec.to_vec());
-                    if batch.len() >= PUSH_BATCH_RECORDS || batch_bytes >= PUSH_BATCH_BYTES {
-                        flush(peer, &mut batch, &mut batch_bytes)?;
-                    }
+                pushed += 1;
+                pushed_bytes += rec.len() as u64;
+                batch_bytes += rec.len();
+                batch.push(rec.to_vec());
+                if batch.len() >= PUSH_BATCH_RECORDS || batch_bytes >= PUSH_BATCH_BYTES {
+                    flush(peer, &mut batch)?;
+                    batch_bytes = 0;
                 }
             }
-            flush(peer, &mut batch, &mut batch_bytes)?;
         }
+        flush(peer, &mut batch)?;
         // Drain the tail of the pipeline: the push's totals are the sum
         // of every ack, same as the serial protocol's.
-        while let Some((corr, payload_bytes)) = inflight.pop_front() {
-            let (a, b, _) = peer.recover_append_await(corr, payload_bytes)?;
+        while !peer.inflight.is_empty() {
+            let (a, b) = peer.await_oldest()?;
             appended += a;
             appended_bytes += b;
         }
@@ -2384,6 +2408,10 @@ mod tests {
     use pangea_core::NodeConfig;
 
     fn node(tag: &str) -> StorageNode {
+        node_with_pool(tag, 256 * pangea_common::KB)
+    }
+
+    fn node_with_pool(tag: &str, pool: usize) -> StorageNode {
         let dir = std::env::temp_dir().join(format!(
             "pangea-pangead-{tag}-{}-{:?}",
             std::process::id(),
@@ -2392,10 +2420,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         StorageNode::new(
             NodeConfig::new(dir)
-                .with_pool_capacity(256 * pangea_common::KB)
+                .with_pool_capacity(pool)
                 .with_page_size(4 * pangea_common::KB),
         )
         .unwrap()
+    }
+
+    /// Page pins (hits and reloads) the node has served so far.
+    fn pins(node: &StorageNode) -> u64 {
+        let s = node.paging_stats();
+        s.hits + s.misses
+    }
+
+    /// Record `i` of a large synthetic share: the number fills the first
+    /// word `fx_hash64` folds and two fixed words follow, so distinct
+    /// records never collide and their hashes differ in their low bits.
+    fn row(i: u64) -> Vec<u8> {
+        format!("{i:07}|sixteen-byte-pad").into_bytes()
     }
 
     #[test]
@@ -2921,6 +2962,170 @@ mod tests {
         assert!(probe.repair_ledger("tgt").is_err());
     }
 
+    /// The Absent diff on the indexed ledger: the survivor's copy of a
+    /// seeded ledger two flushed runs deep costs a present record one
+    /// page pin and an absent one (nearly) none, and exactly the absent
+    /// records cross the wire.
+    #[test]
+    fn absent_diff_over_a_spilled_ledger_ships_only_the_absent_records() {
+        let present = 2 * LEDGER_SPILL_ENTRIES + 1000;
+        let absent = LEDGER_SPILL_ENTRIES;
+        // Pools that hold both shares and the ledgers' runs: the pins
+        // below are counted, and need not each be a reload from disk.
+        let pool = 16 * pangea_common::MB;
+        let survivor =
+            PangeadServer::bind(node_with_pool("diff-survivor", pool), "127.0.0.1:0").unwrap();
+        let replacement =
+            PangeadServer::bind(node_with_pool("diff-replacement", pool), "127.0.0.1:0").unwrap();
+        let mut sc = PangeaClient::connect(survivor.local_addr()).unwrap();
+        let mut rc = PangeaClient::connect(replacement.local_addr()).unwrap();
+        sc.create_set("src", "write-back", None).unwrap();
+        rc.create_set("tgt", "write-back", None).unwrap();
+        // Absent and present records alternate through the source until
+        // the absent ones run out.
+        let rows: Vec<Vec<u8>> = (0..present + absent).map(|i| row(i as u64)).collect();
+        let is_absent = |i: usize| i % 2 == 1 && i / 2 < absent;
+        let held: Vec<&Vec<u8>> = (0..rows.len())
+            .filter(|&i| !is_absent(i))
+            .map(|i| &rows[i])
+            .collect();
+        for chunk in rows.chunks(8192) {
+            sc.append("src", chunk).unwrap();
+        }
+        for chunk in held.chunks(8192) {
+            rc.append("tgt", chunk).unwrap();
+        }
+        rc.recover_begin("tgt", &[]).unwrap();
+
+        let before = pins(survivor.daemon().node());
+        let push = sc
+            .recover_push(
+                "src",
+                "tgt",
+                &replacement.local_addr().to_string(),
+                &crate::wire::RepairFilter::Absent,
+            )
+            .unwrap();
+        let push_pins = pins(survivor.daemon().node()) - before;
+        assert_eq!(push.scanned, rows.len() as u64);
+        assert_eq!(push.pushed, absent as u64, "only the absent records ship");
+        assert_eq!(push.appended, absent as u64);
+        assert!(
+            push_pins <= (present + rows.len() / 10) as u64,
+            "{push_pins} pins diffing {present} present and {absent} absent records"
+        );
+        assert_eq!(rc.recover_end("tgt").unwrap().0, absent as u64);
+        assert_eq!(rc.count("tgt").unwrap(), rows.len() as u64, "restored");
+    }
+
+    /// A peer that holds `len` synthetic record hashes and serves them as
+    /// a real share would: `HashList` replies of `chunk` hashes, cursor
+    /// by chunk.
+    #[derive(Debug)]
+    struct HashShare {
+        len: u64,
+        chunk: u64,
+        served: AtomicU64,
+    }
+
+    impl HashShare {
+        fn serve(len: u64, chunk: u64) -> (Arc<Self>, FramedServer) {
+            let share = Arc::new(Self {
+                len,
+                chunk,
+                served: AtomicU64::new(0),
+            });
+            let server = FramedServer::bind(share.clone(), "127.0.0.1:0", None).unwrap();
+            (share, server)
+        }
+
+        fn hash(i: u64) -> u64 {
+            pangea_common::mix64(i)
+        }
+    }
+
+    impl FramedService for HashShare {
+        fn handle(&self, req: Request) -> Response {
+            let Request::HashList { start_page, .. } = req else {
+                return Response::Err {
+                    message: "a hash share serves HashList only".into(),
+                };
+            };
+            let end = self.len.min((start_page + 1) * self.chunk);
+            self.served.fetch_add(1, Ordering::SeqCst);
+            Response::Hashes {
+                hashes: (start_page * self.chunk..end).map(Self::hash).collect(),
+                next: (end < self.len).then_some((start_page + 1, 0)),
+            }
+        }
+    }
+
+    /// `RecoverBegin` used to pull a peer's whole share into one `Vec`
+    /// before the first ledger insert. The pull streams now: a chunk is
+    /// asked for only once the one before it was consumed, so a share of
+    /// more than four full chunks never has two of them in the client.
+    #[test]
+    fn hash_list_streams_a_share_one_chunk_at_a_time() {
+        let chunk = crate::proto::HASH_CHUNK as u64;
+        let (share, peer) = HashShare::serve(4 * chunk + 1000, chunk);
+        let mut client = PangeaClient::connect(peer.local_addr()).unwrap();
+        let (mut chunks, mut next) = (0u64, 0u64);
+        client
+            .hash_list_for_each("tgt", |hashes| {
+                chunks += 1;
+                assert_eq!(share.served.load(Ordering::SeqCst), chunks, "one held");
+                assert!(hashes.len() as u64 <= chunk);
+                let want = (next..).map(HashShare::hash).take(hashes.len());
+                assert!(hashes.iter().copied().eq(want), "chunk {chunks}");
+                next += hashes.len() as u64;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!((chunks, next), (5, share.len));
+    }
+
+    /// Seeding a repair session from a peer's share, several chunks and
+    /// two flushed runs long: the frozen snapshot is the share's hash
+    /// set.
+    #[test]
+    fn recover_begin_seeds_the_ledger_from_a_chunked_peer_share() {
+        let len = 2 * LEDGER_SPILL_ENTRIES as u64 + 1000;
+        let (share, peer) = HashShare::serve(len, 30_000);
+        let d = Pangead::new(node("seed-stream"));
+        d.handle(Request::CreateSet {
+            name: "tgt".into(),
+            durability: "write-back".into(),
+            page_size: None,
+        });
+        assert_eq!(
+            d.handle(Request::RecoverBegin {
+                set: "tgt".into(),
+                present_from: vec![peer.local_addr().to_string()],
+            }),
+            Response::Ok
+        );
+        assert_eq!(share.served.load(Ordering::SeqCst), 5);
+        let mut seeded = Vec::new();
+        loop {
+            match d.handle(Request::RepairLedger {
+                set: "tgt".into(),
+                start: seeded.len() as u64,
+            }) {
+                Response::Hashes { hashes, next } => {
+                    seeded.extend(hashes);
+                    if next.is_none() {
+                        break;
+                    }
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        seeded.sort_unstable();
+        let mut want: Vec<u64> = (0..len).map(HashShare::hash).collect();
+        want.sort_unstable();
+        assert!(seeded == want, "the snapshot is the share's hash set");
+    }
+
     #[test]
     fn ingest_session_dedups_tags_not_content() {
         let d = Pangead::new(node("ingest-session"));
@@ -3121,12 +3326,8 @@ mod tests {
                 })
                 .collect()
         };
-        let pins = |d: &Pangead| {
-            let s = d.node.paging_stats();
-            s.hits + s.misses
-        };
         let mut expect: BTreeMap<Vec<u8>, i64> = BTreeMap::new();
-        let before = pins(&d);
+        let before = pins(&d.node);
         for b in 0..fresh / BATCH {
             let entries = batch(b);
             for (_, rec) in &entries {
@@ -3144,14 +3345,14 @@ mod tests {
                 }
             ));
         }
-        let fresh_pins = pins(&d) - before;
+        let fresh_pins = pins(&d.node) - before;
         assert!(
             fresh_pins * 20 < fresh,
             "{fresh_pins} pins probing {fresh} fresh tags"
         );
 
         let dedup = d.obs.registry().counter(names::INGEST_DEDUP_HITS);
-        let (hits_before, before) = (dedup.get(), pins(&d));
+        let (hits_before, before) = (dedup.get(), pins(&d.node));
         assert!(matches!(
             d.handle(Request::IngestAppend {
                 set: "sums".into(),
@@ -3164,7 +3365,7 @@ mod tests {
             }
         ));
         assert_eq!(dedup.get() - hits_before, BATCH);
-        let replay_pins = pins(&d) - before;
+        let replay_pins = pins(&d.node) - before;
         assert!(
             replay_pins <= BATCH + BATCH / 10,
             "{replay_pins} pins refusing {BATCH} replayed tags"
@@ -3227,6 +3428,244 @@ mod tests {
         assert!(matches!(queued.join().unwrap(), Response::Err { .. }));
         match d.handle(Request::Scan { set: "out".into() }) {
             Response::Records { records } => assert!(records.is_empty(), "{records:?}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The repair session's twin of the replay test above: its content
+    /// ledger is the indexed one, so past two flushed runs a replayed
+    /// batch is refused at one page pin per record and the fresh records
+    /// before it stop at the run filters.
+    #[test]
+    fn repair_session_replay_dedups_across_flushed_runs_without_page_walks() {
+        const BATCH: u64 = 256;
+        let fresh = 2 * LEDGER_SPILL_ENTRIES as u64 + 4 * BATCH;
+        let d = Pangead::new(node("repair-replay"));
+        d.handle(Request::CreateSet {
+            name: "tgt".into(),
+            durability: "write-back".into(),
+            page_size: None,
+        });
+        assert_eq!(
+            d.handle(Request::RecoverBegin {
+                set: "tgt".into(),
+                present_from: vec![],
+            }),
+            Response::Ok
+        );
+        let batch = |b: u64| -> Vec<Vec<u8>> { (b * BATCH..(b + 1) * BATCH).map(row).collect() };
+        let before = pins(&d.node);
+        for b in 0..fresh / BATCH {
+            assert!(matches!(
+                d.handle(Request::RecoverAppend {
+                    set: "tgt".into(),
+                    records: batch(b),
+                }),
+                Response::RepairAck {
+                    appended: BATCH,
+                    ..
+                }
+            ));
+        }
+        let fresh_pins = pins(&d.node) - before;
+        assert!(
+            fresh_pins * 20 < fresh,
+            "{fresh_pins} pins storing {fresh} fresh records"
+        );
+
+        let dedup = d.obs.registry().counter(names::REPAIR_DEDUP_HITS);
+        let (hits_before, before) = (dedup.get(), pins(&d.node));
+        assert!(matches!(
+            d.handle(Request::RecoverAppend {
+                set: "tgt".into(),
+                records: batch(1),
+            }),
+            Response::RepairAck {
+                appended: 0,
+                bytes: 0,
+                ..
+            }
+        ));
+        assert_eq!(dedup.get() - hits_before, BATCH);
+        let replay_pins = pins(&d.node) - before;
+        assert!(
+            replay_pins <= BATCH + BATCH / 10,
+            "{replay_pins} pins refusing {BATCH} replayed records"
+        );
+        assert!(matches!(
+            d.handle(Request::RecoverEnd { set: "tgt".into() }),
+            Response::RepairAck { appended, .. } if appended == fresh
+        ));
+        assert_eq!(d.node.pool().pool_stats().pinned_pages, 0, "sealed");
+    }
+
+    /// A repair session writes through one writer, so small batches fill
+    /// pages instead of sealing one each — and a retry's `RecoverBegin`
+    /// over the half-finished session re-seeds from every record it
+    /// stored, the open page's included.
+    #[test]
+    fn repair_session_packs_small_batches_and_a_retried_begin_reseeds_from_them() {
+        let d = Pangead::new(node("repair-pages"));
+        d.handle(Request::CreateSet {
+            name: "tgt".into(),
+            durability: "write-back".into(),
+            page_size: None,
+        });
+        let begin = Request::RecoverBegin {
+            set: "tgt".into(),
+            present_from: vec![],
+        };
+        // Seven bytes each: `fx_hash64` folds them as one word, so no
+        // two records collide in the content ledger.
+        let batch = |b: u64| -> Vec<Vec<u8>> {
+            (0..8u64)
+                .map(|i| format!("{b:03}-{i:03}").into_bytes())
+                .collect()
+        };
+        assert_eq!(d.handle(begin.clone()), Response::Ok);
+        let mut framed = 0usize;
+        for b in 0..100 {
+            let records = batch(b);
+            framed += records
+                .iter()
+                .map(|r| pangea_core::page::RECORD_PREFIX + r.len())
+                .sum::<usize>();
+            assert!(matches!(
+                d.handle(Request::RecoverAppend {
+                    set: "tgt".into(),
+                    records,
+                }),
+                Response::RepairAck { appended: 8, .. }
+            ));
+        }
+        let set = d.node.get_set("tgt").unwrap();
+        let room = set.page_size() - pangea_core::page::PAGE_HEADER;
+        assert_eq!(set.num_pages(), framed.div_ceil(room) as u64);
+        assert!(set.num_pages() < 10, "not a page per batch");
+        assert_eq!(d.node.pool().pool_stats().pinned_pages, 1, "the open page");
+
+        // The attempt dies here; its retry begins again and replays.
+        assert_eq!(d.handle(begin), Response::Ok);
+        assert_eq!(d.node.pool().pool_stats().pinned_pages, 0, "closed");
+        for b in 0..100 {
+            assert!(matches!(
+                d.handle(Request::RecoverAppend {
+                    set: "tgt".into(),
+                    records: batch(b),
+                }),
+                Response::RepairAck { appended: 0, .. }
+            ));
+        }
+        assert!(matches!(
+            d.handle(Request::RecoverAppend {
+                set: "tgt".into(),
+                records: vec![b"lost-by-the-first-attempt".to_vec()],
+            }),
+            Response::RepairAck { appended: 1, .. }
+        ));
+        assert!(matches!(
+            d.handle(Request::RecoverEnd { set: "tgt".into() }),
+            Response::RepairAck { appended: 1, .. }
+        ));
+        assert_eq!(d.node.pool().pool_stats().pinned_pages, 0, "sealed");
+        let want: Vec<Vec<u8>> = (0..100)
+            .flat_map(batch)
+            .chain([b"lost-by-the-first-attempt".to_vec()])
+            .collect();
+        match d.handle(Request::Scan { set: "tgt".into() }) {
+            Response::Records { records } => assert_eq!(records, want),
+            other => panic!("{other:?}"),
+        }
+
+        // A drop with the session open takes its pinned page along.
+        d.handle(Request::RecoverBegin {
+            set: "tgt".into(),
+            present_from: vec![],
+        });
+        d.handle(Request::RecoverAppend {
+            set: "tgt".into(),
+            records: vec![b"open".to_vec()],
+        });
+        assert_eq!(
+            d.handle(Request::DropSet { set: "tgt".into() }),
+            Response::Ok
+        );
+        assert_eq!(d.node.pool().pool_stats().pinned_pages, 0);
+    }
+
+    /// A batch that fails part-way ends its repair session: later
+    /// appends — one already queued on the session lock included — are
+    /// refused, and the retry's begin re-seeds from what the failed
+    /// batch did store.
+    #[test]
+    fn repair_append_behind_a_failed_batch_is_refused_and_the_retry_reseeds() {
+        let d = Arc::new(Pangead::new(node("repair-poison")));
+        d.handle(Request::CreateSet {
+            name: "tgt".into(),
+            durability: "write-back".into(),
+            page_size: None,
+        });
+        let begin = Request::RecoverBegin {
+            set: "tgt".into(),
+            present_from: vec![],
+        };
+        assert_eq!(d.handle(begin.clone()), Response::Ok);
+        // No page holds the middle record, so the batch fails after
+        // storing the first one.
+        let oversized = vec![b'x'; d.node.get_set("tgt").unwrap().page_size()];
+        assert!(matches!(
+            d.handle(Request::RecoverAppend {
+                set: "tgt".into(),
+                records: vec![b"first".to_vec(), oversized, b"third".to_vec()],
+            }),
+            Response::Err { .. }
+        ));
+        assert!(d.repairs.lock().is_empty(), "the session ended");
+        match d.handle(Request::RecoverAppend {
+            set: "tgt".into(),
+            records: vec![b"third".to_vec()],
+        }) {
+            Response::Err { message } => assert!(message.contains("RecoverBegin"), "{message}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(
+            d.handle(Request::RecoverEnd { set: "tgt".into() }),
+            Response::Err { .. }
+        ));
+
+        assert_eq!(d.handle(begin), Response::Ok);
+        assert!(matches!(
+            d.handle(Request::RecoverAppend {
+                set: "tgt".into(),
+                records: vec![b"first".to_vec(), b"third".to_vec()],
+            }),
+            Response::RepairAck { appended: 1, .. }
+        ));
+
+        let session = d.repairs.lock().get("tgt").cloned().unwrap();
+        let mut guard = session.lock();
+        let queued = {
+            let d = Arc::clone(&d);
+            std::thread::spawn(move || {
+                d.handle(Request::RecoverAppend {
+                    set: "tgt".into(),
+                    records: vec![b"late".to_vec()],
+                })
+            })
+        };
+        // The map, this test and the queued append each hold the session.
+        while Arc::strong_count(&session) < 3 {
+            std::thread::yield_now();
+        }
+        // What a failing batch does before it lets go of the lock.
+        guard.poisoned = true;
+        d.repairs.lock().remove("tgt");
+        drop(guard);
+        assert!(matches!(queued.join().unwrap(), Response::Err { .. }));
+        match d.handle(Request::Scan { set: "tgt".into() }) {
+            Response::Records { records } => {
+                assert_eq!(records, vec![b"first".to_vec(), b"third".to_vec()])
+            }
             other => panic!("{other:?}"),
         }
     }
