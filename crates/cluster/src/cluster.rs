@@ -9,8 +9,8 @@
 //!
 //! Since the control-plane refactor, `SimCluster` is a thin frontend
 //! over the generic [`ClusterCore`] engine: [`SimWorkers`] implements
-//! the [`WorkerBackend`] seam with in-process [`StorageNode`]s and an
-//! explicit [`Transport`], and the in-process [`Manager`] implements the
+//! the [`WorkerBackend`] seam with in-process [`StorageNode`]s and a
+//! [`SimNetwork`], and the in-process [`Manager`] implements the
 //! catalog seam. `pangea-coord`'s `RemoteCluster` drives the *same*
 //! engine against remote `pangead` processes and a wire-served catalog.
 
@@ -23,7 +23,6 @@ use crate::network::SimNetwork;
 use crate::partition::PartitionScheme;
 use pangea_common::{NodeId, PangeaError, Result};
 use pangea_core::{LocalitySet, NodeConfig, ObjectIter, SeqWriter, SetOptions, StorageNode};
-use pangea_net::Transport;
 use parking_lot::RwLock;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -125,12 +124,12 @@ impl ClusterConfig {
 }
 
 /// The in-process [`WorkerBackend`]: a slot vector of [`StorageNode`]s
-/// plus the [`Transport`] every remote delivery pays.
+/// plus the [`SimNetwork`] every remote delivery pays.
 #[derive(Debug)]
 pub struct SimWorkers {
     /// Slot `i` hosts worker `i`; `None` marks a failed node.
     workers: RwLock<Vec<Option<StorageNode>>>,
-    net: Arc<dyn Transport>,
+    net: Arc<SimNetwork>,
 }
 
 impl SimWorkers {
@@ -151,10 +150,10 @@ impl SimWorkers {
 
 /// The in-process sink: one [`SeqWriter`] held open for the operation's
 /// lifetime (batches land on shared pages, sealed once at `finish`),
-/// fed through the transport for byte accounting.
+/// fed through the network for byte accounting.
 struct SimSink {
     writer: SeqWriter,
-    net: Arc<dyn Transport>,
+    net: Arc<SimNetwork>,
     to: NodeId,
 }
 
@@ -166,7 +165,7 @@ impl RecordSink for SimSink {
         // One transfer per batch: the payload is the records
         // back-to-back, so net bytes equal the sum of record lengths —
         // identical accounting to per-record transfers, in fewer
-        // messages (and, over TCP, fewer round trips).
+        // messages.
         let total: usize = records.iter().map(Vec::len).sum();
         let mut payload = Vec::with_capacity(total);
         for rec in records {
@@ -244,9 +243,8 @@ pub(crate) struct ClusterInner {
     config: ClusterConfig,
     backend: Arc<SimWorkers>,
     manager: Arc<Manager>,
-    /// The interconnect: in-process simulation by default, or any other
-    /// [`Transport`] supplied at bootstrap (e.g. TCP via `pangea-net`).
-    net: Arc<dyn Transport>,
+    /// The simulated interconnect.
+    net: Arc<SimNetwork>,
     core: ClusterCore,
 }
 
@@ -261,23 +259,6 @@ impl SimCluster {
     /// the deployment's private key; "a non-valid key will cause the
     /// whole system to terminate".
     pub fn bootstrap(config: ClusterConfig, private_key: &str) -> Result<Self> {
-        let net: Arc<dyn Transport> = match config.net_bandwidth {
-            Some(bw) => Arc::new(SimNetwork::with_bandwidth(bw)),
-            None => Arc::new(SimNetwork::unlimited()),
-        };
-        Self::bootstrap_with_transport(config, private_key, net)
-    }
-
-    /// Bootstraps the cluster over an explicit [`Transport`] — the same
-    /// per-node engines and distributed logic, but every inter-node byte
-    /// moves through `transport` (e.g. `pangea_net::TcpTransport` against
-    /// a fleet of `pangead` peers). `config.net_bandwidth` is ignored
-    /// here: pacing belongs to the transport the caller built.
-    pub fn bootstrap_with_transport(
-        config: ClusterConfig,
-        private_key: &str,
-        transport: Arc<dyn Transport>,
-    ) -> Result<Self> {
         if private_key != config.auth_key {
             return Err(PangeaError::AuthenticationFailed);
         }
@@ -287,9 +268,13 @@ impl SimCluster {
             let _ = std::fs::remove_dir_all(&dir);
             workers.push(Some(StorageNode::new(config.node_config(NodeId(n)))?));
         }
+        let net = Arc::new(match config.net_bandwidth {
+            Some(bw) => SimNetwork::with_bandwidth(bw),
+            None => SimNetwork::unlimited(),
+        });
         let backend = Arc::new(SimWorkers {
             workers: RwLock::new(workers),
-            net: Arc::clone(&transport),
+            net: Arc::clone(&net),
         });
         let manager = Arc::new(Manager::new());
         let core = ClusterCore::new(
@@ -301,7 +286,7 @@ impl SimCluster {
                 config,
                 backend,
                 manager,
-                net: transport,
+                net,
                 core,
             }),
         })
@@ -333,8 +318,8 @@ impl SimCluster {
         &self.inner.core
     }
 
-    /// The cluster interconnect (simulated or real, per bootstrap).
-    pub fn network(&self) -> &Arc<dyn Transport> {
+    /// The simulated cluster interconnect.
+    pub fn network(&self) -> &Arc<SimNetwork> {
         &self.inner.net
     }
 
@@ -618,7 +603,7 @@ mod tests {
     #[test]
     fn batching_moves_the_same_bytes_in_fewer_messages() {
         // The satellite claim behind DispatchConfig: identical payload
-        // accounting, strictly fewer Transport::transfer calls.
+        // accounting, strictly fewer SimNetwork::transfer calls.
         let run = |tag: &str, config: DispatchConfig| {
             let c = small_cluster(tag, 3);
             let s = c

@@ -6,7 +6,7 @@
 //!
 //! * [`WorkerBackend`] — where a node's data lives and how records get
 //!   there. `SimCluster` backs this with in-process [`StorageNode`]s and
-//!   an explicit [`Transport`] for the wire; `pangea-coord`'s
+//!   a [`SimNetwork`] for the wire; `pangea-coord`'s
 //!   `RemoteCluster` backs it with `PangeaClient` RPCs against remote
 //!   `pangead` processes (the RPC *is* the wire there — no separate
 //!   transfer is paid).
@@ -22,7 +22,7 @@
 //! bytes are exactly the sum of its records').
 //!
 //! [`StorageNode`]: pangea_core::StorageNode
-//! [`Transport`]: pangea_net::Transport
+//! [`SimNetwork`]: crate::SimNetwork
 
 use crate::manager::CatalogEntry;
 use crate::partition::{PartitionKind, PartitionScheme};
@@ -54,8 +54,11 @@ pub trait RecordSink {
 ///
 /// `net_bytes` must grow by exactly the payload bytes of every remote
 /// delivery ([`RecordSink::append`] with `from != to`, or a remote
-/// scan's transfer toward the caller), mirroring the `Transport`
-/// contract, so recovery reports and cross-backend comparisons line up.
+/// scan's transfer toward the caller), as [`SimNetwork::transfer`]
+/// charges them, so recovery reports and cross-backend comparisons line
+/// up.
+///
+/// [`SimNetwork::transfer`]: crate::SimNetwork::transfer
 ///
 /// # Width contract
 ///
@@ -159,15 +162,6 @@ pub trait TaskExec: Send + Sync {
     /// Seals the destination's ingest session; returns its
     /// `(appended, appended_bytes)` totals.
     fn ingest_end(&self, dest: NodeId, set: &str) -> Result<(u64, u64)>;
-
-    /// Transport-level pipelining hint for subsequent tasks: how many
-    /// ingest batches a mapper may keep in flight per destination
-    /// before awaiting the oldest ack (`0` = backend default, `1` =
-    /// strict-serial round trips). Receiver credit grants may shrink
-    /// the effective window below this at run time; they never raise
-    /// it. In-process executors stream synchronously and ignore the
-    /// hint — the default does nothing.
-    fn set_pipeline_window(&self, _window: u32) {}
 }
 
 /// Worker→worker repair operations (paper §7 recovery without bouncing
@@ -485,24 +479,6 @@ impl ClusterCore {
         Ok((objects, colliding.len() as u64))
     }
 
-    /// Sets the transport pipelining window shipped map tasks run
-    /// under: batches in flight per destination before the mapper
-    /// awaits the oldest ack (`0` = backend default, `1` =
-    /// strict-serial — the pre-pipelining behavior, kept addressable
-    /// for A/B round-trip comparisons). Forwarded through
-    /// [`TaskExec::set_pipeline_window`]; returns `true` when a
-    /// task-shipping backend received the hint and `false` on
-    /// in-process backends, which stream synchronously.
-    pub fn set_task_pipeline_window(&self, window: u32) -> bool {
-        match self.workers.task_exec() {
-            Some(exec) => {
-                exec.set_pipeline_window(window);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// A distributed map-shuffle (the paper's "move computation to the
     /// data" applied to the shuffle): applies the declarative `map` to
     /// every record of `input` and materializes the routed output as a
@@ -515,10 +491,9 @@ impl ClusterCore {
     /// plans and collects reports, moving zero record bytes. `scheme`
     /// must be declarative there (`hash_field`/`hash_whole`/
     /// round-robin); a closure-keyed scheme fails with the typed
-    /// [`PangeaError::NotWireSafe`] instead of silently routing through
-    /// the driver. Backends without the capability (`SimCluster`) run
-    /// the same job serially in-process, where UDF-closure schemes work
-    /// fine.
+    /// [`PangeaError::NotWireSafe`]. Backends without the capability
+    /// (`SimCluster`) run the same job serially in-process, where
+    /// UDF-closure schemes work fine.
     ///
     /// An existing output set under the *same* scheme is replaced — a
     /// retried job (e.g. after a mid-task worker failure) materializes
@@ -616,8 +591,7 @@ impl ClusterCore {
                 PangeaError::NotWireSafe(format!(
                     "scheme '{}' is keyed by an opaque closure (a UDF) and \
                      cannot ship with a map task; build it with \
-                     hash_field/hash_whole, or fall back to the \
-                     driver-routed shuffle",
+                     hash_field/hash_whole",
                     scheme.key_name
                 ))
             })?),

@@ -28,11 +28,9 @@ pub use engine::{
 };
 pub use manager::{CatalogEntry, Manager, SetStats};
 pub use network::SimNetwork;
-// The wire seam the cluster is generic over (DESIGN.md §2a), plus the
-// declarative specs map-shuffle jobs are written in.
+// The declarative specs map-shuffle jobs are written in.
 pub use pangea_net::{
-    CmpOp, EmitSpec, FilterSpec, KeySpec, MapSpec, ReduceOp, ReduceSpec, TaskReport, TcpTransport,
-    Transport,
+    CmpOp, EmitSpec, FilterSpec, KeySpec, MapSpec, ReduceOp, ReduceSpec, TaskReport,
 };
 pub use partition::{KeyFn, PartitionKind, PartitionScheme};
 pub use replication::{colliding_set_name, expected_colliding_ratio};

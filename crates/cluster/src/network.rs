@@ -8,13 +8,13 @@
 //! moved (shuffle vs. co-partitioned joins, recovery traffic) therefore
 //! survive the substitution; see DESIGN.md §2.
 //!
-//! `SimNetwork` is the in-process implementation of the pluggable
-//! [`Transport`] seam (DESIGN.md §2a); swapping in
-//! [`pangea_net::TcpTransport`] runs the same cluster logic over real
-//! sockets with identical payload-byte accounting.
+//! `SimNetwork` carries the in-process [`SimCluster`]; the same engine
+//! runs over real sockets as `pangea-coord`'s `RemoteCluster`, whose
+//! daemons charge payload bytes the same way (DESIGN.md §2a).
+//!
+//! [`SimCluster`]: crate::SimCluster
 
 use pangea_common::{IoStats, NodeId, Result, Throttle};
-use pangea_net::Transport;
 use std::sync::Arc;
 
 /// The simulated cluster interconnect.
@@ -63,20 +63,6 @@ impl SimNetwork {
     /// Total bytes moved across the wire so far.
     pub fn bytes_moved(&self) -> u64 {
         self.stats.snapshot().net_bytes
-    }
-}
-
-impl Transport for SimNetwork {
-    fn transfer(&self, from: NodeId, to: NodeId, payload: &[u8]) -> Result<Vec<u8>> {
-        SimNetwork::transfer(self, from, to, payload)
-    }
-
-    fn stats(&self) -> &Arc<IoStats> {
-        SimNetwork::stats(self)
-    }
-
-    fn kind(&self) -> &'static str {
-        "sim"
     }
 }
 

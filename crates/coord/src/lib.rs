@@ -42,5 +42,5 @@ pub use daemon::{
     ManagerDaemon, MgrServer, DEFAULT_LIVENESS_TIMEOUT, DEFAULT_SCRAPE_INTERVAL, TRACE_CHUNK,
 };
 pub use membership::Membership;
-pub use remote::{RemoteCluster, RemoteShuffle, RemoteWorkers, WorkerAgent, DEFAULT_HEARTBEAT};
+pub use remote::{RemoteCluster, RemoteWorkers, WorkerAgent, DEFAULT_HEARTBEAT};
 pub use signals::wait_for_termination;

@@ -17,19 +17,19 @@
 
 use crate::client::{ManagerClient, MgrConn, RemoteCatalog};
 use pangea_cluster::engine::{
-    Catalog, ClusterCore, DispatchConfig, EngineSet, MapShuffleReport, PeerRepair, RecordSink,
-    RecoveryReport, ReplicaReport, TaskExec, WorkerBackend,
+    Catalog, ClusterCore, EngineSet, MapShuffleReport, PeerRepair, RecordSink, RecoveryReport,
+    ReplicaReport, TaskExec, WorkerBackend,
 };
 use pangea_cluster::{PartitionKind, PartitionScheme};
 use pangea_common::ReplicaGroupId;
-use pangea_common::{fx_hash64, Epoch, FxHashMap, IoStats, NodeId, PangeaError, Result};
+use pangea_common::{Epoch, FxHashMap, IoStats, NodeId, PangeaError, Result};
 use pangea_net::{
     MapSpec, PangeaClient, ReduceSpec, RepairFilter, RepairPushReport, SchemeSpec, TaskReport,
     TaskSpec, WireSpan, WireWorker, WorkerState,
 };
 use pangea_obs::{Obs, SpanRecord, TraceCtx};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -73,12 +73,6 @@ struct RemoteWorkersInner {
     /// test prove per-worker tasks genuinely overlap, and inject a kill
     /// at a deterministic point. Mirrors `RemoteCluster`'s recovery hook.
     task_hook: Mutex<Option<Arc<dyn Fn(NodeId) + Send + Sync>>>,
-    /// Pipeline window stamped on every shipped `TaskSpec`: how many
-    /// ingest batches each mapper may keep in flight per destination.
-    /// `0` (the default) defers to the executing daemon's own default;
-    /// `1` forces strict-serial round trips — the pre-pipelining wire
-    /// behavior, kept addressable for A/B benchmarks.
-    pipeline_window: AtomicU32,
 }
 
 impl std::fmt::Debug for RemoteWorkersInner {
@@ -110,16 +104,8 @@ impl RemoteWorkers {
                 last_job: Mutex::new(None),
                 trace_cursor: Mutex::new(0),
                 task_hook: Mutex::new(None),
-                pipeline_window: AtomicU32::new(0),
             }),
         }
-    }
-
-    /// Sets the pipeline window shipped with every task (`0` = let each
-    /// daemon use its default, `1` = strict-serial). Takes effect on
-    /// the next job; in-flight tasks keep the window they shipped with.
-    pub fn set_pipeline_window(&self, window: u32) {
-        self.inner.pipeline_window.store(window, Ordering::Relaxed);
     }
 
     /// The shared client-side wire ledger (payload net bytes).
@@ -242,9 +228,8 @@ impl RemoteWorkers {
     /// restarted at the same address). An `Io` failure on a pooled
     /// connection means the request got no response byte — `pangead`
     /// always writes a response before closing, and mid-response
-    /// failures surface as `Corruption` — so, exactly like
-    /// `TcpTransport::request`, the call is retried once on a fresh
-    /// connection.
+    /// failures surface as `Corruption` — so the call is retried once on
+    /// a fresh connection.
     ///
     /// A fresh connection that *also* fails at the socket level (refused,
     /// reset, EOF mid-request) means the worker process is gone even if
@@ -340,24 +325,6 @@ impl RemoteWorkers {
     fn check_in(&self, n: NodeId, addr: String, mut client: PangeaClient) {
         client.set_trace(None);
         self.inner.clients.lock().insert(n, (addr, client));
-    }
-
-    fn shuffle_create(&self, n: NodeId, name: &str, partitions: u32) -> Result<()> {
-        self.with_client(n, |c| c.shuffle_create(name, partitions, None))
-    }
-
-    fn shuffle_send(
-        &self,
-        n: NodeId,
-        name: &str,
-        partition: u32,
-        records: &[Vec<u8>],
-    ) -> Result<()> {
-        self.with_client(n, |c| c.shuffle_send(name, partition, records).map(|_| ()))
-    }
-
-    fn shuffle_finish(&self, n: NodeId, name: &str) -> Result<()> {
-        self.with_client(n, |c| c.shuffle_finish(name))
     }
 }
 
@@ -506,17 +473,12 @@ impl TaskExec for RemoteWorkers {
             nodes,
             source: worker.raw(),
             dests,
-            window: self.inner.pipeline_window.load(Ordering::Relaxed),
         };
         self.with_client(worker, |c| c.run_task(&spec))
     }
 
     fn ingest_end(&self, dest: NodeId, set: &str) -> Result<(u64, u64)> {
         self.with_client(dest, |c| c.ingest_end(set))
-    }
-
-    fn set_pipeline_window(&self, window: u32) {
-        self.inner.pipeline_window.store(window, Ordering::Relaxed);
     }
 }
 
@@ -626,16 +588,6 @@ impl RemoteCluster {
     /// The remote worker backend (for its shared wire ledger).
     pub fn workers(&self) -> &RemoteWorkers {
         &self.workers
-    }
-
-    /// Sets the per-destination pipeline window shipped with every task
-    /// this cluster runs (`0` = daemon default, `1` = strict-serial).
-    /// Routed through the engine's [`TaskExec`] seam — the shared
-    /// backend is this cluster's [`RemoteWorkers`], so the hint lands
-    /// in every subsequent `TaskRun`'s wire spec.
-    pub fn set_pipeline_window(&self, window: u32) {
-        let accepted = self.core.set_task_pipeline_window(window);
-        debug_assert!(accepted, "the remote backend always ships tasks");
     }
 
     /// Re-reads membership from the manager (sweeping liveness there)
@@ -965,9 +917,7 @@ impl RemoteCluster {
     ///
     /// `scheme` must be declarative (`hash_field`/`hash_whole`/
     /// round-robin); a closure-keyed scheme fails with the typed
-    /// [`PangeaError::NotWireSafe`]. For a shuffle keyed by an
-    /// in-process closure, fall back to the driver-routed
-    /// [`RemoteCluster::shuffle`].
+    /// [`PangeaError::NotWireSafe`].
     ///
     /// Jobs are retryable end to end: a worker killed mid-task surfaces
     /// a typed error, and re-running the same call (after recovering
@@ -1023,106 +973,6 @@ impl RemoteCluster {
     #[doc(hidden)]
     pub fn set_task_hook(&self, hook: Option<Arc<dyn Fn(NodeId) + Send + Sync>>) {
         *self.workers.inner.task_hook.lock() = hook;
-    }
-
-    /// A distributed shuffle over the deployment: partition `p` lives on
-    /// worker `p % nodes`; the driver routes and batches per partition.
-    ///
-    /// This is the **legacy driver-routed path**: every record crosses
-    /// the wire twice (caller → driver-routed send → destination
-    /// worker) and the driver's NIC is the bottleneck. It remains the
-    /// fallback for shuffles keyed by arbitrary in-process closures —
-    /// the caller hashes whatever key it likes. When the key and map
-    /// are expressible declaratively, prefer
-    /// [`RemoteCluster::map_shuffle`], which ships the task to the data
-    /// and moves zero payload through the driver.
-    pub fn shuffle(&self, name: &str, partitions: u32) -> Result<RemoteShuffle> {
-        let nodes = self.alive_nodes();
-        if nodes.is_empty() {
-            return Err(PangeaError::usage("no alive workers to shuffle across"));
-        }
-        for &n in &nodes {
-            self.workers.shuffle_create(n, name, partitions)?;
-        }
-        Ok(RemoteShuffle {
-            workers: self.workers.clone(),
-            name: name.to_string(),
-            partitions: partitions.max(1),
-            nodes,
-            pending: (0..partitions.max(1)).map(|_| Vec::new()).collect(),
-            pending_bytes: vec![0; partitions.max(1) as usize],
-            config: DispatchConfig::default(),
-        })
-    }
-}
-
-/// A driver-side distributed shuffle: records are hashed to partitions,
-/// batched per partition, and shipped to the partition's owning worker.
-///
-/// Trade-off: every record pays a trip through the driver (its NIC and
-/// its CPU are the bottleneck), but the key is an arbitrary in-process
-/// value the caller computes — nothing needs to be expressible on the
-/// wire. When a declarative [`MapSpec`]/scheme can express the job, use
-/// [`RemoteCluster::map_shuffle`] instead: it ships the task to the
-/// data and the driver moves zero record bytes.
-#[derive(Debug)]
-pub struct RemoteShuffle {
-    workers: RemoteWorkers,
-    name: String,
-    partitions: u32,
-    nodes: Vec<NodeId>,
-    pending: Vec<Vec<Vec<u8>>>,
-    pending_bytes: Vec<usize>,
-    config: DispatchConfig,
-}
-
-impl RemoteShuffle {
-    /// The worker owning partition `p` (partitions stripe over the alive
-    /// workers, mirroring `PartitionScheme::node_of_partition`).
-    pub fn node_of(&self, partition: u32) -> NodeId {
-        self.nodes[(partition as usize) % self.nodes.len()]
-    }
-
-    /// Routes one record by `key`, returning its partition.
-    pub fn send(&mut self, key: &[u8], record: &[u8]) -> Result<u32> {
-        let p = (fx_hash64(key) % self.partitions as u64) as u32;
-        let slot = p as usize;
-        self.pending[slot].push(record.to_vec());
-        self.pending_bytes[slot] += record.len();
-        if self.pending[slot].len() >= self.config.max_batch_records
-            || self.pending_bytes[slot] >= self.config.max_batch_bytes
-        {
-            self.flush(p)?;
-        }
-        Ok(p)
-    }
-
-    fn flush(&mut self, p: u32) -> Result<()> {
-        let slot = p as usize;
-        if self.pending[slot].is_empty() {
-            return Ok(());
-        }
-        let node = self.node_of(p);
-        let batch = std::mem::take(&mut self.pending[slot]);
-        self.pending_bytes[slot] = 0;
-        self.workers.shuffle_send(node, &self.name, p, &batch)
-    }
-
-    /// Flushes every partition and seals the shuffle on every worker.
-    pub fn finish(mut self) -> Result<()> {
-        for p in 0..self.partitions {
-            self.flush(p)?;
-        }
-        for &n in &self.nodes.clone() {
-            self.workers.shuffle_finish(n, &self.name)?;
-        }
-        Ok(())
-    }
-
-    /// Scans one partition's records from its owning worker.
-    pub fn scan_partition(&self, p: u32, f: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
-        self.workers
-            .scan(self.node_of(p), &format!("{}.part{p}", self.name), f)
     }
 }
 

@@ -1,11 +1,15 @@
 //! A thin synchronous client for `pangead`.
 //!
-//! One client owns one connection and issues framed request/response
-//! round trips. Typed methods mirror the paper's node API (`createSet`,
-//! `addObject`, page iteration, shuffle) so an application can talk to a
-//! remote node with the same vocabulary it uses in-process.
+//! One client owns one connection. Every request is a correlated frame:
+//! [`PangeaClient::submit`] sends it and [`PangeaClient::await_response`]
+//! reads its answer, parking answers to other outstanding submits, so a
+//! pipelined sender keeps a window of batches in flight. A plain
+//! [`PangeaClient::call`] is the same path with a window of one. Typed
+//! methods mirror the paper's node API (`createSet`, `addObject`, page
+//! iteration) so an application can talk to a remote node with the same
+//! vocabulary it uses in-process.
 
-use crate::frame::{read_frame_corr, write_frame, write_frame_corr, FRAME_CORR_OVERHEAD};
+use crate::frame::{read_frame_corr, write_frame_corr, FRAME_CORR_OVERHEAD};
 use crate::proto::{Request, Response};
 use crate::wire::{
     ReduceSpec, RepairFilter, RepairPushReport, TaskReport, TaskSpec, WireMetric, WireSpan,
@@ -55,7 +59,8 @@ pub struct PangeaClient {
     /// trailing envelope (see `Request::encode_traced`).
     trace: Option<TraceCtx>,
     /// Next correlation id handed out by [`PangeaClient::submit`].
-    /// Starts at 1 — correlation 0 is the strict-serial [`call`] path.
+    /// Starts at 1 — the server answers correlation 0 only with
+    /// connection-level errors.
     next_corr: u64,
     /// Responses that arrived while awaiting a different correlation id
     /// (out-of-order completion), parked until their id is awaited.
@@ -130,22 +135,13 @@ impl PangeaClient {
         self.trace
     }
 
-    /// One framed round trip; error responses become [`PangeaError::Remote`].
+    /// One round trip: [`PangeaClient::submit`] then
+    /// [`PangeaClient::await_response`]. Pipelined submits may still be
+    /// outstanding; their answers are parked for their own awaits.
+    /// Error responses become typed errors.
     pub fn call(&mut self, req: &Request) -> Result<Response> {
-        if self.inflight != 0 {
-            return Err(PangeaError::usage(format!(
-                "serial call with {} pipelined request(s) outstanding; await them first",
-                self.inflight
-            )));
-        }
-        let encoded = req.encode_traced(self.trace.as_ref());
-        self.stats
-            .record_serialization(encoded.len() + crate::frame::FRAME_OVERHEAD);
-        write_frame(&mut self.stream, &encoded)?;
-        let (_, payload) = read_frame_corr(&mut self.stream)?.ok_or_else(Self::closed_early)?;
-        self.stats
-            .record_serialization(payload.len() + crate::frame::FRAME_OVERHEAD);
-        Response::decode(&payload)?.into_result()
+        let corr = self.submit(req)?;
+        self.await_response(corr)
     }
 
     /// Sends `req` without waiting for its response; returns the
@@ -370,31 +366,12 @@ impl PangeaClient {
         }
     }
 
-    /// Delivers one batch of candidate records into an open repair
-    /// session; returns `(appended, appended_bytes)` after dedup. Takes
-    /// the batch by value — the streaming hot path hands its buffer
-    /// over instead of copying every payload byte a second time.
-    pub fn recover_append(&mut self, set: &str, records: Vec<Vec<u8>>) -> Result<(u64, u64)> {
-        let payload_bytes: usize = records.iter().map(Vec::len).sum();
-        let req = Request::RecoverAppend {
-            set: set.to_string(),
-            records,
-        };
-        match self.call(&req)? {
-            Response::RepairAck {
-                appended, bytes, ..
-            } => {
-                self.stats.record_net(payload_bytes);
-                Ok((appended, bytes))
-            }
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Pipelined [`PangeaClient::recover_append`]: sends the batch and
-    /// returns `(correlation, payload_bytes)` for a later
-    /// [`PangeaClient::recover_append_await`]. Net-payload accounting is
-    /// deferred to the ack, exactly like the serial path.
+    /// Sends one batch of candidate records into an open repair session
+    /// and returns `(correlation, payload_bytes)` for a later
+    /// [`PangeaClient::recover_append_await`]. Takes the batch by value
+    /// — the streaming hot path hands its buffer over instead of copying
+    /// every payload byte a second time. Net-payload accounting is
+    /// deferred to the ack.
     pub fn recover_append_submit(
         &mut self,
         set: &str,
@@ -620,31 +597,11 @@ impl PangeaClient {
         }
     }
 
-    /// Delivers one batch of tagged records into an open ingest session;
-    /// returns `(appended, appended_bytes)` after tag dedup. Takes the
-    /// batch by value — the mapper hot path hands its buffer over
-    /// instead of copying every payload byte a second time (mirrors
-    /// [`PangeaClient::recover_append`]).
-    pub fn ingest_append(&mut self, set: &str, entries: Vec<(u64, Vec<u8>)>) -> Result<(u64, u64)> {
-        let payload_bytes: usize = entries.iter().map(|(_, r)| r.len()).sum();
-        let req = Request::IngestAppend {
-            set: set.to_string(),
-            entries,
-        };
-        match self.call(&req)? {
-            Response::IngestAck {
-                appended, bytes, ..
-            } => {
-                self.stats.record_net(payload_bytes);
-                Ok((appended, bytes))
-            }
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Pipelined [`PangeaClient::ingest_append`]: sends the batch and
+    /// Sends one batch of tagged records into an open ingest session and
     /// returns `(correlation, payload_bytes)` for a later
-    /// [`PangeaClient::ingest_append_await`].
+    /// [`PangeaClient::ingest_append_await`], which reports what the tag
+    /// dedup appended. Takes the batch by value, like
+    /// [`PangeaClient::recover_append_submit`].
     pub fn ingest_append_submit(
         &mut self,
         set: &str,
@@ -700,78 +657,6 @@ impl PangeaClient {
         };
         match self.call(&req)? {
             Response::Ok => Ok(()),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Creates a remote shuffle service.
-    pub fn shuffle_create(
-        &mut self,
-        name: &str,
-        partitions: u32,
-        page_size: Option<usize>,
-    ) -> Result<()> {
-        let req = Request::ShuffleCreate {
-            name: name.to_string(),
-            partitions,
-            page_size: page_size.map(|p| p as u64),
-        };
-        match self.call(&req)? {
-            Response::Ok => Ok(()),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Sends records to one partition of a remote shuffle.
-    pub fn shuffle_send<R: AsRef<[u8]>>(
-        &mut self,
-        name: &str,
-        partition: u32,
-        records: &[R],
-    ) -> Result<u64> {
-        let payload_bytes: usize = records.iter().map(|r| r.as_ref().len()).sum();
-        let req = Request::ShuffleSend {
-            name: name.to_string(),
-            partition,
-            records: records.iter().map(|r| r.as_ref().to_vec()).collect(),
-        };
-        match self.call(&req)? {
-            Response::Appended { records } => {
-                self.stats.record_net(payload_bytes);
-                Ok(records)
-            }
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Seals a remote shuffle's in-progress pages.
-    pub fn shuffle_finish(&mut self, name: &str) -> Result<()> {
-        let req = Request::ShuffleFinish {
-            name: name.to_string(),
-        };
-        match self.call(&req)? {
-            Response::Ok => Ok(()),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Raw transport delivery; returns the acknowledged byte count after
-    /// verifying the server's digest. Mostly diagnostic.
-    pub fn deliver(&mut self, payload: &[u8]) -> Result<u64> {
-        let req = Request::Deliver {
-            from: u32::MAX,
-            payload: payload.to_vec(),
-        };
-        match self.call(&req)? {
-            Response::Delivered { len, checksum } => {
-                if len != payload.len() as u64 || checksum != pangea_common::fx_hash64(payload) {
-                    return Err(PangeaError::Corruption(format!(
-                        "delivery ack digest mismatch for a {} B payload",
-                        payload.len()
-                    )));
-                }
-                Ok(len)
-            }
             other => Err(Self::unexpected(other)),
         }
     }

@@ -56,12 +56,18 @@ pub fn write_frame_corr(w: &mut impl Write, corr: u64, payload: &[u8]) -> Result
             payload.len()
         )));
     }
-    if corr == 0 {
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    // Prefix and id go out in one write: on an unbuffered socket every
+    // write is a syscall and, with Nagle off, a segment of its own.
+    let mut header = [0u8; FRAME_CORR_OVERHEAD];
+    let header_len = if corr == 0 {
+        header[..FRAME_OVERHEAD].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        FRAME_OVERHEAD
     } else {
-        w.write_all(&(payload.len() as u32 | CORR_FLAG).to_le_bytes())?;
-        w.write_all(&corr.to_le_bytes())?;
-    }
+        header[..FRAME_OVERHEAD].copy_from_slice(&(payload.len() as u32 | CORR_FLAG).to_le_bytes());
+        header[FRAME_OVERHEAD..].copy_from_slice(&corr.to_le_bytes());
+        FRAME_CORR_OVERHEAD
+    };
+    w.write_all(&header[..header_len])?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())

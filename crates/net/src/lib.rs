@@ -1,23 +1,16 @@
 //! # pangea-net
 //!
 //! The wire layer of the Pangea reproduction: everything between the
-//! distributed logic in `pangea-cluster` and actual bytes on a socket.
+//! distributed logic in `pangea-cluster`/`pangea-coord` and actual bytes
+//! on a socket.
 //!
-//! The original repository substituted the paper's cluster interconnect
-//! with an in-process simulation (`SimNetwork`; DESIGN.md §2). This crate
-//! turns that substitution into a *seam*:
-//!
-//! * [`Transport`] — the trait capturing what the simulation provided: a
-//!   synchronous, `NodeId`-addressed, byte-counted, optionally throttled
-//!   transfer. `SimNetwork` is one implementation; [`TcpTransport`] is
-//!   the real one. Cluster dispatch, replication, and recovery are
-//!   generic over it.
 //! * [`frame`] — length-prefixed binary framing over a byte stream (the
 //!   page codec's layout lifted onto sockets), with oversized-frame
-//!   rejection on both sides.
-//! * [`proto`] — the request/response protocol for the core node
-//!   operations: create set, append, page enumeration/fetch (recovery),
-//!   scan, shuffle send, raw delivery, stats.
+//!   rejection on both sides and a correlation id per frame.
+//! * [`proto`] — the request/response protocol: set creation, append,
+//!   page enumeration/fetch, scan, shipped map tasks and their ingest
+//!   sessions, worker-to-worker repair, the control plane, and stats and
+//!   trace probes.
 //! * [`wire`] — wire forms of control-plane state: declarative key
 //!   specs, partitioning schemes, map specs and task specs (the
 //!   distributed map-shuffle ships these *to* the data), catalog
@@ -30,11 +23,11 @@
 //!   `pangea-coord`, next to `pangea-mgr`).
 //! * [`PangeaClient`] — a thin typed client over one connection.
 //!
-//! Byte accounting is designed for comparability: every transport counts
-//! *payload* bytes in `IoStats::record_net` (framing and protocol headers
-//! are charged as serialization), so a workload measured over TCP
-//! reports the same net-byte volume as the same workload on the
-//! simulation.
+//! Byte accounting matches the in-process `SimNetwork` of
+//! `pangea-cluster`: *payload* bytes go to `IoStats::record_net`, and
+//! framing and protocol headers are charged as serialization, so a
+//! workload measured over TCP reports the same net-byte volume as the
+//! same workload on the simulation.
 //!
 //! [`StorageNode`]: pangea_core::StorageNode
 
@@ -42,8 +35,6 @@ pub mod client;
 pub mod frame;
 pub mod proto;
 pub mod server;
-pub mod tcp;
-pub mod transport;
 pub mod wire;
 
 pub use client::{PangeaClient, RemoteStats};
@@ -55,8 +46,6 @@ pub use server::{
     DEFAULT_DRAIN, DEFAULT_IO_THREADS, DEFAULT_MAX_CONNS, DEFAULT_PIPELINE_WINDOW,
     MAX_PIPELINE_WINDOW, METRICS_CHUNK, SPANS_CHUNK,
 };
-pub use tcp::TcpTransport;
-pub use transport::Transport;
 pub use wire::{
     ingest_tag, CmpOp, EmitSpec, FilterSpec, KeySpec, MapSpec, ReduceOp, ReduceSpec, RepairFilter,
     RepairPushReport, SchemeSpec, TaskReport, TaskSpec, WireCatalogEntry, WireMetric, WireSpan,

@@ -2,9 +2,9 @@
 //!
 //! Messages cover the core node operations the cluster layer needs from a
 //! remote peer: set creation, sequential append, page enumeration and
-//! fetch (the recovery read path), full scans, shuffle receive, the raw
-//! transport delivery used by `TcpTransport`'s `transfer`, and a
-//! statistics probe. Encoding reuses `pangea_common::codec`: every field
+//! fetch (the recovery read path), full scans, shipped map tasks and
+//! their ingest sessions, worker-to-worker repair, the control plane,
+//! and statistics and trace probes. Encoding reuses `pangea_common::codec`: every field
 //! is a length-prefixed record in a [`ByteWriter`] stream, so the wire
 //! format inherits the codec's self-framing and its truncation checks.
 //! One encoded message travels inside one [`crate::frame`] frame.
@@ -58,39 +58,6 @@ pub enum Request {
     Scan {
         /// Target locality set.
         set: String,
-    },
-    /// Creates a shuffle service (`partitions` write-back locality sets
-    /// named `<name>.part<i>`).
-    ShuffleCreate {
-        /// Shuffle name.
-        name: String,
-        /// Partition count.
-        partitions: u32,
-        /// Big-page size override in bytes.
-        page_size: Option<u64>,
-    },
-    /// Delivers shuffle records for one partition (the shuffle-send of a
-    /// remote mapper).
-    ShuffleSend {
-        /// Shuffle name.
-        name: String,
-        /// Destination partition.
-        partition: u32,
-        /// Record payloads.
-        records: Vec<Vec<u8>>,
-    },
-    /// Seals all in-progress shuffle pages after the mappers finish.
-    ShuffleFinish {
-        /// Shuffle name.
-        name: String,
-    },
-    /// Raw transport delivery: the byte-move primitive behind
-    /// `Transport::transfer`. The receiver acknowledges with the payload.
-    Deliver {
-        /// Sending node (`u32::MAX` = external client).
-        from: u32,
-        /// Opaque payload.
-        payload: Vec<u8>,
     },
     /// Reads the serving node's I/O counters.
     Stats,
@@ -360,15 +327,6 @@ pub enum Response {
         /// Record payloads.
         records: Vec<Vec<u8>>,
     },
-    /// Acknowledged raw delivery. Carries a digest rather than echoing
-    /// the payload, so an ack costs a few bytes instead of doubling the
-    /// wire traffic of every transfer.
-    Delivered {
-        /// Bytes received.
-        len: u64,
-        /// `fx_hash64` of the received payload (integrity check).
-        checksum: u64,
-    },
     /// Counter snapshot of the serving node.
     Stats {
         /// Payload bytes received over the wire by this server.
@@ -583,10 +541,7 @@ const REQ_APPEND: u64 = 3;
 const REQ_PAGE_NUMBERS: u64 = 4;
 const REQ_FETCH_PAGE: u64 = 5;
 const REQ_SCAN: u64 = 6;
-const REQ_SHUFFLE_CREATE: u64 = 7;
-const REQ_SHUFFLE_SEND: u64 = 8;
-const REQ_SHUFFLE_FINISH: u64 = 9;
-const REQ_DELIVER: u64 = 10;
+// 7-10 were the retired driver-routed shuffle and raw delivery.
 const REQ_STATS: u64 = 11;
 const REQ_HELLO: u64 = 12;
 const REQ_DROP_SET: u64 = 13;
@@ -624,7 +579,7 @@ const RESP_APPENDED: u64 = 3;
 const RESP_PAGES: u64 = 4;
 const RESP_PAGE: u64 = 5;
 const RESP_RECORDS: u64 = 6;
-const RESP_DELIVERED: u64 = 7;
+// 7 was the retired raw-delivery ack.
 const RESP_STATS: u64 = 8;
 const RESP_ERR: u64 = 9;
 const RESP_DENIED: u64 = 10;
@@ -719,35 +674,6 @@ impl Request {
             Self::Scan { set } => {
                 w.write_record(&REQ_SCAN);
                 w.write_record(set);
-            }
-            Self::ShuffleCreate {
-                name,
-                partitions,
-                page_size,
-            } => {
-                w.write_record(&REQ_SHUFFLE_CREATE);
-                w.write_record(name);
-                w.write_record(&(*partitions as u64));
-                put_opt_u64(&mut w, *page_size);
-            }
-            Self::ShuffleSend {
-                name,
-                partition,
-                records,
-            } => {
-                w.write_record(&REQ_SHUFFLE_SEND);
-                w.write_record(name);
-                w.write_record(&(*partition as u64));
-                put_list(&mut w, records);
-            }
-            Self::ShuffleFinish { name } => {
-                w.write_record(&REQ_SHUFFLE_FINISH);
-                w.write_record(name);
-            }
-            Self::Deliver { from, payload } => {
-                w.write_record(&REQ_DELIVER);
-                w.write_record(&(*from as u64));
-                w.write_bytes(payload);
             }
             Self::Stats => w.write_record(&REQ_STATS),
             Self::Hello { secret } => {
@@ -966,23 +892,6 @@ impl Request {
             REQ_SCAN => Self::Scan {
                 set: r.read_record()?,
             },
-            REQ_SHUFFLE_CREATE => Self::ShuffleCreate {
-                name: r.read_record()?,
-                partitions: r.read_record::<u64>()? as u32,
-                page_size: get_opt_u64(r)?,
-            },
-            REQ_SHUFFLE_SEND => Self::ShuffleSend {
-                name: r.read_record()?,
-                partition: r.read_record::<u64>()? as u32,
-                records: get_list(r)?,
-            },
-            REQ_SHUFFLE_FINISH => Self::ShuffleFinish {
-                name: r.read_record()?,
-            },
-            REQ_DELIVER => Self::Deliver {
-                from: r.read_record::<u64>()? as u32,
-                payload: r.read_bytes()?.to_vec(),
-            },
             REQ_STATS => Self::Stats,
             REQ_HELLO => Self::Hello {
                 secret: r.read_record()?,
@@ -1120,10 +1029,6 @@ impl Request {
             Self::PageNumbers { .. } => "PageNumbers",
             Self::FetchPage { .. } => "FetchPage",
             Self::Scan { .. } => "Scan",
-            Self::ShuffleCreate { .. } => "ShuffleCreate",
-            Self::ShuffleSend { .. } => "ShuffleSend",
-            Self::ShuffleFinish { .. } => "ShuffleFinish",
-            Self::Deliver { .. } => "Deliver",
             Self::Stats => "Stats",
             Self::Hello { .. } => "Hello",
             Self::DropSet { .. } => "DropSet",
@@ -1201,11 +1106,6 @@ impl Response {
             Self::Records { records } => {
                 w.write_record(&RESP_RECORDS);
                 put_list(&mut w, records);
-            }
-            Self::Delivered { len, checksum } => {
-                w.write_record(&RESP_DELIVERED);
-                w.write_record(len);
-                w.write_record(checksum);
             }
             Self::Stats {
                 net_bytes,
@@ -1440,10 +1340,6 @@ impl Response {
             },
             RESP_RECORDS => Self::Records {
                 records: get_list(&mut r)?,
-            },
-            RESP_DELIVERED => Self::Delivered {
-                len: r.read_record()?,
-                checksum: r.read_record()?,
             },
             RESP_STATS => Self::Stats {
                 net_bytes: r.read_record()?,
@@ -1709,21 +1605,6 @@ mod tests {
             num: 17,
         });
         roundtrip_req(Request::Scan { set: "s".into() });
-        roundtrip_req(Request::ShuffleCreate {
-            name: "wc".into(),
-            partitions: 8,
-            page_size: None,
-        });
-        roundtrip_req(Request::ShuffleSend {
-            name: "wc".into(),
-            partition: 3,
-            records: vec![b"k|1".to_vec()],
-        });
-        roundtrip_req(Request::ShuffleFinish { name: "wc".into() });
-        roundtrip_req(Request::Deliver {
-            from: u32::MAX,
-            payload: vec![0, 1, 2, 255],
-        });
         roundtrip_req(Request::Stats);
         roundtrip_req(Request::Hello {
             secret: "deployment-secret".into(),
@@ -1835,7 +1716,6 @@ mod tests {
             nodes: 4,
             source: 1,
             dests: vec![(0, "127.0.0.1:7781".into()), (2, "127.0.0.1:7783".into())],
-            window: 8,
         };
         roundtrip_req(Request::TaskRun { spec });
         roundtrip_req(Request::IngestBegin {
@@ -1939,7 +1819,6 @@ mod tests {
                 nodes: 3,
                 source: 0,
                 dests: vec![(0, "127.0.0.1:1".into()), (1, "127.0.0.1:2".into())],
-                window: 0,
             },
         }
         .encode();
@@ -2121,10 +2000,6 @@ mod tests {
         });
         roundtrip_resp(Response::Records {
             records: vec![b"x".to_vec(), b"yy".to_vec()],
-        });
-        roundtrip_resp(Response::Delivered {
-            len: 3,
-            checksum: 0x1234_5678_9abc_def0,
         });
         roundtrip_resp(Response::Stats {
             net_bytes: 1,

@@ -28,10 +28,9 @@ use crate::proto::{error_response, Request, Response};
 use crate::wire::{
     ingest_tag, ReduceSpec, RepairFilter, SchemeSpec, TaskReport, TaskSpec, WireMetric, WireSpan,
 };
-use pangea_common::{fx_hash64, FxHashMap, IoStats, PangeaError, PartitionId, Result};
+use pangea_common::{fx_hash64, FxHashMap, IoStats, PangeaError, Result};
 use pangea_core::{
-    HashConfig, ObjectIter, ReduceBuffer, SeqWriter, SetOptions, ShuffleConfig, ShuffleService,
-    SpillLedger, StorageNode,
+    HashConfig, ObjectIter, ReduceBuffer, SeqWriter, SetOptions, SpillLedger, StorageNode,
 };
 use pangea_obs::{names, Counter, Gauge, MetricValue, Obs, Registry, SpanRecord, TraceCtx};
 use parking_lot::Mutex;
@@ -773,7 +772,6 @@ const PEER_POOL_CAP: usize = 64;
 /// Default pipeline window for this daemon's *outbound* pushes (mapper
 /// ingest fan-out, repair streaming): how many batches may be in flight
 /// on one peer connection before the sender awaits the oldest ack.
-/// Tasks can override it per-run via `TaskSpec::window`.
 pub const DEFAULT_PIPELINE_WINDOW: u32 = 8;
 
 /// Ceiling on any pipeline window — configured or credit-granted. Caps
@@ -853,8 +851,6 @@ impl PipelinedPeer {
 #[derive(Debug)]
 pub struct Pangead {
     node: StorageNode,
-    /// Shuffle services created over the wire, by name.
-    shuffles: Mutex<FxHashMap<String, ShuffleService>>,
     /// Open peer-repair sessions, by recovery target set. Each session
     /// carries its own lock so appends into one target never block
     /// sessions of unrelated sets behind disk I/O; the outer map lock
@@ -884,9 +880,8 @@ pub struct Pangead {
     /// surrounding [`FramedServer`] enforces, though deployments
     /// conventionally share one.
     peer_secret: Option<String>,
-    /// Default outbound pipeline window (batches in flight per peer
-    /// connection) for tasks that don't specify one; see
-    /// [`DEFAULT_PIPELINE_WINDOW`].
+    /// Outbound pipeline window (batches in flight per peer connection)
+    /// for every task and repair push; see [`DEFAULT_PIPELINE_WINDOW`].
     pipeline_window: u32,
     /// Payload bytes and messages received by this daemon.
     stats: Arc<IoStats>,
@@ -908,7 +903,6 @@ impl Pangead {
         let obs = Obs::with_registry(stats.registry().clone());
         Self {
             node,
-            shuffles: Mutex::new(FxHashMap::default()),
             repairs: Mutex::new(FxHashMap::default()),
             ended: Mutex::new(FxHashMap::default()),
             ingests: Mutex::new(FxHashMap::default()),
@@ -1192,53 +1186,6 @@ impl Pangead {
                     self.node.drop_set(set.id())?;
                 }
                 Ok(Response::Ok)
-            }
-            Request::ShuffleCreate {
-                name,
-                partitions,
-                page_size,
-            } => {
-                let mut shuffles = self.shuffles.lock();
-                if shuffles.contains_key(&name) {
-                    return Err(PangeaError::usage(format!(
-                        "shuffle '{name}' already exists"
-                    )));
-                }
-                let mut config = ShuffleConfig::new(partitions);
-                if let Some(ps) = page_size {
-                    config = config.with_page_size(ps as usize);
-                }
-                let service = ShuffleService::create(&self.node, &name, config)?;
-                shuffles.insert(name, service);
-                Ok(Response::Ok)
-            }
-            Request::ShuffleSend {
-                name,
-                partition,
-                records,
-            } => {
-                let service = self.get_shuffle(&name)?;
-                let mut buffer = service.virtual_buffer(PartitionId(partition))?;
-                for rec in &records {
-                    self.stats.record_net(rec.len());
-                    buffer.add_object(rec)?;
-                }
-                buffer.flush()?;
-                Ok(Response::Appended {
-                    records: records.len() as u64,
-                })
-            }
-            Request::ShuffleFinish { name } => {
-                self.get_shuffle(&name)?.finish_writes()?;
-                Ok(Response::Ok)
-            }
-            Request::Deliver { from: _, payload } => {
-                self.stats.record_net(payload.len());
-                self.stats.record_copy(payload.len());
-                Ok(Response::Delivered {
-                    len: payload.len() as u64,
-                    checksum: pangea_common::fx_hash64(&payload),
-                })
             }
             Request::Stats => {
                 let net = self.stats.snapshot();
@@ -1750,15 +1697,9 @@ impl Pangead {
         for (node, addr) in &spec.dests {
             addr_of.insert(*node, addr.as_str());
         }
-        // Per-destination pipeline window: the task's override, else
-        // this daemon's default. Either way capped so one mapper can
-        // never park more than `MAX_PIPELINE_WINDOW` unacked batches in
-        // a receiver.
-        let window = if spec.window == 0 {
-            self.pipeline_window
-        } else {
-            spec.window.min(MAX_PIPELINE_WINDOW)
-        };
+        // Per-destination pipeline window: this daemon's deployment
+        // setting, already capped at `MAX_PIPELINE_WINDOW`.
+        let window = self.pipeline_window;
         let mut conns: FxHashMap<String, PipelinedPeer> = FxHashMap::default();
         let mut batches: FxHashMap<u32, (Vec<(u64, Vec<u8>)>, usize)> = FxHashMap::default();
         let mut report = TaskReport::default();
@@ -2304,14 +2245,6 @@ impl Pangead {
             .get_set(name)
             .ok_or_else(|| PangeaError::usage(format!("locality set '{name}' not found")))
     }
-
-    fn get_shuffle(&self, name: &str) -> Result<ShuffleService> {
-        self.shuffles
-            .lock()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| PangeaError::usage(format!("shuffle '{name}' not found")))
-    }
 }
 
 impl FramedService for Pangead {
@@ -2505,58 +2438,6 @@ mod tests {
             Response::Err { message } => assert!(message.contains("pangea-mgr")),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn shuffle_over_dispatch() {
-        let d = Pangead::new(node("shuffle"));
-        assert_eq!(
-            d.handle(Request::ShuffleCreate {
-                name: "wc".into(),
-                partitions: 2,
-                page_size: None,
-            }),
-            Response::Ok
-        );
-        d.handle(Request::ShuffleSend {
-            name: "wc".into(),
-            partition: 0,
-            records: vec![b"alpha".to_vec()],
-        });
-        d.handle(Request::ShuffleSend {
-            name: "wc".into(),
-            partition: 1,
-            records: vec![b"beta".to_vec(), b"gamma".to_vec()],
-        });
-        assert_eq!(
-            d.handle(Request::ShuffleFinish { name: "wc".into() }),
-            Response::Ok
-        );
-        match d.handle(Request::Scan {
-            set: "wc.part1".into(),
-        }) {
-            Response::Records { records } => {
-                assert_eq!(records, vec![b"beta".to_vec(), b"gamma".to_vec()]);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn deliver_counts_payload_bytes() {
-        let d = Pangead::new(node("deliver"));
-        let resp = d.handle(Request::Deliver {
-            from: 0,
-            payload: vec![9; 128],
-        });
-        assert_eq!(
-            resp,
-            Response::Delivered {
-                len: 128,
-                checksum: pangea_common::fx_hash64(&[9; 128]),
-            }
-        );
-        assert_eq!(d.stats().snapshot().net_bytes, 128);
     }
 
     #[test]
@@ -3805,7 +3686,6 @@ mod tests {
                 (0, dest0.local_addr().to_string()),
                 (1, dest1.local_addr().to_string()),
             ],
-            window: 0,
         };
         let report = mc.run_task(&spec).unwrap();
         assert_eq!(report.scanned, rows.len() as u64);
@@ -4038,8 +3918,6 @@ mod tests {
         let (corr2, p2) = c.ingest_append_submit("out", batch(1)).unwrap();
         let (corr3, p3) = c.ingest_append_submit("out", batch(2)).unwrap();
         assert_eq!(c.pipelined(), 3);
-        // A serial RPC cannot interleave with an open pipeline.
-        assert!(matches!(c.ping(), Err(PangeaError::InvalidUsage(_))));
 
         // Await newest-first: earlier responses park until asked for.
         let (a3, _, credit) = c.ingest_append_await(corr3, p3).unwrap();
@@ -4114,5 +3992,38 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert!(reg.gauge("net.conns_open").get() <= 2);
+    }
+
+    /// A plain `call` is a window-of-one submit on the same correlated
+    /// path, so it may run while pipelined batches are outstanding: the
+    /// ping answers `Ok`, and both earlier acks stay parked for their
+    /// own awaits, intact.
+    #[test]
+    fn call_interleaves_with_outstanding_pipelined_submits() {
+        let server = PangeadServer::bind(node("call-mid-pipe"), "127.0.0.1:0").unwrap();
+        let mut c = PangeaClient::connect(server.local_addr()).unwrap();
+        c.create_set("out", "write-through", None).unwrap();
+        c.ingest_begin("out", None).unwrap();
+        let batch = |n: u64| -> Vec<(u64, Vec<u8>)> {
+            (0..4u64)
+                .map(|i| {
+                    let rec = format!("b{n}r{i}").into_bytes();
+                    (crate::wire::ingest_tag(0, n * 4 + i, &rec), rec)
+                })
+                .collect()
+        };
+        let (corr1, p1) = c.ingest_append_submit("out", batch(0)).unwrap();
+        let (corr2, p2) = c.ingest_append_submit("out", batch(1)).unwrap();
+        assert_eq!(c.pipelined(), 2);
+
+        c.ping().unwrap();
+        assert_eq!(c.pipelined(), 2, "the ping's own round trip is done");
+
+        let (a1, b1, _) = c.ingest_append_await(corr1, p1).unwrap();
+        let (a2, b2, _) = c.ingest_append_await(corr2, p2).unwrap();
+        assert_eq!((a1, a2), (4, 4));
+        assert_eq!((b1, b2), (p1 as u64, p2 as u64));
+        assert_eq!(c.pipelined(), 0);
+        assert_eq!(c.ingest_end("out").unwrap(), (8, (p1 + p2) as u64));
     }
 }

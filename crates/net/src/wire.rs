@@ -1018,13 +1018,6 @@ pub struct TaskSpec {
     /// Destination daemons: `(slot, advertised addr)` for every alive
     /// worker.
     pub dests: Vec<(u32, String)>,
-    /// Pipeline window: how many `IngestAppend` batches the mapper may
-    /// keep in flight per destination before awaiting the oldest ack.
-    /// `0` means "use the executing daemon's default"; `1` is
-    /// strict-serial (the pre-pipelining round-trip-per-batch shape).
-    /// The receiver's credit grants can shrink the effective window
-    /// below this at any time.
-    pub window: u32,
 }
 
 impl TaskSpec {
@@ -1041,7 +1034,6 @@ impl TaskSpec {
             w.write_record(&(*node as u64));
             w.write_record(addr);
         }
-        w.write_record(&(self.window as u64));
     }
 
     pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
@@ -1057,7 +1049,6 @@ impl TaskSpec {
         for _ in 0..n {
             dests.push((r.read_record::<u64>()? as u32, r.read_record()?));
         }
-        let window = r.read_record::<u64>()? as u32;
         Ok(Self {
             input,
             output,
@@ -1067,7 +1058,6 @@ impl TaskSpec {
             nodes,
             source,
             dests,
-            window,
         })
     }
 }
@@ -1604,7 +1594,6 @@ mod tests {
                 (1, "127.0.0.1:7782".into()),
                 (3, "127.0.0.1:7784".into()),
             ],
-            window: 8,
         };
         let mut w = ByteWriter::new();
         spec.put(&mut w);

@@ -534,7 +534,6 @@ proptest! {
             nodes,
             source,
             dests: dests.iter().map(|(n, a)| (*n, ident(a))).collect(),
-            window: partitions,
         };
         roundtrip_req(Request::TaskRun { spec });
         roundtrip_req(Request::IngestBegin { set: ident(&name), reduce });
@@ -582,7 +581,6 @@ proptest! {
                 nodes,
                 source,
                 dests: vec![(0, "127.0.0.1:7781".into()), (1, "127.0.0.1:7782".into())],
-                window: partitions,
             },
         }
         .encode();

@@ -20,7 +20,7 @@
 use pangea::common::{NodeId, KB, MB};
 use pangea::coord::{MgrServer, RemoteCluster, WorkerAgent};
 use pangea::core::{NodeConfig, StorageNode};
-use pangea::net::PangeadServer;
+use pangea::net::{KeySpec, MapSpec, PangeadServer};
 use pangea::prelude::{PartitionScheme, Result};
 use std::time::{Duration, Instant};
 
@@ -98,14 +98,22 @@ fn main() -> Result<()> {
         cluster.best_replica("events", "event_type")?
     );
 
-    // A distributed word-count shuffle.
-    let mut shuffle = cluster.shuffle("wordcount", 6)?;
-    for i in 0..2_000u32 {
-        let word = format!("word-{:02}", i % 40);
-        shuffle.send(word.as_bytes(), word.as_bytes())?;
-    }
-    shuffle.finish()?;
-    println!("shuffle 'wordcount' finished across {} workers", 3);
+    // A distributed shuffle shipped to the data: every worker maps its
+    // own share to the user id and pushes the routed output straight to
+    // its peers.
+    let report = cluster.map_shuffle(
+        "events",
+        "user_ids",
+        &MapSpec::extract(KeySpec::Field {
+            delim: b'|',
+            index: 0,
+        }),
+        PartitionScheme::hash_whole("user_id", 6),
+    )?;
+    println!(
+        "shuffle 'user_ids' moved {} records across 3 workers, none through the driver",
+        report.records_out
+    );
 
     // -- Kill a worker; the manager notices; recovery restores it. -----
     let (mut dead_server, mut dead_agent) = fleet.remove(1);

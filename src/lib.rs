@@ -20,7 +20,7 @@
 //! | [`paging`] | `pangea-paging` | §6 — data-aware policy + LRU/MRU/DBMIN baselines |
 //! | [`cluster`] | `pangea-cluster` | §3.3, §7 — manager, dispatch, replication, recovery |
 //! | [`coord`] | `pangea-coord` | §3.3, §8 — control plane: `pangea-mgr`, membership, `RemoteCluster` |
-//! | [`net`] | `pangea-net` | wire layer — `Transport` seam, TCP framing + protocol, `pangead`, client |
+//! | [`net`] | `pangea-net` | wire layer — TCP framing + protocol, `pangead`, client |
 //! | [`obs`] | `pangea-obs` | observability — metrics registry, trace rings, retained time-series, span trees |
 //! | [`layered`] | `pangea-layered` | §9 baselines — HDFS/Alluxio/Ignite/Spark/OS/Redis |
 //! | [`query`] | `pangea-query` | §9.1.2 — TPC-H on Pangea and on Spark |
@@ -79,6 +79,6 @@ pub mod prelude {
         NodeConfig, ObjectIter, SeqWriter, SetOptions, ShuffleConfig, ShuffleService, StorageNode,
         VirtualHashBuffer, VirtualShuffleBuffer,
     };
-    pub use pangea_net::{PangeaClient, PangeadServer, TcpTransport, Transport};
+    pub use pangea_net::{PangeaClient, PangeadServer};
     pub use pangea_paging::{CurrentOp, Durability, ReadPattern, WritePattern};
 }

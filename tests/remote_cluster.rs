@@ -2,7 +2,7 @@
 //! workers over real loopback TCP, driven purely through
 //! [`RemoteCluster`] — no shared memory between the driver and any
 //! worker. Covers the acceptance flow: registration, wire-served
-//! catalog, batched dispatch, a distributed shuffle, a worker killed and
+//! catalog, batched dispatch, a shipped map-shuffle, a worker killed and
 //! detected via missed heartbeats, and replica-based recovery — with
 //! payload net-byte accounting matching the equivalent `SimNetwork` run.
 
@@ -10,7 +10,7 @@ use pangea::cluster::{ClusterConfig, PartitionScheme, SimCluster};
 use pangea::common::{NodeId, PangeaError, KB};
 use pangea::coord::{MgrServer, RemoteCluster, WorkerAgent};
 use pangea::core::{NodeConfig, StorageNode};
-use pangea::net::{PangeadServer, WorkerState};
+use pangea::net::{KeySpec, MapSpec, PangeadServer, WorkerState};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -160,34 +160,42 @@ fn full_control_plane_flow_over_loopback_tcp() {
         "the wire-served statistics DB answers best-replica queries"
     );
 
-    // -- Distributed shuffle, driver-routed and batched. ---------------
-    let mut shuffle = cluster.shuffle("wc", 4).unwrap();
-    let words: Vec<String> = (0..200).map(|i| format!("word-{:03}", i % 50)).collect();
-    let before_shuffle = cluster.workers().stats().snapshot().net_bytes;
-    for w in &words {
-        shuffle.send(w.as_bytes(), w.as_bytes()).unwrap();
-    }
-    let word_bytes: u64 = words.iter().map(|w| w.len() as u64).sum();
-    shuffle.finish().unwrap();
-    let shuffled_bytes = cluster.workers().stats().snapshot().net_bytes - before_shuffle;
+    // -- Distributed shuffle, shipped to the data. ---------------------
+    // Every worker maps its own share to field 1 and pushes the routed
+    // output straight to its peers: not one payload byte through the
+    // driver.
+    let before_shuffle = cluster.workers().stats().snapshot();
+    let report = cluster
+        .map_shuffle(
+            "users",
+            "f1_words",
+            &MapSpec::extract(KeySpec::Field {
+                delim: b'|',
+                index: 1,
+            }),
+            PartitionScheme::hash_whole("word", 4),
+        )
+        .unwrap();
+    let driver_delta = cluster
+        .workers()
+        .stats()
+        .snapshot()
+        .delta_since(&before_shuffle);
+    assert_eq!(report.records_out, 300);
     assert_eq!(
-        shuffled_bytes, word_bytes,
-        "every shuffle payload byte crossed the wire exactly once"
+        driver_delta.net_bytes, 0,
+        "shuffle payload crossed the driver"
     );
+    let words = cluster.get_dist_set("f1_words").unwrap().unwrap();
+    let word_scheme = words.scheme().unwrap();
     let mut seen = 0usize;
-    for p in 0..4u32 {
-        let core = cluster.core();
-        core.workers()
-            .scan(NodeId(p % 3), &format!("wc.part{p}"), &mut |rec| {
-                let w = String::from_utf8(rec.to_vec()).unwrap();
-                let expect = (pangea::common::fx_hash64(w.as_bytes()) % 4) as u32;
-                assert_eq!(expect, p, "record {w} landed in the wrong partition");
-                seen += 1;
-                Ok(())
-            })
-            .unwrap();
-    }
-    assert_eq!(seen, words.len());
+    words
+        .for_each_record(|node, rec| {
+            assert_eq!(word_scheme.node_of(rec, 0, 3), node, "misrouted {rec:?}");
+            seen += 1;
+        })
+        .unwrap();
+    assert_eq!(seen, rows.len());
 
     // -- Kill a worker; the manager detects it via missed heartbeats. --
     let before_kill = snapshot_set(&cluster, "users");

@@ -834,6 +834,7 @@ fn closure_keyed_scheme_is_a_typed_not_wire_safe_error() {
     match cluster.map_shuffle("lines", "words", &MapSpec::identity(), closure_scheme) {
         Err(PangeaError::NotWireSafe(m)) => {
             assert!(m.contains("hash_field") || m.contains("closure"), "{m}");
+            assert!(!m.contains("driver-routed"), "{m}");
         }
         other => panic!("expected typed NotWireSafe, got {other:?}"),
     }

@@ -1,7 +1,7 @@
-//! Pipelined-wire suite for the multiplexed protocol: a real
-//! `pangea-mgr` and `pangead` workers over loopback TCP, the same
-//! wordcount shuffle run strict-serial (window 1) and pipelined
-//! (window 8), and four properties proven:
+//! Pipelined-wire suite for the multiplexed protocol: real `pangea-mgr`
+//! and `pangead` workers over loopback TCP, the same wordcount shuffle
+//! run on a strict-serial fleet (daemons booted with window 1) and on a
+//! pipelined one (window 8), and four properties proven:
 //!
 //! 1. Both window settings materialize the output **record-for-record
 //!    identical to a serial `SimCluster` run** — pipelining reorders
@@ -9,9 +9,10 @@
 //! 2. The driver still moves **exactly zero payload bytes** while the
 //!    pipelined job runs — correlation ids change scheduling, not
 //!    accounting.
-//! 3. The pipelining is **observable fleet-wide**: the aggregated
-//!    `net.inflight` histogram has p99 > 1 with submissions at depth
-//!    ≥ 2 (the serial run can never record a depth above 1).
+//! 3. The pipelining is **observable fleet-wide**: the pipelined
+//!    fleet's aggregated `net.inflight` histogram has submissions at
+//!    depth ≥ 2 and a p99 above the serial fleet's, which never records
+//!    a depth above 1.
 //! 4. A worker killed mid-pipeline surfaces the **typed**
 //!    [`PangeaError::NodeUnavailable`], and after slot recovery an
 //!    idempotent retry converges with no duplicates.
@@ -26,7 +27,9 @@ use pangea::cluster::{ClusterConfig, PartitionScheme, SimCluster};
 use pangea::common::{NodeId, PangeaError, KB, MB};
 use pangea::coord::{MgrServer, RemoteCluster, WorkerAgent};
 use pangea::core::{NodeConfig, StorageNode};
-use pangea::net::{FilterSpec, KeySpec, MapSpec, PangeaClient, PangeadServer, WireMetric};
+use pangea::net::{
+    FilterSpec, KeySpec, MapSpec, PangeaClient, PangeadServer, ServerConfig, WireMetric,
+};
 use pangea::obs::quantile_from_buckets;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -59,7 +62,23 @@ fn roomy_node(tag: &str) -> StorageNode {
 }
 
 fn worker_with(node: StorageNode, mgr: &str, slot: u32) -> (PangeadServer, WorkerAgent) {
-    let server = PangeadServer::bind_with_secret(node, "127.0.0.1:0", Some(SECRET.into())).unwrap();
+    worker_windowed(node, mgr, slot, 0)
+}
+
+/// A worker whose outbound pushes keep at most `window` batches in
+/// flight per peer (`0` = the daemon default).
+fn worker_windowed(
+    node: StorageNode,
+    mgr: &str,
+    slot: u32,
+    window: u32,
+) -> (PangeadServer, WorkerAgent) {
+    let config = ServerConfig {
+        pipeline_window: window,
+        ..ServerConfig::default()
+    };
+    let server =
+        PangeadServer::bind_with_config(node, "127.0.0.1:0", Some(SECRET.into()), config).unwrap();
     let agent = WorkerAgent::register(
         mgr,
         Some(SECRET),
@@ -157,33 +176,61 @@ fn histogram_buckets(metrics: &[WireMetric], name: &str) -> Option<Vec<u64>> {
     })
 }
 
+/// The fleet-wide `net.inflight` histogram (summed over every worker's
+/// buckets), checking each worker also gauges its live connections.
+fn fleet_inflight(fleet: &[(PangeadServer, WorkerAgent)]) -> Vec<u64> {
+    let mut agg = Vec::new();
+    for (i, (server, _)) in fleet.iter().enumerate() {
+        let mut c = PangeaClient::connect_with_secret(server.local_addr(), Some(SECRET)).unwrap();
+        let (metrics, _) = c.metrics_dump().unwrap();
+        let buckets = histogram_buckets(&metrics, "net.inflight")
+            .unwrap_or_else(|| panic!("worker {i}: no net.inflight histogram"));
+        if agg.is_empty() {
+            agg = vec![0u64; buckets.len()];
+        }
+        for (a, b) in agg.iter_mut().zip(&buckets) {
+            *a += *b;
+        }
+        assert!(
+            gauge_value(&metrics, "net.conns_open").is_some(),
+            "worker {i}: the io-pool core must gauge its live connections"
+        );
+    }
+    agg
+}
+
 #[test]
 fn pipelined_shuffle_matches_serial_and_sim_with_zero_driver_payload() {
-    let (_mgr, mgr_addr) = mgr_server();
-    let fleet: Vec<_> = (0..4)
-        .map(|i| worker_with(roomy_node(&format!("pl{i}")), &mgr_addr, i))
-        .collect();
-    let cluster = RemoteCluster::connect(&mgr_addr, Some(SECRET)).unwrap();
+    // Two fleets that differ only in the daemons' deployment window.
+    let boot = |tag: &str, window: u32| {
+        let (mgr, mgr_addr) = mgr_server();
+        let fleet: Vec<_> = (0..4)
+            .map(|i| worker_windowed(roomy_node(&format!("{tag}{i}")), &mgr_addr, i, window))
+            .collect();
+        let cluster = RemoteCluster::connect(&mgr_addr, Some(SECRET)).unwrap();
+        (mgr, fleet, cluster)
+    };
+    let (_serial_mgr, serial_fleet, serial_cluster) = boot("pl-w1-", 1);
+    let (_mgr, fleet, cluster) = boot("pl-w8-", 8);
 
     let rows = lines(4000);
+    load(&serial_cluster, &rows);
     load(&cluster, &rows);
     let map = MapSpec::tokenize(b' ');
     let scheme = || PartitionScheme::hash_whole("word", 8);
 
-    // Strict-serial baseline first: window 1 is the pre-pipelining
-    // behavior, kept addressable for exactly this A/B.
-    cluster.set_pipeline_window(1);
-    let serial = cluster
-        .map_shuffle("lines", "tokens_w1", &map, scheme())
+    // Strict-serial baseline first: window 1 is one round trip per
+    // batch.
+    let serial = serial_cluster
+        .map_shuffle("lines", "tokens", &map, scheme())
         .unwrap();
     assert_eq!(serial.records_out, rows.len() as u64 * 4);
 
     // The pipelined run: same bytes, windowed pushes, and not one
     // payload byte through the driver while they fly.
-    cluster.set_pipeline_window(8);
     let driver_before = cluster.workers().stats().snapshot();
     let pipelined = cluster
-        .map_shuffle("lines", "tokens_w8", &map, scheme())
+        .map_shuffle("lines", "tokens", &map, scheme())
         .unwrap();
     let driver_delta = cluster
         .workers()
@@ -196,11 +243,10 @@ fn pipelined_shuffle_matches_serial_and_sim_with_zero_driver_payload() {
     assert_eq!(driver_delta.net_messages, 0);
     assert_eq!(driver_delta.shuffle_bytes, 0);
 
-    // Both windows materialized the same multiset on the same nodes
-    // (modulo the set name), and both match the serial SimCluster run
-    // record-for-record.
-    let w1 = snapshot_remote(&cluster, "tokens_w1");
-    let w8 = snapshot_remote(&cluster, "tokens_w8");
+    // Both windows materialized the same multiset on the same slots,
+    // and both match the serial SimCluster run record-for-record.
+    let w1 = snapshot_remote(&serial_cluster, "tokens");
+    let w8 = snapshot_remote(&cluster, "tokens");
     assert_eq!(w1, w8, "window depth must never change the output");
 
     let sim = SimCluster::bootstrap(
@@ -218,47 +264,40 @@ fn pipelined_shuffle_matches_serial_and_sim_with_zero_driver_payload() {
         sd.dispatch(row.as_bytes()).unwrap();
     }
     sd.finish().unwrap();
-    sim.map_shuffle("lines", "tokens_w8", &map, scheme())
-        .unwrap();
+    sim.map_shuffle("lines", "tokens", &map, scheme()).unwrap();
     assert_eq!(
         w8,
-        snapshot_sim(&sim, "tokens_w8"),
+        snapshot_sim(&sim, "tokens"),
         "pipelined distributed run and the serial sim must converge"
     );
 
-    // Fleet-wide observability: aggregate every worker's `net.inflight`
-    // histogram. The pipelined run drove submission depth past 1 — the
-    // p99 clears 1 and depth-≥2 submissions were recorded somewhere —
-    // and nobody stalled on credit (the pools were sized so the window,
-    // not the receiver, was the binding constraint).
-    let mut agg = Vec::new();
-    let mut depth_ge_2 = 0u64;
-    for (i, (server, _)) in fleet.iter().enumerate() {
-        let mut c = PangeaClient::connect_with_secret(server.local_addr(), Some(SECRET)).unwrap();
-        let (metrics, _) = c.metrics_dump().unwrap();
-        let buckets = histogram_buckets(&metrics, "net.inflight")
-            .unwrap_or_else(|| panic!("worker {i}: no net.inflight histogram"));
-        if agg.is_empty() {
-            agg = vec![0u64; buckets.len()];
-        }
-        for (a, b) in agg.iter_mut().zip(&buckets) {
-            *a += *b;
-        }
-        // Depth d lands in the log2 bucket of d; buckets from index 2
-        // up hold observations of depth ≥ 2.
-        depth_ge_2 += buckets.iter().skip(2).sum::<u64>();
-        assert!(
-            gauge_value(&metrics, "net.conns_open").is_some(),
-            "worker {i}: the io-pool core must gauge its live connections"
-        );
-    }
+    // Fleet-wide observability. Depth d lands in the log2 bucket of d,
+    // so buckets from index 2 up hold submissions at depth ≥ 2. The
+    // serial fleet never records one; the pipelined fleet drove depth
+    // past 1, and its p99 clears both 1 and the serial fleet's p99
+    // (the pools were sized so the window, not the receiver's credit,
+    // was the binding constraint).
+    let serial_agg = fleet_inflight(&serial_fleet);
     assert!(
-        quantile_from_buckets(&agg, 0.99) > 1,
-        "fleet net.inflight p99 must clear 1: {agg:?}"
+        serial_agg.iter().sum::<u64>() > 0,
+        "the serial fleet recorded no submissions"
     );
+    assert_eq!(
+        serial_agg.iter().skip(2).sum::<u64>(),
+        0,
+        "a window of 1 must never submit at depth ≥ 2: {serial_agg:?}"
+    );
+    let agg = fleet_inflight(&fleet);
     assert!(
-        depth_ge_2 > 0,
+        agg.iter().skip(2).sum::<u64>() > 0,
         "an 8-deep window must record submissions at depth ≥ 2: {agg:?}"
+    );
+    let p99 = quantile_from_buckets(&agg, 0.99);
+    assert!(p99 > 1, "fleet net.inflight p99 must clear 1: {agg:?}");
+    assert!(
+        p99 > quantile_from_buckets(&serial_agg, 0.99),
+        "the pipelined fleet's p99 depth must exceed the serial fleet's: \
+         {agg:?} vs {serial_agg:?}"
     );
 }
 
@@ -285,7 +324,6 @@ fn tight_pool_receivers_throttle_pipelined_senders_via_credit() {
 
     let rows = lines(3000);
     load(&cluster, &rows);
-    cluster.set_pipeline_window(8);
     let report = cluster
         .map_shuffle(
             "lines",
@@ -351,7 +389,6 @@ fn mid_pipeline_kill_is_typed_and_idempotent_retry_converges() {
         )
         .unwrap();
 
-    cluster.set_pipeline_window(8);
     let map = MapSpec::extract(KeySpec::Field {
         delim: b'|',
         index: 1,

@@ -218,7 +218,7 @@ fn wordcount_over_input_several_times_the_pool_budget_spills_and_matches_sim() {
             "worker {i}: pool residency {used}B exceeds its {capacity}B budget"
         );
         // The raw Stats RPC carries the same paging counters (what
-        // `bench_shuffle` and scripts read).
+        // the benchmark and scripts read).
         let stats = c.remote_stats().unwrap();
         assert_eq!(
             stats.paging_spill_bytes,
