@@ -27,7 +27,9 @@
 use crate::manager::CatalogEntry;
 use crate::partition::{PartitionKind, PartitionScheme};
 use crate::replication::colliding_set_name;
-use pangea_common::{fx_hash64, FxHashMap, FxHashSet, NodeId, PangeaError, ReplicaGroupId, Result};
+use pangea_common::{
+    record_key, FxHashMap, FxHashSet, NodeId, PangeaError, ReplicaGroupId, Result,
+};
 use pangea_net::{
     KeySpec, MapSpec, ReduceSpec, RepairFilter, RepairPushReport, SchemeSpec, TaskReport,
 };
@@ -147,6 +149,8 @@ pub trait TaskExec: Send + Sync {
     /// apply `map` (combining per key first when `reduce` is given),
     /// route by `scheme` striping over `nodes`, and stream straight to
     /// the destinations' ingest sessions for `output`.
+    // Named debt: a map job's inputs still travel as loose arguments
+    // here and in `map_shuffle_tasks`, not yet as one job value.
     #[allow(clippy::too_many_arguments)]
     fn map_task(
         &self,
@@ -435,7 +439,7 @@ impl ClusterCore {
                 .get_dist_set(member)?
                 .ok_or_else(|| PangeaError::usage(format!("unknown member '{member}'")))?;
             set.for_each_record(|node, rec| {
-                placement.entry(fx_hash64(rec)).or_default().insert(node);
+                placement.entry(record_key(rec)).or_default().insert(node);
             })?;
         }
         let objects = placement.len() as u64;
@@ -461,7 +465,7 @@ impl ClusterCore {
                 .ok_or_else(|| PangeaError::usage("group has no members"))?;
             let mut stored: FxHashSet<u64> = FxHashSet::default();
             first.try_for_each_record(|from, rec| {
-                let h = fx_hash64(rec);
+                let h = record_key(rec);
                 let Some(&collide_node) = colliding.get(&h) else {
                     return Ok(());
                 };
@@ -719,6 +723,7 @@ impl ClusterCore {
     /// sealed whatever happens, and the sealed totals — not the task
     /// acks — are authoritative for the materialized output (a task
     /// whose ack was lost still appended for real).
+    // Named debt: see `TaskExec::map_task`.
     #[allow(clippy::too_many_arguments)]
     fn map_shuffle_tasks(
         &self,
@@ -1032,7 +1037,7 @@ impl ClusterCore {
             PartitionKind::RoundRobin => {
                 let mut p = FxHashSet::default();
                 tgt.for_each_record(|_, rec| {
-                    p.insert(fx_hash64(rec));
+                    p.insert(record_key(rec));
                 })?;
                 Some(p)
             }
@@ -1040,7 +1045,7 @@ impl ClusterCore {
         let is_lost = |rec: &[u8]| -> bool {
             match &present {
                 None => t_entry.scheme.node_of(rec, 0, nodes) == failed,
-                Some(p) => !p.contains(&fx_hash64(rec)),
+                Some(p) => !p.contains(&record_key(rec)),
             }
         };
         // Pass 1: surviving sibling replicas.
@@ -1049,7 +1054,7 @@ impl ClusterCore {
                 .get_dist_set(source)?
                 .ok_or_else(|| PangeaError::usage(format!("unknown source '{source}'")))?;
             src.try_for_each_record(|from, rec| {
-                if !is_lost(rec) || !seen.insert(fx_hash64(rec)) {
+                if !is_lost(rec) || !seen.insert(record_key(rec)) {
                     return Ok(());
                 }
                 sinks.push(from, failed, rec)?;
@@ -1060,7 +1065,7 @@ impl ClusterCore {
         // Pass 2: colliding objects (no surviving sibling copy).
         if let Some(cset) = self.get_dist_set(&colliding_set_name(group))? {
             cset.try_for_each_record(|from, rec| {
-                if !is_lost(rec) || !seen.insert(fx_hash64(rec)) {
+                if !is_lost(rec) || !seen.insert(record_key(rec)) {
                     return Ok(());
                 }
                 sinks.push(from, failed, rec)?;

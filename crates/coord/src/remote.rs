@@ -34,6 +34,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// A test-only rendezvous called with a slot number at a fixed point
+/// of a task or a repair (see [`RemoteCluster::set_task_hook`]).
+pub type SlotHook = Arc<dyn Fn(NodeId) + Send + Sync>;
+
 /// Default heartbeat cadence for [`WorkerAgent`]s.
 pub const DEFAULT_HEARTBEAT: Duration = Duration::from_millis(500);
 
@@ -72,7 +76,7 @@ struct RemoteWorkersInner {
     /// task (before the `TaskRun` RPC is issued) — lets a fault-injection
     /// test prove per-worker tasks genuinely overlap, and inject a kill
     /// at a deterministic point. Mirrors `RemoteCluster`'s recovery hook.
-    task_hook: Mutex<Option<Arc<dyn Fn(NodeId) + Send + Sync>>>,
+    task_hook: Mutex<Option<SlotHook>>,
 }
 
 impl std::fmt::Debug for RemoteWorkersInner {
@@ -547,7 +551,7 @@ pub struct RemoteCluster {
     /// Test-only rendezvous invoked at the start of each slot's repair
     /// (after validation, before any data moves) — lets a fault-injection
     /// test prove two slot recoveries genuinely overlap in time.
-    recovery_hook: Mutex<Option<Arc<dyn Fn(NodeId) + Send + Sync>>>,
+    recovery_hook: Mutex<Option<SlotHook>>,
 }
 
 impl std::fmt::Debug for RemoteCluster {
@@ -662,7 +666,7 @@ impl RemoteCluster {
     /// Installs (or clears) the test-only recovery rendezvous. Hidden:
     /// fault-injection instrumentation, not API.
     #[doc(hidden)]
-    pub fn set_recovery_hook(&self, hook: Option<Arc<dyn Fn(NodeId) + Send + Sync>>) {
+    pub fn set_recovery_hook(&self, hook: Option<SlotHook>) {
         *self.recovery_hook.lock() = hook;
     }
 
@@ -971,7 +975,7 @@ impl RemoteCluster {
     /// Installs (or clears) the test-only per-task rendezvous. Hidden:
     /// fault-injection instrumentation, not API.
     #[doc(hidden)]
-    pub fn set_task_hook(&self, hook: Option<Arc<dyn Fn(NodeId) + Send + Sync>>) {
+    pub fn set_task_hook(&self, hook: Option<SlotHook>) {
         *self.workers.inner.task_hook.lock() = hook;
     }
 }

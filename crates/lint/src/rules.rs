@@ -105,7 +105,6 @@ const IO_METHODS: &[&str] = &[
     "ingest_append_submit",
     "ingest_append_await",
     "recover_append_submit",
-    "recover_append_await",
 ];
 
 /// Free functions that perform socket IO directly.
@@ -729,6 +728,7 @@ pub fn metric_name_registry(f: &LintedFile, out: &mut Vec<Diagnostic>) {
 /// requests) with it.
 const DAEMON_PATHS: &[&str] = &[
     "crates/net/src/server.rs",
+    "crates/net/src/session.rs",
     "crates/coord/src/daemon.rs",
     "crates/coord/src/scrape.rs",
     "crates/coord/src/membership.rs",

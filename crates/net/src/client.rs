@@ -368,7 +368,7 @@ impl PangeaClient {
 
     /// Sends one batch of candidate records into an open repair session
     /// and returns `(correlation, payload_bytes)` for a later
-    /// [`PangeaClient::recover_append_await`]. Takes the batch by value
+    /// [`PangeaClient::ingest_append_await`]. Takes the batch by value
     /// — the streaming hot path hands its buffer over instead of copying
     /// every payload byte a second time. Net-payload accounting is
     /// deferred to the ack.
@@ -385,27 +385,6 @@ impl PangeaClient {
         Ok((corr, payload_bytes))
     }
 
-    /// Awaits one pipelined repair batch; returns
-    /// `(appended, appended_bytes, credit)` — `credit` is the receiver's
-    /// current pool-residency grant (`0` = no information).
-    pub fn recover_append_await(
-        &mut self,
-        corr: u64,
-        payload_bytes: usize,
-    ) -> Result<(u64, u64, u64)> {
-        match self.await_response(corr)? {
-            Response::RepairAck {
-                appended,
-                bytes,
-                credit,
-            } => {
-                self.stats.record_net(payload_bytes);
-                Ok((appended, bytes, credit))
-            }
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
     /// Seals a repair session; returns its `(appended, appended_bytes)`
     /// totals.
     pub fn recover_end(&mut self, set: &str) -> Result<(u64, u64)> {
@@ -413,7 +392,7 @@ impl PangeaClient {
             set: set.to_string(),
         };
         match self.call(&req)? {
-            Response::RepairAck {
+            Response::SessionAck {
                 appended, bytes, ..
             } => Ok((appended, bytes)),
             other => Err(Self::unexpected(other)),
@@ -615,16 +594,19 @@ impl PangeaClient {
         Ok((corr, payload_bytes))
     }
 
-    /// Awaits one pipelined ingest batch; returns
-    /// `(appended, appended_bytes, credit)` — `credit` is the receiver's
-    /// current pool-residency grant (`0` = no information).
+    /// Awaits one pipelined session batch — an ingest batch from
+    /// [`PangeaClient::ingest_append_submit`] or a repair batch from
+    /// [`PangeaClient::recover_append_submit`], which both ack with one
+    /// [`Response::SessionAck`]; returns `(appended, appended_bytes,
+    /// credit)` — `credit` is the receiver's current pool-residency
+    /// grant, at least 1.
     pub fn ingest_append_await(
         &mut self,
         corr: u64,
         payload_bytes: usize,
     ) -> Result<(u64, u64, u64)> {
         match self.await_response(corr)? {
-            Response::IngestAck {
+            Response::SessionAck {
                 appended,
                 bytes,
                 credit,
@@ -643,7 +625,7 @@ impl PangeaClient {
             set: set.to_string(),
         };
         match self.call(&req)? {
-            Response::IngestAck {
+            Response::SessionAck {
                 appended, bytes, ..
             } => Ok((appended, bytes)),
             other => Err(Self::unexpected(other)),

@@ -21,6 +21,8 @@
 //! * [`Pangead`] / [`PangeadServer`] — the node daemon: a [`StorageNode`]
 //!   served behind the protocol (the `pangead` binary lives in
 //!   `pangea-coord`, next to `pangea-mgr`).
+//! * `session` (crate-private) — the daemon's one begin/append/end
+//!   machine, shared by shuffle ingest and peer repair.
 //! * [`PangeaClient`] — a thin typed client over one connection.
 //!
 //! Byte accounting matches the in-process `SimNetwork` of
@@ -35,6 +37,7 @@ pub mod client;
 pub mod frame;
 pub mod proto;
 pub mod server;
+mod session;
 pub mod wire;
 
 pub use client::{PangeaClient, RemoteStats};

@@ -74,7 +74,7 @@ pub enum Request {
     },
 
     // ---- Worker→worker recovery (peer repair) -----------------------
-    /// Record hashes (`fx_hash64`) of a local set, in storage order —
+    /// Record keys (`record_key`) of a local set, in storage order —
     /// the peer pull a replacement uses to learn the surviving share of
     /// a round-robin recovery target without moving any payload.
     /// Paginated by a `(page, record)` cursor so a huge set can never
@@ -442,26 +442,11 @@ pub enum Response {
     },
     /// Record hashes of a set (the [`Request::HashList`] reply).
     Hashes {
-        /// `fx_hash64` of each record in this chunk, in storage order.
+        /// `record_key` of each record in this chunk, in storage order.
         hashes: Vec<u64>,
         /// When more records follow, the `(page, record)` cursor to
         /// resume the next chunk at.
         next: Option<(u64, u64)>,
-    },
-    /// Repair-session acknowledgement: what one [`Request::RecoverAppend`]
-    /// batch (or, for [`Request::RecoverEnd`], the whole session)
-    /// actually appended after dedup.
-    RepairAck {
-        /// Records appended.
-        appended: u64,
-        /// Payload bytes appended.
-        bytes: u64,
-        /// Credit grant: how many more in-flight batches the receiver's
-        /// pool residency can absorb right now. `0` means "no
-        /// information" (a legacy peer) — senders treat it as
-        /// unconstrained; any other value caps the sender's pipeline
-        /// window until the next ack revises it.
-        credit: u64,
     },
     /// Outcome of one [`Request::TaskRun`] (a worker's full
     /// scan-map-route-stream pass over its local input share).
@@ -477,16 +462,18 @@ pub enum Response {
         /// Payload bytes the destinations appended.
         appended_bytes: u64,
     },
-    /// Ingest-session acknowledgement: what one [`Request::IngestAppend`]
-    /// batch (or, for [`Request::IngestEnd`], the whole session)
-    /// actually appended after tag dedup.
-    IngestAck {
+    /// Session acknowledgement, for ingest and repair sessions alike:
+    /// what one [`Request::IngestAppend`]/[`Request::RecoverAppend`]
+    /// batch (or, for [`Request::IngestEnd`]/[`Request::RecoverEnd`],
+    /// the whole session) actually appended after dedup.
+    SessionAck {
         /// Records appended.
         appended: u64,
         /// Payload bytes appended.
         bytes: u64,
-        /// Credit grant, as in [`Response::RepairAck::credit`]: `0` is
-        /// "no information", anything else caps the sender's window.
+        /// Credit grant: how many more in-flight batches the receiver's
+        /// pool residency can absorb right now, at least 1. It caps the
+        /// sender's pipeline window until the next ack revises it.
         credit: u64,
     },
     /// Outcome of one [`Request::RecoverPush`] (a survivor's full
@@ -594,10 +581,10 @@ const RESP_STALE: u64 = 18;
 const RESP_SCAN_TOO_LARGE: u64 = 19;
 const RESP_COUNT: u64 = 20;
 const RESP_HASHES: u64 = 21;
-const RESP_REPAIR_ACK: u64 = 22;
+// 22 was the repair-session ack, folded into `RESP_SESSION_ACK`.
 const RESP_PUSHED: u64 = 23;
 const RESP_TASK_DONE: u64 = 24;
-const RESP_INGEST_ACK: u64 = 25;
+const RESP_SESSION_ACK: u64 = 25;
 const RESP_METRICS: u64 = 26;
 const RESP_TRACE: u64 = 27;
 const RESP_BUSY: u64 = 28;
@@ -1222,20 +1209,6 @@ impl Response {
                     w.write_record(h);
                 }
             }
-            Self::RepairAck {
-                appended,
-                bytes,
-                credit,
-            } => {
-                w.write_record(&RESP_REPAIR_ACK);
-                w.write_record(appended);
-                w.write_record(bytes);
-                // Trailing field: pre-credit decoders never read past
-                // `bytes` (the protocol has always ignored trailing
-                // bytes), and a pre-credit *encoder*'s reply decodes as
-                // credit 0 ("no information").
-                w.write_record(credit);
-            }
             Self::Pushed {
                 scanned,
                 pushed,
@@ -1264,12 +1237,12 @@ impl Response {
                 w.write_record(appended);
                 w.write_record(appended_bytes);
             }
-            Self::IngestAck {
+            Self::SessionAck {
                 appended,
                 bytes,
                 credit,
             } => {
-                w.write_record(&RESP_INGEST_ACK);
+                w.write_record(&RESP_SESSION_ACK);
                 w.write_record(appended);
                 w.write_record(bytes);
                 w.write_record(credit);
@@ -1441,15 +1414,6 @@ impl Response {
                 }
                 Self::Hashes { hashes, next }
             }
-            RESP_REPAIR_ACK => Self::RepairAck {
-                appended: r.read_record()?,
-                bytes: r.read_record()?,
-                credit: if r.is_exhausted() {
-                    0
-                } else {
-                    r.read_record()?
-                },
-            },
             RESP_PUSHED => Self::Pushed {
                 scanned: r.read_record()?,
                 pushed: r.read_record()?,
@@ -1464,14 +1428,10 @@ impl Response {
                 appended: r.read_record()?,
                 appended_bytes: r.read_record()?,
             },
-            RESP_INGEST_ACK => Self::IngestAck {
+            RESP_SESSION_ACK => Self::SessionAck {
                 appended: r.read_record()?,
                 bytes: r.read_record()?,
-                credit: if r.is_exhausted() {
-                    0
-                } else {
-                    r.read_record()?
-                },
+                credit: r.read_record()?,
             },
             RESP_METRICS => {
                 let has_next: u64 = r.read_record()?;
@@ -1669,12 +1629,7 @@ mod tests {
             hashes: vec![1, u64::MAX, 42],
             next: Some((9, 123)),
         });
-        roundtrip_resp(Response::RepairAck {
-            appended: 10,
-            bytes: 1000,
-            credit: 0,
-        });
-        roundtrip_resp(Response::RepairAck {
+        roundtrip_resp(Response::SessionAck {
             appended: 10,
             bytes: 1000,
             credit: 8,
@@ -1744,46 +1699,11 @@ mod tests {
             appended: 60,
             appended_bytes: 600,
         });
-        roundtrip_resp(Response::IngestAck {
-            appended: 12,
-            bytes: 340,
-            credit: 0,
-        });
-        roundtrip_resp(Response::IngestAck {
+        roundtrip_resp(Response::SessionAck {
             appended: 12,
             bytes: 340,
             credit: 3,
         });
-    }
-
-    #[test]
-    fn creditless_acks_decode_as_credit_zero() {
-        // A pre-credit peer stops writing after `bytes`; the tolerant
-        // decoder reads that as "no information".
-        for (op, resp) in [
-            (
-                RESP_REPAIR_ACK,
-                Response::RepairAck {
-                    appended: 4,
-                    bytes: 77,
-                    credit: 0,
-                },
-            ),
-            (
-                RESP_INGEST_ACK,
-                Response::IngestAck {
-                    appended: 4,
-                    bytes: 77,
-                    credit: 0,
-                },
-            ),
-        ] {
-            let mut w = pangea_common::codec::ByteWriter::new();
-            w.write_record(&op);
-            w.write_record(&4u64);
-            w.write_record(&77u64);
-            assert_eq!(Response::decode(w.as_bytes()).unwrap(), resp);
-        }
     }
 
     #[test]

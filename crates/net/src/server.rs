@@ -25,13 +25,13 @@
 use crate::client::PangeaClient;
 use crate::frame::{read_frame_corr, write_frame, write_frame_corr};
 use crate::proto::{error_response, Request, Response};
+use crate::session::{local_set, Session, SessionTable, Sink, INGEST, REPAIR};
 use crate::wire::{
-    ingest_tag, ReduceSpec, RepairFilter, SchemeSpec, TaskReport, TaskSpec, WireMetric, WireSpan,
+    ingest_tag, RecordPredicate, RepairFilter, SchemeSpec, TaskReport, TaskSpec, WireMetric,
+    WireSpan,
 };
-use pangea_common::{fx_hash64, FxHashMap, IoStats, PangeaError, Result};
-use pangea_core::{
-    HashConfig, ObjectIter, ReduceBuffer, SeqWriter, SetOptions, SpillLedger, StorageNode,
-};
+use pangea_common::{fx_hash64, record_key, FxHashMap, IoStats, PangeaError, Result};
+use pangea_core::{HashConfig, ObjectIter, ReduceBuffer, SetOptions, SpillLedger, StorageNode};
 use pangea_obs::{names, Counter, Gauge, MetricValue, Obs, Registry, SpanRecord, TraceCtx};
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
@@ -694,72 +694,6 @@ fn outcome_of(resp: &Response) -> String {
     out
 }
 
-/// One open repair session on a replacement node: the dedup ledger plus
-/// running totals, keyed by target set in [`Pangead::repairs`].
-#[derive(Debug)]
-struct RepairSession {
-    /// `fx_hash64` of every record either present in the surviving share
-    /// (seeded at `RecoverBegin`) or appended by this session — each
-    /// lost record is restored exactly once, however many survivors
-    /// push it and however often a push is retried. A [`SpillLedger`],
-    /// so a huge share's ledger pages through the pool instead of
-    /// growing unbounded heap; its frozen snapshot (taken after
-    /// seeding) is what the paginated `RepairLedger` RPC serves —
-    /// index-stable while concurrent pushes keep growing the live
-    /// membership.
-    seen: SpillLedger,
-    appended: u64,
-    bytes: u64,
-    /// The one sequential writer every append of this session goes
-    /// through, as in a map-only [`IngestSession`]: opened by the first
-    /// append and finished by `RecoverEnd`, so a page is sealed when it
-    /// fills, not per batch. A `RecoverBegin` that replaces this session
-    /// closes it before re-seeding from the target, so the records of
-    /// the open page are part of what the retry dedups against; a
-    /// session that dies any other way seals through the writer's own
-    /// `Drop`.
-    writer: Option<SeqWriter>,
-    /// Set, under the session lock, when a batch failed part-way or a
-    /// new begin replaced this session; an append already queued on the
-    /// lock must then fail instead of writing behind a retry's back.
-    poisoned: bool,
-}
-
-/// One open shuffle-ingest session on a destination node: the
-/// provenance-tag dedup ledger plus running totals, keyed by target set
-/// in [`Pangead::ingests`]. Unlike a [`RepairSession`], the ledger
-/// tracks [`ingest_tag`]s — `(source, ordinal, bytes)` provenance — not
-/// record content: a shuffle output may contain honest duplicates, and
-/// only *re-pushed* records (task retries, lost-ack replays) dedup away.
-#[derive(Debug)]
-struct IngestSession {
-    seen: SpillLedger,
-    appended: u64,
-    bytes: u64,
-    /// Reducing mode: incoming records are `key|value` partials folded
-    /// into this keyed accumulator (after the usual tag dedup) instead
-    /// of being appended; `IngestEnd` materializes the accumulator into
-    /// the set in sorted-key order. The accumulator is a [`ReduceBuffer`]
-    /// over pool pages (the paper's §8 hash service), so a fold larger
-    /// than memory spills partial aggregates instead of killing the
-    /// worker. The per-batch totals then count partials *accepted into
-    /// the fold*, and the sealed totals count what was materialized.
-    reduce: Option<(ReduceSpec, ReduceBuffer)>,
-    /// Map-only mode: the one sequential writer every append of this
-    /// session goes through, opened by the first append, so that small
-    /// batches share pages instead of sealing one each. `IngestEnd`
-    /// finishes it; a session that dies any other way (poisoned,
-    /// replaced by a new begin, `DropSet`) seals the open page through
-    /// the writer's own `Drop`.
-    writer: Option<SeqWriter>,
-    /// Set, under the session lock, when a batch failed part-way or a
-    /// new begin replaced this session. Later appends no longer find
-    /// the session; one that was already queued on its lock must fail
-    /// the same way instead of running on the half-updated state (a
-    /// reduce accumulator whose spill failed panics on its next use).
-    poisoned: bool,
-}
-
 /// Per-push batching thresholds for the survivor's streaming loop
 /// (mirrors the engine's default `DispatchConfig`).
 const PUSH_BATCH_RECORDS: usize = 256;
@@ -788,11 +722,6 @@ const LEDGER_SPILL_ENTRIES: usize = 64 * 1024;
 /// roots only set the floor of pinned pages per open session.
 const ACC_ROOT_PARTITIONS: u32 = 2;
 
-/// How a [`PipelinedPeer`] reads one ack of the batch family it
-/// carries (`PangeaClient::{ingest,recover}_append_await`): the acked
-/// `(appended, appended_bytes, credit)`.
-type AwaitAck = fn(&mut PangeaClient, u64, usize) -> Result<(u64, u64, u64)>;
-
 /// A checked-out peer connection plus its pipelined-push state: the
 /// correlation ids of unacked submits (oldest first, each with the
 /// payload bytes it carried, for ack-time net accounting) and the
@@ -800,19 +729,17 @@ type AwaitAck = fn(&mut PangeaClient, u64, usize) -> Result<(u64, u64, u64)>;
 #[derive(Debug)]
 struct PipelinedPeer {
     client: PangeaClient,
-    await_ack: AwaitAck,
     /// `(correlation, payload_bytes)` of unacked submits, oldest first.
     inflight: VecDeque<(u64, usize)>,
-    /// Latest credit grant from the receiver; `0` = no information yet
-    /// (nothing acked, or a legacy peer), treated as unconstrained.
+    /// Latest credit grant from the receiver; `0` = nothing acked yet,
+    /// treated as unconstrained.
     credit: u64,
 }
 
 impl PipelinedPeer {
-    fn new(client: PangeaClient, await_ack: AwaitAck) -> Self {
+    fn new(client: PangeaClient) -> Self {
         Self {
             client,
-            await_ack,
             inflight: VecDeque::new(),
             credit: 0,
         }
@@ -840,10 +767,42 @@ impl PipelinedPeer {
         let Some((corr, payload_bytes)) = self.inflight.pop_front() else {
             return Ok((0, 0));
         };
-        let (appended, bytes, credit) = (self.await_ack)(&mut self.client, corr, payload_bytes)?;
+        let (appended, bytes, credit) = self.client.ingest_append_await(corr, payload_bytes)?;
         self.credit = credit;
         Ok((appended, bytes))
     }
+
+    /// Awaits every outstanding ack — a connection goes back to the pool
+    /// only once nothing is in flight — and returns their summed totals.
+    fn drain(&mut self) -> Result<(u64, u64)> {
+        let (mut appended, mut bytes) = (0u64, 0u64);
+        while !self.inflight.is_empty() {
+            let (a, b) = self.await_oldest()?;
+            appended += a;
+            bytes += b;
+        }
+        Ok((appended, bytes))
+    }
+}
+
+/// A destination's pending batch: `(tag, record)` pairs and their
+/// payload bytes.
+type Batch = (Vec<(u64, Vec<u8>)>, usize);
+
+/// One task's fan-out state: the task, where each destination slot
+/// lives, one pipelined connection per remote destination, and the
+/// batch pending for each slot.
+struct Router<'t> {
+    spec: &'t TaskSpec,
+    addr_of: FxHashMap<u32, &'t str>,
+    conns: FxHashMap<String, PipelinedPeer>,
+    batches: FxHashMap<u32, Batch>,
+    /// Per-destination pipeline window: this daemon's deployment
+    /// setting, already capped at `MAX_PIPELINE_WINDOW`.
+    window: u32,
+    /// `(job, the TaskRun's span)`, carried by every ingest RPC so the
+    /// destinations' spans stitch under the task that produced them.
+    ctx: Option<TraceCtx>,
 }
 
 /// The protocol brain of a Pangea node daemon: dispatches decoded
@@ -851,24 +810,12 @@ impl PipelinedPeer {
 #[derive(Debug)]
 pub struct Pangead {
     node: StorageNode,
-    /// Open peer-repair sessions, by recovery target set. Each session
-    /// carries its own lock so appends into one target never block
-    /// sessions of unrelated sets behind disk I/O; the outer map lock
-    /// is only ever held for a lookup.
-    repairs: Mutex<FxHashMap<String, Arc<Mutex<RepairSession>>>>,
-    /// Totals of sessions already sealed, by target set — the tombstone
-    /// that makes `RecoverEnd` idempotent: a retry whose first ack was
-    /// lost to a connection failure re-reads the same totals instead of
-    /// failing on a session that no longer exists. Cleared by the next
-    /// `RecoverBegin` for the set. Two `u64`s per recovered set.
-    ended: Mutex<FxHashMap<String, (u64, u64)>>,
-    /// Open shuffle-ingest sessions, by destination set. Same locking
-    /// shape as [`Pangead::repairs`]: per-session locks, the outer map
-    /// lock held only for lookups.
-    ingests: Mutex<FxHashMap<String, Arc<Mutex<IngestSession>>>>,
-    /// Sealed ingest totals, the `IngestEnd` idempotency tombstone
-    /// (mirrors [`Pangead::ended`]).
-    ingests_ended: Mutex<FxHashMap<String, (u64, u64)>>,
+    /// Shuffle-ingest sessions, by destination set.
+    ingests: SessionTable,
+    /// Peer-repair sessions, by recovery target set: a table apart from
+    /// `ingests`, so a repair session and an ingest session on one set
+    /// never replace each other.
+    repairs: SessionTable,
     /// Pooled *idle* outbound connections to sibling daemons, keyed by
     /// the advertised address they were opened against. A client is
     /// checked out for the duration of one RPC — the pool lock is never
@@ -903,10 +850,8 @@ impl Pangead {
         let obs = Obs::with_registry(stats.registry().clone());
         Self {
             node,
-            repairs: Mutex::new(FxHashMap::default()),
-            ended: Mutex::new(FxHashMap::default()),
-            ingests: Mutex::new(FxHashMap::default()),
-            ingests_ended: Mutex::new(FxHashMap::default()),
+            ingests: SessionTable::new(INGEST),
+            repairs: SessionTable::new(REPAIR),
             peers: Mutex::new(FxHashMap::default()),
             peer_secret: None,
             pipeline_window: DEFAULT_PIPELINE_WINDOW,
@@ -939,17 +884,21 @@ impl Pangead {
         self
     }
 
-    /// The credit grant stamped on every `IngestAck`/`RepairAck`: how
-    /// many more in-flight push batches this daemon's pool residency
-    /// can absorb. Free pool bytes divided by the batch ceiling,
-    /// clamped to `[1, MAX_PIPELINE_WINDOW]` — never 0, because 0 is
-    /// the wire's "no information" value (legacy peers) and because a
-    /// full pool must still admit one batch at a time for the spill
+    /// The ack of a session append or end, stamped with this daemon's
+    /// credit grant: how many more in-flight push batches its pool
+    /// residency can absorb. Free pool bytes divided by the batch
+    /// ceiling, clamped to `[1, MAX_PIPELINE_WINDOW]` — never 0, because
+    /// a full pool must still admit one batch at a time for the spill
     /// machinery to make progress against.
-    fn flow_credit(&self) -> u64 {
+    fn session_ack(&self, (appended, bytes): (u64, u64)) -> Response {
         let p = self.node.paging_stats();
         let free = p.pool_capacity.saturating_sub(p.pool_used);
-        (free / PUSH_BATCH_BYTES as u64).clamp(1, MAX_PIPELINE_WINDOW as u64)
+        let credit = (free / PUSH_BATCH_BYTES as u64).clamp(1, MAX_PIPELINE_WINDOW as u64);
+        Response::SessionAck {
+            appended,
+            bytes,
+            credit,
+        }
     }
 
     /// The wrapped storage node.
@@ -986,17 +935,8 @@ impl Pangead {
             .map(|set| set.bytes_on_disk())
             .sum();
         reg.gauge(names::MEM_SHARE_BYTES).set(share_bytes);
-        // Clone the session handles out first: the outer map locks are
-        // never held while a session lock (which appends hold across
-        // disk I/O) is taken.
-        let repairs: Vec<_> = self.repairs.lock().values().cloned().collect();
-        let ingests: Vec<_> = self.ingests.lock().values().cloned().collect();
-        let session_bytes: u64 = repairs
-            .iter()
-            .map(|s| s.lock().bytes)
-            .chain(ingests.iter().map(|s| s.lock().bytes))
-            .sum();
-        reg.gauge(names::MEM_SESSION_BYTES).set(session_bytes);
+        reg.gauge(names::MEM_SESSION_BYTES)
+            .set(self.repairs.open_bytes() + self.ingests.open_bytes());
         reg.gauge(names::POOL_PEERS)
             .set(self.peers.lock().len() as u64);
         // The tiered-memory signals: pin hits/misses and spill volume as
@@ -1163,25 +1103,10 @@ impl Pangead {
             Request::DropSet { set } => {
                 // Idempotent: dropping a set the node never held is a
                 // no-op, so distributed teardown needs no error parsing.
-                //
-                // Session state keyed by this set dies with it. Open
-                // repair/ingest sessions and — crucially — sealed-totals
-                // tombstones must not survive the drop: a set recreated
-                // under the same name would otherwise answer a
-                // `RecoverEnd`/`IngestEnd` retry with a *previous
-                // life's* totals, and tombstones would accumulate
-                // forever across jobs. Dropping a session's `Arc` also
-                // releases its spill ledger and accumulator backing
-                // sets.
-                self.repairs.lock().remove(&set);
-                self.ended.lock().remove(&set);
-                self.ingests.lock().remove(&set);
-                self.ingests_ended.lock().remove(&set);
-                let reg = self.obs.registry();
-                reg.gauge(names::SESSIONS_REPAIR_LIVE)
-                    .set(self.repairs.lock().len() as u64);
-                reg.gauge(names::SESSIONS_INGEST_LIVE)
-                    .set(self.ingests.lock().len() as u64);
+                // Session state keyed by this set dies with it, so
+                // tombstones never accumulate across jobs.
+                self.repairs.forget(&set, self.obs.registry());
+                self.ingests.forget(&set, self.obs.registry());
                 if let Some(set) = self.node.get_set(&set) {
                     self.node.drop_set(set.id())?;
                 }
@@ -1231,7 +1156,7 @@ impl Pangead {
                                 next = Some((num, idx));
                                 break 'pages;
                             }
-                            hashes.push(fx_hash64(rec));
+                            hashes.push(record_key(rec));
                         }
                         idx += 1;
                     }
@@ -1240,194 +1165,75 @@ impl Pangead {
             }
             Request::RecoverBegin { set, present_from } => {
                 let target = self.get_set(&set)?;
-                // A session a failed attempt left open still holds its
-                // writer's page: close it first (waiting out an append in
-                // flight on it), so the seeding scan below reads every
-                // record that attempt stored and the retry appends none
-                // of them twice.
-                let stale = self.repairs.lock().remove(&set);
-                if let Some(stale) = stale {
-                    let mut stale = stale.lock();
-                    stale.poisoned = true;
-                    stale.writer = None;
-                }
-                let mut session = RepairSession {
-                    seen: SpillLedger::new(
+                self.repairs.open(&set, self.obs.registry(), || {
+                    let mut ledger = SpillLedger::new(
                         &self.node,
                         self.session_set_name(&set, "repair-ledger"),
                         LEDGER_SPILL_ENTRIES,
-                    ),
-                    appended: 0,
-                    bytes: 0,
-                    writer: None,
-                    poisoned: false,
-                };
-                // Seed with what this node already holds: a retried
-                // repair (some batches of a failed attempt committed
-                // durably) must not append those records again.
-                for num in target.page_numbers() {
-                    let pin = target.pin_page(num)?;
-                    let mut it = ObjectIter::new(&pin);
-                    while let Some(rec) = it.next() {
-                        session.seen.insert_if_absent(fx_hash64(rec))?;
-                    }
-                }
-                for addr in &present_from {
-                    let mut peer = self.checkout_peer(addr)?;
-                    // One `HASH_CHUNK` of the peer's share at a time,
-                    // straight into the ledger: the heap this holds is a
-                    // chunk plus the ledger's generation, whatever the
-                    // share's size.
-                    let seeded = peer.hash_list_for_each(&set, |hashes| {
-                        hashes
-                            .into_iter()
-                            .try_for_each(|h| session.seen.insert_if_absent(h).map(drop))
-                    });
-                    match seeded {
-                        Ok(()) => self.checkin_peer(addr, peer),
-                        Err(e) => {
-                            // A failed RPC leaves the stream state
-                            // unknown; account for the drop so the
-                            // checkout counters stay truthful.
-                            self.discard_peer(peer);
-                            return Err(e);
+                    );
+                    // Seed with what this node already holds: a retried
+                    // repair (some batches of a failed attempt committed
+                    // durably) must not append those records again.
+                    for num in target.page_numbers() {
+                        let pin = target.pin_page(num)?;
+                        let mut it = ObjectIter::new(&pin);
+                        while let Some(rec) = it.next() {
+                            ledger.insert_if_absent(record_key(rec))?;
                         }
                     }
-                }
-                // Freeze the seeded ledger for `RepairLedger` paging:
-                // Absent-filtered survivors diff against exactly what
-                // was present when the session opened (the snapshot is
-                // index-stable while concurrent pushes grow the live
-                // ledger).
-                session.seen.freeze_snapshot();
-                // Clear any sealed-totals tombstone: `RecoverBegin` is
-                // the idempotent open of a fresh repair attempt.
-                self.ended.lock().remove(&set);
-                let live = {
-                    let mut repairs = self.repairs.lock();
-                    repairs.insert(set, Arc::new(Mutex::new(session)));
-                    repairs.len()
-                };
-                let reg = self.obs.registry();
-                reg.counter(names::SESSIONS_REPAIR_BEGUN).inc();
-                reg.gauge(names::SESSIONS_REPAIR_LIVE).set(live as u64);
+                    for addr in &present_from {
+                        let mut peer = self.checkout_peer(addr)?;
+                        // One `HASH_CHUNK` of the peer's share at a time,
+                        // straight into the ledger: the heap this holds
+                        // is a chunk plus the ledger's generation,
+                        // whatever the share's size.
+                        let seeded = peer.hash_list_for_each(&set, |hashes| {
+                            hashes
+                                .into_iter()
+                                .try_for_each(|h| ledger.insert_if_absent(h).map(drop))
+                        });
+                        match seeded {
+                            Ok(()) => self.checkin_peer(addr, peer),
+                            Err(e) => {
+                                // A failed RPC leaves the stream state
+                                // unknown; account for the drop so the
+                                // checkout counters stay truthful.
+                                self.discard_peer(peer);
+                                return Err(e);
+                            }
+                        }
+                    }
+                    // Freeze the seeded ledger for `RepairLedger`
+                    // paging: Absent-filtered survivors diff against
+                    // exactly what was present when the session opened
+                    // (the snapshot is index-stable while concurrent
+                    // pushes grow the live ledger).
+                    ledger.freeze_snapshot();
+                    Ok(Session::new(ledger, Sink::Write(None)))
+                })?;
                 Ok(Response::Ok)
             }
             Request::RecoverAppend { set, records } => {
                 let target = self.get_set(&set)?;
-                let gone = || {
-                    PangeaError::usage(format!(
-                        "no repair session for '{}'; RecoverBegin first",
-                        target.name()
-                    ))
-                };
-                let session = self
+                let pairs = records.iter().map(|rec| (record_key(rec), rec.as_slice()));
+                let reg = self.obs.registry();
+                let acked = self
                     .repairs
-                    .lock()
-                    .get(target.name())
-                    .cloned()
-                    .ok_or_else(gone)?;
-                // The session lock serializes concurrent survivor pushes
-                // into one target: the dedup check and the append must be
-                // atomic per record, and the session's one storage writer
-                // sees a single writer's order. Unrelated sets' sessions
-                // proceed in parallel.
-                let mut session = session.lock();
-                if session.poisoned {
-                    return Err(gone());
-                }
-                let replays = self.obs.registry().counter(names::REPAIR_DEDUP_HITS);
-                let outcome = (|| -> Result<(u64, u64)> {
-                    let RepairSession { seen, writer, .. } = &mut *session;
-                    let writer = writer.get_or_insert_with(|| target.writer());
-                    let (mut appended, mut bytes) = (0u64, 0u64);
-                    for rec in &records {
-                        self.stats.record_net(rec.len());
-                        let h = fx_hash64(rec);
-                        if seen.contains(h)? {
-                            replays.inc();
-                            continue;
-                        }
-                        // Ledger only after the record is stored: a
-                        // failed append must leave the hash unseen, or
-                        // the contractually-idempotent retry would dedup
-                        // the record away and lose it forever.
-                        writer.add_object(rec)?;
-                        seen.insert(h)?;
-                        appended += 1;
-                        bytes += rec.len() as u64;
-                    }
-                    Ok((appended, bytes))
-                })();
-                match outcome {
-                    Ok((appended, bytes)) => {
-                        session.appended += appended;
-                        session.bytes += bytes;
-                        self.stats.record_repair(bytes as usize);
-                        Ok(Response::RepairAck {
-                            appended,
-                            bytes,
-                            credit: self.flow_credit(),
-                        })
-                    }
-                    // What the writer holds after a failed batch is
-                    // unknown, so the session ends here, still under its
-                    // lock: appends queued behind this one are refused,
-                    // and the retry's `RecoverBegin` re-seeds from what
-                    // the target really stores.
-                    Err(e) => {
-                        session.poisoned = true;
-                        self.repairs.lock().remove(target.name());
-                        Err(e)
-                    }
-                }
+                    .append(&target, pairs, true, &self.stats, reg)?;
+                Ok(self.session_ack(acked))
             }
             Request::RecoverEnd { set } => {
-                // The orchestrator only ends a session after its pushes
-                // return, so no appender still holds the session here.
-                let Some(session) = self.repairs.lock().remove(&set) else {
-                    // Retried seal (the first ack was lost): answer the
-                    // recorded totals again.
-                    if let Some(&(appended, bytes)) = self.ended.lock().get(&set) {
-                        return Ok(Response::RepairAck {
-                            appended,
-                            bytes,
-                            credit: self.flow_credit(),
-                        });
-                    }
-                    return Err(PangeaError::usage(format!(
-                        "no repair session for '{set}' to end"
-                    )));
-                };
-                let mut session = session.lock();
-                // A failed seal leaves no tombstone: a retried end fails
-                // loudly, and the next attempt's begin re-seeds.
-                if let Some(mut writer) = session.writer.take() {
-                    writer.finish()?;
-                }
-                self.ended
-                    .lock()
-                    .insert(set, (session.appended, session.bytes));
-                let reg = self.obs.registry();
-                reg.counter(names::SESSIONS_REPAIR_ENDED).inc();
-                reg.gauge(names::SESSIONS_REPAIR_LIVE)
-                    .set(self.repairs.lock().len() as u64);
-                Ok(Response::RepairAck {
-                    appended: session.appended,
-                    bytes: session.bytes,
-                    credit: self.flow_credit(),
-                })
+                let sealed = self.repairs.end(&self.node, &set, self.obs.registry())?;
+                Ok(self.session_ack(sealed))
             }
             Request::RepairLedger { set, start } => {
-                let session = self.repairs.lock().get(&set).cloned().ok_or_else(|| {
-                    PangeaError::usage(format!("no repair session for '{set}'; RecoverBegin first"))
-                })?;
+                let session = self.repairs.get(&set)?;
                 let session = session.lock();
                 let hashes = session
-                    .seen
+                    .ledger
                     .snapshot_chunk(start, crate::proto::HASH_CHUNK)?;
                 let end = start.saturating_add(hashes.len() as u64);
-                let next = (end < session.seen.snapshot_len()).then_some((0, end));
+                let next = (end < session.ledger.snapshot_len()).then_some((0, end));
                 Ok(Response::Hashes { hashes, next })
             }
             Request::RecoverPush {
@@ -1451,127 +1257,42 @@ impl Pangead {
                 // (provenance tags cannot be recovered from disk the way
                 // repair sessions reseed from record content).
                 let existing = self.get_set(&set)?;
-                let options = SetOptions {
-                    durability: existing.durability(),
-                    page_size: Some(existing.page_size()),
-                    estimated_pages: None,
-                };
-                // A session a failed attempt left open still pins its
-                // writer's page in the set about to be dropped: close it
-                // first (waiting out an append in flight on it).
-                let stale = self.ingests.lock().remove(&set);
-                if let Some(stale) = stale {
-                    let mut stale = stale.lock();
-                    stale.poisoned = true;
-                    stale.writer = None;
-                }
-                self.node.drop_set(existing.id())?;
-                self.node.create_set(&set, options)?;
-                self.ingests_ended.lock().remove(&set);
-                let reduce = match reduce {
-                    Some(spec) => {
-                        // The session's keyed accumulator lives on pool
-                        // pages (paper §8 hash service): a fold larger
-                        // than the memory budget spills partial
-                        // aggregates instead of growing unbounded heap.
-                        let acc = ReduceBuffer::create(
-                            &self.node,
-                            &self.session_set_name(&set, "reduce-acc"),
-                            HashConfig::new(ACC_ROOT_PARTITIONS),
-                            spec.merge_fn(),
-                        )?;
-                        Some((spec, acc))
-                    }
-                    None => None,
-                };
-                let session = IngestSession {
-                    seen: SpillLedger::new(
+                self.ingests.open(&set, self.obs.registry(), || {
+                    let options = SetOptions {
+                        durability: existing.durability(),
+                        page_size: Some(existing.page_size()),
+                        estimated_pages: None,
+                    };
+                    self.node.drop_set(existing.id())?;
+                    self.node.create_set(&set, options)?;
+                    let sink = match reduce {
+                        Some(spec) => {
+                            let acc = ReduceBuffer::create(
+                                &self.node,
+                                &self.session_set_name(&set, "reduce-acc"),
+                                HashConfig::new(ACC_ROOT_PARTITIONS),
+                                spec.merge_fn(),
+                            )?;
+                            Sink::Fold(spec, acc)
+                        }
+                        None => Sink::Write(None),
+                    };
+                    let ledger = SpillLedger::new(
                         &self.node,
                         self.session_set_name(&set, "ingest-ledger"),
                         LEDGER_SPILL_ENTRIES,
-                    ),
-                    appended: 0,
-                    bytes: 0,
-                    reduce,
-                    writer: None,
-                    poisoned: false,
-                };
-                let live = {
-                    let mut ingests = self.ingests.lock();
-                    ingests.insert(set, Arc::new(Mutex::new(session)));
-                    ingests.len()
-                };
-                let reg = self.obs.registry();
-                reg.counter(names::SESSIONS_INGEST_BEGUN).inc();
-                reg.gauge(names::SESSIONS_INGEST_LIVE).set(live as u64);
+                    );
+                    Ok(Session::new(ledger, sink))
+                })?;
                 Ok(Response::Ok)
             }
             Request::IngestAppend { set, entries } => {
-                let (appended, bytes) = self.ingest_append_session(&set, &entries, true)?;
-                Ok(Response::IngestAck {
-                    appended,
-                    bytes,
-                    credit: self.flow_credit(),
-                })
+                let acked = self.ingest_append(&set, &entries, true)?;
+                Ok(self.session_ack(acked))
             }
             Request::IngestEnd { set } => {
-                let Some(session) = self.ingests.lock().remove(&set) else {
-                    // Retried seal (the first ack was lost): answer the
-                    // recorded totals again.
-                    if let Some(&(appended, bytes)) = self.ingests_ended.lock().get(&set) {
-                        return Ok(Response::IngestAck {
-                            appended,
-                            bytes,
-                            credit: self.flow_credit(),
-                        });
-                    }
-                    return Err(PangeaError::usage(format!(
-                        "no ingest session for '{set}' to end"
-                    )));
-                };
-                let mut session = session.lock();
-                let (appended, bytes) = match session.reduce.take() {
-                    // Reducing seal: re-aggregate the accumulator's
-                    // in-memory pages with its spilled partials, then
-                    // materialize into the (begin-truncated) set in
-                    // sorted-key order so the stored order stays
-                    // deterministic. The sealed totals are what was
-                    // *materialized*; a failed write leaves no
-                    // tombstone, so a retried seal fails loudly and the
-                    // job-level retry's begin truncates and starts
-                    // clean.
-                    Some((spec, acc)) => {
-                        let mut pairs = acc.finalize()?;
-                        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                        let target = self.get_set(&set)?;
-                        let mut writer = target.writer();
-                        let (mut n, mut b) = (0u64, 0u64);
-                        for (key, value) in &pairs {
-                            let rec = spec.encode_record(key, *value);
-                            writer.add_object(&rec)?;
-                            n += 1;
-                            b += rec.len() as u64;
-                        }
-                        writer.finish()?;
-                        (n, b)
-                    }
-                    None => {
-                        if let Some(mut writer) = session.writer.take() {
-                            writer.finish()?;
-                        }
-                        (session.appended, session.bytes)
-                    }
-                };
-                self.ingests_ended.lock().insert(set, (appended, bytes));
-                let reg = self.obs.registry();
-                reg.counter(names::SESSIONS_INGEST_ENDED).inc();
-                reg.gauge(names::SESSIONS_INGEST_LIVE)
-                    .set(self.ingests.lock().len() as u64);
-                Ok(Response::IngestAck {
-                    appended,
-                    bytes,
-                    credit: self.flow_credit(),
-                })
+                let sealed = self.ingests.end(&self.node, &set, self.obs.registry())?;
+                Ok(self.session_ack(sealed))
             }
             Request::MgrRegisterWorker { .. }
             | Request::MgrHeartbeat { .. }
@@ -1693,15 +1414,18 @@ impl Pangead {
                  schemes cannot host one",
             ));
         }
-        let mut addr_of: FxHashMap<u32, &str> = FxHashMap::default();
-        for (node, addr) in &spec.dests {
-            addr_of.insert(*node, addr.as_str());
-        }
-        // Per-destination pipeline window: this daemon's deployment
-        // setting, already capped at `MAX_PIPELINE_WINDOW`.
-        let window = self.pipeline_window;
-        let mut conns: FxHashMap<String, PipelinedPeer> = FxHashMap::default();
-        let mut batches: FxHashMap<u32, (Vec<(u64, Vec<u8>)>, usize)> = FxHashMap::default();
+        let mut route = Router {
+            spec,
+            addr_of: spec
+                .dests
+                .iter()
+                .map(|(node, addr)| (*node, addr.as_str()))
+                .collect(),
+            conns: FxHashMap::default(),
+            batches: FxHashMap::default(),
+            window: self.pipeline_window,
+            ctx,
+        };
         let mut report = TaskReport::default();
         let outcome = (|| -> Result<()> {
             match &spec.reduce {
@@ -1740,18 +1464,7 @@ impl Pangead {
                         let out = reduce.encode_record(key, *value);
                         let dest = spec.scheme.node_of(&out, 0, nodes);
                         let tag = ingest_tag(spec.source, fx_hash64(key), &out);
-                        self.route_output(
-                            spec,
-                            &addr_of,
-                            &mut conns,
-                            &mut batches,
-                            &mut report,
-                            dest,
-                            tag,
-                            out,
-                            window,
-                            ctx,
-                        )?;
+                        self.route_output(&mut route, &mut report, dest, tag, out)?;
                     }
                 }
                 None => {
@@ -1771,59 +1484,33 @@ impl Pangead {
                                 let dest =
                                     spec.scheme.node_of(out, spec.source as u64 + seq, nodes);
                                 let tag = ingest_tag(spec.source, seq, out);
-                                self.route_output(
-                                    spec,
-                                    &addr_of,
-                                    &mut conns,
-                                    &mut batches,
-                                    &mut report,
-                                    dest,
-                                    tag,
-                                    out.to_vec(),
-                                    window,
-                                    ctx,
-                                )
+                                self.route_output(&mut route, &mut report, dest, tag, out.to_vec())
                             })?;
                         }
                     }
                 }
             }
-            for (dest, (entries, _)) in std::mem::take(&mut batches) {
+            for (dest, (entries, _)) in std::mem::take(&mut route.batches) {
                 if entries.is_empty() {
                     continue;
                 }
-                let (a, b) =
-                    self.deliver_entries(spec, &addr_of, &mut conns, dest, entries, window, ctx)?;
+                let (a, b) = self.deliver_entries(&mut route, dest, entries)?;
                 report.appended += a;
                 report.appended_bytes += b;
             }
             // Drain every destination's outstanding acks: the task's
-            // totals only count what the receivers acknowledged, and a
-            // connection may only go back to the pool once nothing is
-            // in flight on it.
-            let addrs: Vec<String> = conns.keys().cloned().collect();
-            for addr in addrs {
-                let mut failed = None;
-                if let Some(peer) = conns.get_mut(&addr) {
-                    while !peer.inflight.is_empty() {
-                        match peer.await_oldest() {
-                            Ok((a, b)) => {
-                                report.appended += a;
-                                report.appended_bytes += b;
-                            }
-                            Err(e) => {
-                                failed = Some(e);
-                                break;
-                            }
-                        }
-                    }
+            // totals only count what the receivers acknowledged.
+            let drained = route.conns.iter_mut().try_for_each(|(addr, peer)| {
+                let (a, b) = peer.drain().map_err(|e| (addr.clone(), e))?;
+                report.appended += a;
+                report.appended_bytes += b;
+                Ok(())
+            });
+            if let Err((addr, e)) = drained {
+                if let Some(peer) = route.conns.remove(&addr) {
+                    self.discard_peer(peer.client);
                 }
-                if let Some(e) = failed {
-                    if let Some(peer) = conns.remove(&addr) {
-                        self.discard_peer(peer.client);
-                    }
-                    return Err(e);
-                }
+                return Err(e);
             }
             Ok(())
         })();
@@ -1832,7 +1519,7 @@ impl Pangead {
         // was already dropped by `ingest_into`, and any connection the
         // failure left with acks still in flight is discarded by
         // `checkin_peer`'s pipelined guard.
-        for (addr, peer) in conns.drain() {
+        for (addr, peer) in route.conns.drain() {
             self.checkin_peer(&addr, peer.client);
         }
         outcome?;
@@ -1857,29 +1544,23 @@ impl Pangead {
 
     /// Queues one routed output record for its destination, flushing
     /// the destination's batch once a size threshold trips.
-    #[allow(clippy::too_many_arguments)]
     fn route_output(
         &self,
-        spec: &TaskSpec,
-        addr_of: &FxHashMap<u32, &str>,
-        conns: &mut FxHashMap<String, PipelinedPeer>,
-        batches: &mut FxHashMap<u32, (Vec<(u64, Vec<u8>)>, usize)>,
+        route: &mut Router,
         report: &mut TaskReport,
         dest: u32,
         tag: u64,
         out: Vec<u8>,
-        window: u32,
-        ctx: Option<TraceCtx>,
     ) -> Result<()> {
         report.emitted += 1;
         report.emitted_bytes += out.len() as u64;
-        let (batch, batch_bytes) = batches.entry(dest).or_default();
+        let (batch, batch_bytes) = route.batches.entry(dest).or_default();
         *batch_bytes += out.len();
         batch.push((tag, out));
         if batch.len() >= PUSH_BATCH_RECORDS || *batch_bytes >= PUSH_BATCH_BYTES {
             let entries = std::mem::take(batch);
             *batch_bytes = 0;
-            let (a, b) = self.deliver_entries(spec, addr_of, conns, dest, entries, window, ctx)?;
+            let (a, b) = self.deliver_entries(route, dest, entries)?;
             report.appended += a;
             report.appended_bytes += b;
         }
@@ -1896,133 +1577,40 @@ impl Pangead {
     /// while making window room (possibly nothing). This batch's own
     /// totals surface from some later call or the task's final drain —
     /// the task-level sums come out identical to the serial protocol.
-    #[allow(clippy::too_many_arguments)]
     fn deliver_entries(
         &self,
-        spec: &TaskSpec,
-        addr_of: &FxHashMap<u32, &str>,
-        conns: &mut FxHashMap<String, PipelinedPeer>,
+        route: &mut Router,
         dest: u32,
         entries: Vec<(u64, Vec<u8>)>,
-        window: u32,
-        ctx: Option<TraceCtx>,
     ) -> Result<(u64, u64)> {
-        if dest == spec.source {
-            self.ingest_append_session(&spec.output, &entries, false)
+        if dest == route.spec.source {
+            self.ingest_append(&route.spec.output, &entries, false)
         } else {
-            let addr = *addr_of.get(&dest).ok_or_else(|| {
+            let addr = *route.addr_of.get(&dest).ok_or_else(|| {
                 PangeaError::usage(format!("task has no destination address for slot {dest}"))
             })?;
-            self.ingest_into(conns, addr, &spec.output, entries, window, ctx)
+            self.ingest_into(route, addr, entries)
         }
     }
 
-    /// The shared `IngestAppend` implementation: dedup-appends one
-    /// tagged batch into the open ingest session for `set`.
-    ///
-    /// `over_wire` decides whether the batch's payload is charged to
-    /// this daemon's inbound net counters — `false` for a mapper's
-    /// self-destined shortcut, which never touches a socket (mirroring
-    /// the simulation's free local delivery).
-    ///
-    /// The session lock serializes concurrent mapper pushes into one
-    /// destination set: tag check and append are atomic per record, and
-    /// the session's one storage writer sees one writer's order (a page
-    /// is sealed when it fills or at `IngestEnd`, not per batch).
-    /// Unrelated sets proceed in parallel. Any failure mid-batch leaves
-    /// "what was stored" unknowable while some tags may already sit in
-    /// the ledger — a retried append would dedup those records away —
-    /// so the session is poisoned: retries of this attempt fail loudly,
-    /// and the job-level retry's `IngestBegin` truncates and starts
-    /// clean.
-    fn ingest_append_session(
+    /// Appends one tagged batch, tags as dedup keys, into this daemon's
+    /// ingest session for `set` (`over_wire = false`: a mapper's own share).
+    fn ingest_append(
         &self,
         set: &str,
         entries: &[(u64, Vec<u8>)],
         over_wire: bool,
     ) -> Result<(u64, u64)> {
         let target = self.get_set(set)?;
-        let gone =
-            || PangeaError::usage(format!("no ingest session for '{set}'; IngestBegin first"));
-        let session = self.ingests.lock().get(set).cloned().ok_or_else(gone)?;
-        let mut session = session.lock();
-        if session.poisoned {
-            return Err(gone());
-        }
-        let dedup = self.obs.registry().counter(names::INGEST_DEDUP_HITS);
-        let outcome = (|| -> Result<(u64, u64)> {
-            let IngestSession {
-                seen,
-                reduce,
-                writer,
-                ..
-            } = &mut *session;
-            let (mut appended, mut bytes) = (0u64, 0u64);
-            match reduce {
-                // Reducing session: fold accepted partials into the
-                // keyed accumulator; nothing touches storage until the
-                // seal materializes it. Tag dedup is unchanged, so
-                // lost-ack replays of a combine batch stay idempotent.
-                Some((spec, acc)) => {
-                    for (tag, rec) in entries {
-                        if over_wire {
-                            self.stats.record_net(rec.len());
-                        }
-                        if seen.contains(*tag)? {
-                            dedup.inc();
-                            continue;
-                        }
-                        let (key, value) = spec.decode_record(rec)?;
-                        acc.insert_merge(key, value)?;
-                        seen.insert(*tag)?;
-                        appended += 1;
-                        bytes += rec.len() as u64;
-                    }
-                }
-                None => {
-                    let writer = writer.get_or_insert_with(|| target.writer());
-                    for (tag, rec) in entries {
-                        if over_wire {
-                            self.stats.record_net(rec.len());
-                        }
-                        if seen.contains(*tag)? {
-                            dedup.inc();
-                            continue;
-                        }
-                        writer.add_object(rec)?;
-                        seen.insert(*tag)?;
-                        appended += 1;
-                        bytes += rec.len() as u64;
-                    }
-                }
-            }
-            Ok((appended, bytes))
-        })();
-        match outcome {
-            Ok((appended, bytes)) => {
-                session.appended += appended;
-                session.bytes += bytes;
-                // Destination-side attribution, labeled by session mode:
-                // bytes folded into a reducing session are reduce-mode
-                // shuffle traffic, everything else is map-mode.
-                if session.reduce.is_some() {
-                    self.stats.record_shuffle_reduce(bytes as usize);
-                } else {
-                    self.stats.record_shuffle(bytes as usize);
-                }
-                Ok((appended, bytes))
-            }
-            Err(e) => {
-                session.poisoned = true;
-                drop(session);
-                self.ingests.lock().remove(set);
-                Err(e)
-            }
-        }
+        let pairs = entries.iter().map(|(tag, rec)| (*tag, rec.as_slice()));
+        let reg = self.obs.registry();
+        self.ingests
+            .append(&target, pairs, over_wire, &self.stats, reg)
     }
 
-    /// Pipelines one tagged batch into the ingest session for `output`
-    /// on the daemon at `addr`, opening (and caching in `conns`) the
+    /// Pipelines one tagged batch into the ingest session for the task's
+    /// output on the daemon at `addr`, opening (and caching in the
+    /// router's connections) the
     /// destination connection on first use. A connection whose RPC
     /// failed is dropped, never cached.
     ///
@@ -2036,32 +1624,26 @@ impl Pangead {
     /// sender, which is backpressure working as designed.
     fn ingest_into(
         &self,
-        conns: &mut FxHashMap<String, PipelinedPeer>,
+        route: &mut Router,
         addr: &str,
-        output: &str,
         entries: Vec<(u64, Vec<u8>)>,
-        window: u32,
-        ctx: Option<TraceCtx>,
     ) -> Result<(u64, u64)> {
-        let peer = match conns.entry(addr.to_string()) {
+        let peer = match route.conns.entry(addr.to_string()) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(v) => {
-                // Fan-out propagation: every ingest RPC this task sends
-                // carries `(job, the TaskRun's span)`, so the
-                // destination's span records stitch under the task that
-                // produced them.
                 let mut conn = self.checkout_peer(addr)?;
-                conn.set_trace(ctx);
-                v.insert(PipelinedPeer::new(conn, PangeaClient::ingest_append_await))
+                conn.set_trace(route.ctx);
+                v.insert(PipelinedPeer::new(conn))
             }
         };
+        let output = &route.spec.output;
         let submit = |c: &mut PangeaClient| c.ingest_append_submit(output, entries);
-        match self.pipelined_submit(peer, window, submit) {
+        match self.pipelined_submit(peer, route.window, submit) {
             Ok(acked) => Ok(acked),
             Err(e) => {
                 // Dropped, not returned — and counted, so a failed push
                 // doesn't strand the checkout accounting.
-                if let Some(peer) = conns.remove(addr) {
+                if let Some(peer) = route.conns.remove(addr) {
                     self.discard_peer(peer.client);
                 }
                 Err(e)
@@ -2123,7 +1705,7 @@ impl Pangead {
         // pay a fresh dial + handshake each (the ROADMAP hot-path item).
         let mut client = self.checkout_peer(target_addr)?;
         client.set_trace(ctx);
-        let mut peer = PipelinedPeer::new(client, PangeaClient::recover_append_await);
+        let mut peer = PipelinedPeer::new(client);
         match self.recover_push_with(&source, target_set, &mut peer, filter) {
             Ok(resp) => {
                 self.checkin_peer(target_addr, peer.client);
@@ -2153,7 +1735,7 @@ impl Pangead {
         filter: &RepairFilter,
     ) -> Result<Response> {
         enum Keep {
-            Compiled(Box<dyn Fn(&[u8]) -> bool + Send + Sync>),
+            Compiled(RecordPredicate),
             Absent(SpillLedger),
         }
         let keep = match filter {
@@ -2167,10 +1749,7 @@ impl Pangead {
                 // once, so a plain insert (no membership probe) is
                 // enough.
                 peer.client.repair_ledger_for_each(target_set, |hashes| {
-                    for h in hashes {
-                        present.insert(h)?;
-                    }
-                    Ok(())
+                    hashes.into_iter().try_for_each(|h| present.insert(h))
                 })?;
                 Keep::Absent(present)
             }
@@ -2205,7 +1784,7 @@ impl Pangead {
                 scanned += 1;
                 let wanted = match &keep {
                     Keep::Compiled(f) => f(rec),
-                    Keep::Absent(present) => !present.contains(fx_hash64(rec))?,
+                    Keep::Absent(present) => !present.contains(record_key(rec))?,
                 };
                 if !wanted {
                     continue;
@@ -2221,13 +1800,9 @@ impl Pangead {
             }
         }
         flush(peer, &mut batch)?;
-        // Drain the tail of the pipeline: the push's totals are the sum
-        // of every ack, same as the serial protocol's.
-        while !peer.inflight.is_empty() {
-            let (a, b) = peer.await_oldest()?;
-            appended += a;
-            appended_bytes += b;
-        }
+        let (a, b) = peer.drain()?;
+        appended += a;
+        appended_bytes += b;
         // Survivor-side attribution: this node moved `pushed_bytes` of
         // repair payload to a peer without touching the driver.
         self.stats.record_repair(pushed_bytes as usize);
@@ -2241,9 +1816,7 @@ impl Pangead {
     }
 
     fn get_set(&self, name: &str) -> Result<pangea_core::LocalitySet> {
-        self.node
-            .get_set(name)
-            .ok_or_else(|| PangeaError::usage(format!("locality set '{name}' not found")))
+        local_set(&self.node, name)
     }
 }
 
@@ -2365,9 +1938,8 @@ mod tests {
         s.hits + s.misses
     }
 
-    /// Record `i` of a large synthetic share: the number fills the first
-    /// word `fx_hash64` folds and two fixed words follow, so distinct
-    /// records never collide and their hashes differ in their low bits.
+    /// Record `i` of a large synthetic share: the zero-padded number,
+    /// then fixed padding.
     fn row(i: u64) -> Vec<u8> {
         format!("{i:07}|sixteen-byte-pad").into_bytes()
     }
@@ -2520,7 +2092,7 @@ mod tests {
                 set: "tgt".into(),
                 records: vec![b"a|1".to_vec(), b"b|22".to_vec(), b"a|1".to_vec()],
             }),
-            Response::RepairAck {
+            Response::SessionAck {
                 appended: 2,
                 bytes: 7,
                 ..
@@ -2531,7 +2103,7 @@ mod tests {
                 set: "tgt".into(),
                 records: vec![b"b|22".to_vec(), b"c|333".to_vec()],
             }),
-            Response::RepairAck {
+            Response::SessionAck {
                 appended: 1,
                 bytes: 5,
                 ..
@@ -2539,7 +2111,7 @@ mod tests {
         ));
         assert!(matches!(
             d.handle(Request::RecoverEnd { set: "tgt".into() }),
-            Response::RepairAck {
+            Response::SessionAck {
                 appended: 3,
                 bytes: 12,
                 ..
@@ -2549,7 +2121,7 @@ mod tests {
         // the same totals back instead of failing.
         assert!(matches!(
             d.handle(Request::RecoverEnd { set: "tgt".into() }),
-            Response::RepairAck {
+            Response::SessionAck {
                 appended: 3,
                 bytes: 12,
                 ..
@@ -2570,7 +2142,7 @@ mod tests {
         );
         assert!(matches!(
             d.handle(Request::RecoverEnd { set: "tgt".into() }),
-            Response::RepairAck {
+            Response::SessionAck {
                 appended: 0,
                 bytes: 0,
                 ..
@@ -2636,7 +2208,7 @@ mod tests {
                 set: "tgt".into(),
                 records: vec![b"kept|1".to_vec(), b"new|2".to_vec()],
             }),
-            Response::RepairAck {
+            Response::SessionAck {
                 appended: 1,
                 bytes: 5,
                 ..
@@ -2644,7 +2216,7 @@ mod tests {
         ));
         assert!(matches!(
             d.handle(Request::RecoverEnd { set: "tgt".into() }),
-            Response::RepairAck {
+            Response::SessionAck {
                 appended: 1,
                 bytes: 5,
                 ..
@@ -2673,8 +2245,8 @@ mod tests {
                 assert_eq!(
                     hashes,
                     vec![
-                        pangea_common::fx_hash64(b"one"),
-                        pangea_common::fx_hash64(b"two")
+                        pangea_common::record_key(b"one"),
+                        pangea_common::record_key(b"two")
                     ]
                 );
                 assert_eq!(next, None);
@@ -2688,7 +2260,7 @@ mod tests {
             start_record: 1,
         }) {
             Response::Hashes { hashes, next } => {
-                assert_eq!(hashes, vec![pangea_common::fx_hash64(b"two")]);
+                assert_eq!(hashes, vec![pangea_common::record_key(b"two")]);
                 assert_eq!(next, None);
             }
             other => panic!("{other:?}"),
@@ -3042,7 +2614,7 @@ mod tests {
                     (crate::wire::ingest_tag(0, 0, b"the"), b"the".to_vec()),
                 ],
             }),
-            Response::IngestAck {
+            Response::SessionAck {
                 appended: 2,
                 bytes: 6,
                 ..
@@ -3054,7 +2626,7 @@ mod tests {
                 set: "out".into(),
                 entries: vec![(crate::wire::ingest_tag(0, 1, b"the"), b"the".to_vec())],
             }),
-            Response::IngestAck {
+            Response::SessionAck {
                 appended: 0,
                 bytes: 0,
                 ..
@@ -3062,7 +2634,7 @@ mod tests {
         ));
         assert!(matches!(
             d.handle(Request::IngestEnd { set: "out".into() }),
-            Response::IngestAck {
+            Response::SessionAck {
                 appended: 2,
                 bytes: 6,
                 ..
@@ -3071,7 +2643,7 @@ mod tests {
         // Sealing is idempotent (lost-ack retry reads the tombstone)…
         assert!(matches!(
             d.handle(Request::IngestEnd { set: "out".into() }),
-            Response::IngestAck {
+            Response::SessionAck {
                 appended: 2,
                 bytes: 6,
                 ..
@@ -3124,7 +2696,7 @@ mod tests {
                     set: "out".into(),
                     entries,
                 }),
-                Response::IngestAck { appended: 3, .. }
+                Response::SessionAck { appended: 3, .. }
             ));
         }
         let set = d.node.get_set("out").unwrap();
@@ -3144,11 +2716,11 @@ mod tests {
                 set: "out".into(),
                 entries: vec![(1, b"again".to_vec())],
             }),
-            Response::IngestAck { appended: 1, .. }
+            Response::SessionAck { appended: 1, .. }
         ));
         assert!(matches!(
             d.handle(Request::IngestEnd { set: "out".into() }),
-            Response::IngestAck { appended: 1, .. }
+            Response::SessionAck { appended: 1, .. }
         ));
         assert_eq!(d.node.pool().pool_stats().pinned_pages, 0, "sealed");
         match d.handle(Request::Scan { set: "out".into() }) {
@@ -3220,7 +2792,7 @@ mod tests {
                     set: "sums".into(),
                     entries,
                 }),
-                Response::IngestAck {
+                Response::SessionAck {
                     appended: BATCH,
                     ..
                 }
@@ -3239,7 +2811,7 @@ mod tests {
                 set: "sums".into(),
                 entries: batch(1),
             }),
-            Response::IngestAck {
+            Response::SessionAck {
                 appended: 0,
                 bytes: 0,
                 ..
@@ -3258,7 +2830,7 @@ mod tests {
             .collect();
         let bytes: u64 = want.iter().map(|r| r.len() as u64).sum();
         match d.handle(Request::IngestEnd { set: "sums".into() }) {
-            Response::IngestAck {
+            Response::SessionAck {
                 appended, bytes: b, ..
             } => assert_eq!((appended, b), (want.len() as u64, bytes)),
             other => panic!("{other:?}"),
@@ -3287,7 +2859,7 @@ mod tests {
             set: "out".into(),
             reduce: None,
         });
-        let session = d.ingests.lock().get("out").cloned().unwrap();
+        let session = d.ingests.get("out").unwrap();
         let mut guard = session.lock();
         let queued = {
             let d = Arc::clone(&d);
@@ -3305,7 +2877,7 @@ mod tests {
         // What a failing batch does before it lets go of the lock.
         guard.poisoned = true;
         drop(guard);
-        d.ingests.lock().remove("out");
+        d.ingests.forget("out", d.obs.registry());
         assert!(matches!(queued.join().unwrap(), Response::Err { .. }));
         match d.handle(Request::Scan { set: "out".into() }) {
             Response::Records { records } => assert!(records.is_empty(), "{records:?}"),
@@ -3342,7 +2914,7 @@ mod tests {
                     set: "tgt".into(),
                     records: batch(b),
                 }),
-                Response::RepairAck {
+                Response::SessionAck {
                     appended: BATCH,
                     ..
                 }
@@ -3361,7 +2933,7 @@ mod tests {
                 set: "tgt".into(),
                 records: batch(1),
             }),
-            Response::RepairAck {
+            Response::SessionAck {
                 appended: 0,
                 bytes: 0,
                 ..
@@ -3375,7 +2947,7 @@ mod tests {
         );
         assert!(matches!(
             d.handle(Request::RecoverEnd { set: "tgt".into() }),
-            Response::RepairAck { appended, .. } if appended == fresh
+            Response::SessionAck { appended, .. } if appended == fresh
         ));
         assert_eq!(d.node.pool().pool_stats().pinned_pages, 0, "sealed");
     }
@@ -3396,8 +2968,7 @@ mod tests {
             set: "tgt".into(),
             present_from: vec![],
         };
-        // Seven bytes each: `fx_hash64` folds them as one word, so no
-        // two records collide in the content ledger.
+        // Eight distinct seven-byte records per batch.
         let batch = |b: u64| -> Vec<Vec<u8>> {
             (0..8u64)
                 .map(|i| format!("{b:03}-{i:03}").into_bytes())
@@ -3416,7 +2987,7 @@ mod tests {
                     set: "tgt".into(),
                     records,
                 }),
-                Response::RepairAck { appended: 8, .. }
+                Response::SessionAck { appended: 8, .. }
             ));
         }
         let set = d.node.get_set("tgt").unwrap();
@@ -3434,7 +3005,7 @@ mod tests {
                     set: "tgt".into(),
                     records: batch(b),
                 }),
-                Response::RepairAck { appended: 0, .. }
+                Response::SessionAck { appended: 0, .. }
             ));
         }
         assert!(matches!(
@@ -3442,11 +3013,11 @@ mod tests {
                 set: "tgt".into(),
                 records: vec![b"lost-by-the-first-attempt".to_vec()],
             }),
-            Response::RepairAck { appended: 1, .. }
+            Response::SessionAck { appended: 1, .. }
         ));
         assert!(matches!(
             d.handle(Request::RecoverEnd { set: "tgt".into() }),
-            Response::RepairAck { appended: 1, .. }
+            Response::SessionAck { appended: 1, .. }
         ));
         assert_eq!(d.node.pool().pool_stats().pinned_pages, 0, "sealed");
         let want: Vec<Vec<u8>> = (0..100)
@@ -3501,7 +3072,7 @@ mod tests {
             }),
             Response::Err { .. }
         ));
-        assert!(d.repairs.lock().is_empty(), "the session ended");
+        assert!(d.repairs.get("tgt").is_err(), "the session ended");
         match d.handle(Request::RecoverAppend {
             set: "tgt".into(),
             records: vec![b"third".to_vec()],
@@ -3520,10 +3091,10 @@ mod tests {
                 set: "tgt".into(),
                 records: vec![b"first".to_vec(), b"third".to_vec()],
             }),
-            Response::RepairAck { appended: 1, .. }
+            Response::SessionAck { appended: 1, .. }
         ));
 
-        let session = d.repairs.lock().get("tgt").cloned().unwrap();
+        let session = d.repairs.get("tgt").unwrap();
         let mut guard = session.lock();
         let queued = {
             let d = Arc::clone(&d);
@@ -3540,7 +3111,7 @@ mod tests {
         }
         // What a failing batch does before it lets go of the lock.
         guard.poisoned = true;
-        d.repairs.lock().remove("tgt");
+        d.repairs.forget("tgt", d.obs.registry());
         drop(guard);
         assert!(matches!(queued.join().unwrap(), Response::Err { .. }));
         match d.handle(Request::Scan { set: "tgt".into() }) {
@@ -3583,7 +3154,7 @@ mod tests {
                     (crate::wire::ingest_tag(1, 7, b"the|2"), b"the|2".to_vec()),
                 ],
             }),
-            Response::IngestAck {
+            Response::SessionAck {
                 appended: 3,
                 bytes: 15,
                 ..
@@ -3603,7 +3174,7 @@ mod tests {
                 d.handle(Request::IngestEnd {
                     set: "counts".into()
                 }),
-                Response::IngestAck {
+                Response::SessionAck {
                     appended: 2,
                     bytes: 10,
                     ..
@@ -3758,7 +3329,7 @@ mod tests {
         });
         assert!(matches!(
             d.handle(Request::RecoverEnd { set: "s".into() }),
-            Response::RepairAck {
+            Response::SessionAck {
                 appended: 1,
                 bytes: 3,
                 ..
@@ -3774,7 +3345,7 @@ mod tests {
         });
         assert!(matches!(
             d.handle(Request::IngestEnd { set: "s".into() }),
-            Response::IngestAck {
+            Response::SessionAck {
                 appended: 1,
                 bytes: 1,
                 ..
@@ -3806,7 +3377,7 @@ mod tests {
                 set: "s".into(),
                 records: vec![b"a|1".to_vec()],
             }),
-            Response::RepairAck {
+            Response::SessionAck {
                 appended: 1,
                 bytes: 3,
                 ..
@@ -3820,6 +3391,83 @@ mod tests {
                 records: vec![b"a|1".to_vec()],
             }),
             Response::Err { .. }
+        ));
+    }
+
+    /// Ingest and repair sessions live in separate tables: one kind's
+    /// session on a set neither answers for nor is replaced by the other
+    /// kind's requests.
+    #[test]
+    fn repair_and_ingest_sessions_are_namespaced_per_kind() {
+        let d = Pangead::new(node("namespaced"));
+        for name in ["s", "t"] {
+            d.handle(Request::CreateSet {
+                name: name.into(),
+                durability: "write-through".into(),
+                page_size: None,
+            });
+        }
+        d.handle(Request::RecoverBegin {
+            set: "s".into(),
+            present_from: vec![],
+        });
+        // An open repair session on `s` is not an ingest session.
+        match d.handle(Request::IngestAppend {
+            set: "s".into(),
+            entries: vec![(crate::wire::ingest_tag(0, 0, b"x"), b"x".to_vec())],
+        }) {
+            Response::Err { message } => {
+                assert!(message.contains("no ingest session"), "{message}")
+            }
+            other => panic!("{other:?}"),
+        }
+        // A whole ingest session on another set leaves it untouched.
+        d.handle(Request::IngestBegin {
+            set: "t".into(),
+            reduce: None,
+        });
+        assert!(matches!(
+            d.handle(Request::IngestEnd { set: "t".into() }),
+            Response::SessionAck { appended: 0, .. }
+        ));
+        assert!(matches!(
+            d.handle(Request::RecoverAppend {
+                set: "s".into(),
+                records: vec![b"a|1".to_vec()],
+            }),
+            Response::SessionAck { appended: 1, .. }
+        ));
+        assert!(matches!(
+            d.handle(Request::RecoverEnd { set: "s".into() }),
+            Response::SessionAck { appended: 1, .. }
+        ));
+    }
+
+    /// Distinct records that differ only across an 8-byte word boundary
+    /// are each restored: the repair ledger keys records by
+    /// `record_key`, which keeps them apart where `fx_hash64` folds 24
+    /// of these 300 names onto others.
+    #[test]
+    fn look_alike_records_are_all_restored() {
+        let d = Pangead::new(node("look-alike"));
+        d.handle(Request::CreateSet {
+            name: "tgt".into(),
+            durability: "write-back".into(),
+            page_size: None,
+        });
+        d.handle(Request::RecoverBegin {
+            set: "tgt".into(),
+            present_from: vec![],
+        });
+        let records: Vec<Vec<u8>> = (0..100)
+            .flat_map(|b| (0..3).map(move |r| format!("batch-{b:03}-record-{r}").into_bytes()))
+            .collect();
+        assert!(matches!(
+            d.handle(Request::RecoverAppend {
+                set: "tgt".into(),
+                records,
+            }),
+            Response::SessionAck { appended: 300, .. }
         ));
     }
 

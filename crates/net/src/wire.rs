@@ -186,6 +186,9 @@ impl SchemeSpec {
     }
 }
 
+/// A compiled per-record filter: `true` keeps the record.
+pub type RecordPredicate = Box<dyn Fn(&[u8]) -> bool + Send + Sync>;
+
 /// How a survivor selects which of its local records to ship during a
 /// worker→worker repair push (`Request::RecoverPush`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -266,7 +269,7 @@ impl RepairFilter {
     /// `Absent`, whose predicate is not self-contained — the survivor
     /// resolves it against the target's session ledger (see
     /// `Pangead::recover_push`).
-    pub fn compile(&self) -> Result<Box<dyn Fn(&[u8]) -> bool + Send + Sync>> {
+    pub fn compile(&self) -> Result<RecordPredicate> {
         match self {
             Self::All => Ok(Box::new(|_| true)),
             Self::Absent => Err(PangeaError::usage(

@@ -477,7 +477,7 @@ proptest! {
             hashes,
             next: all.then_some((counters[2], counters[3])),
         });
-        roundtrip_resp(Response::RepairAck {
+        roundtrip_resp(Response::SessionAck {
             appended: counters[0],
             bytes: counters[1],
             credit: counters[2],
@@ -549,7 +549,7 @@ proptest! {
             appended: counters[3],
             appended_bytes: counters[4],
         });
-        roundtrip_resp(Response::IngestAck {
+        roundtrip_resp(Response::SessionAck {
             appended: counters[0],
             bytes: counters[1],
             credit: counters[2],
