@@ -16,10 +16,10 @@ use crate::membership::Membership;
 use pangea_cluster::{CatalogEntry, Manager, PartitionScheme};
 use pangea_common::{Epoch, IoStats, NodeId, PangeaError, ReplicaGroupId, Result};
 use pangea_net::{
-    error_response, metrics_dump_response, FramedServer, FramedService, Request, Response,
+    metrics_dump_response, serve_instrumented, FramedServer, FramedService, Request, Response,
     ServerConfig, TraceCtx, WireCatalogEntry, WireSpan,
 };
-use pangea_obs::{names, Obs, ScrapeStore, SpanRecord};
+use pangea_obs::{names, Obs, ScrapeStore};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -90,46 +90,10 @@ impl ManagerDaemon {
         &self.scrape
     }
 
-    /// Handles one request, turning errors into [`Response::Err`].
+    /// Handles one untraced request, turning errors into
+    /// [`Response::Err`].
     pub fn handle(&self, req: Request) -> Response {
-        self.handle_full(req, None, 0)
-    }
-
-    /// The instrumented handler (mirrors `Pangead`): per-opcode
-    /// count/bytes/latency metrics always, a [`SpanRecord`] when the
-    /// frame carried a [`TraceCtx`].
-    fn handle_full(&self, req: Request, ctx: Option<TraceCtx>, req_bytes: usize) -> Response {
-        self.stats.record_net(0);
-        let op = req.name();
-        let reg = self.obs.registry();
-        reg.counter(&names::rpc_count(op)).inc();
-        reg.counter(&names::rpc_bytes(op)).add(req_bytes as u64);
-        let start = self.obs.now_ns();
-        let resp = match self.dispatch(req) {
-            Ok(resp) => resp,
-            Err(e) => error_response(&e),
-        };
-        let end = self.obs.now_ns();
-        reg.histogram(&names::rpc_latency_ns(op))
-            .observe(end.saturating_sub(start));
-        if let Some(ctx) = ctx {
-            self.obs.ring().record(SpanRecord {
-                job: ctx.job,
-                span: pangea_obs::next_span_id(),
-                parent: ctx.span,
-                op: op.to_string(),
-                peer: String::new(),
-                start_ns: start,
-                end_ns: end,
-                bytes: req_bytes as u64,
-                outcome: match &resp {
-                    Response::Err { message } => message.clone(),
-                    Response::Denied { message } => message.clone(),
-                    _ => "ok".to_string(),
-                },
-            });
-        }
-        resp
+        FramedService::handle(self, req, None, 0)
     }
 
     fn entry_to_wire(entry: CatalogEntry) -> Result<WireCatalogEntry> {
@@ -299,12 +263,12 @@ impl ManagerDaemon {
 }
 
 impl FramedService for ManagerDaemon {
-    fn handle(&self, req: Request) -> Response {
-        ManagerDaemon::handle(self, req)
-    }
-
-    fn handle_traced(&self, req: Request, ctx: Option<TraceCtx>, req_bytes: usize) -> Response {
-        self.handle_full(req, ctx, req_bytes)
+    fn handle(&self, req: Request, ctx: Option<TraceCtx>, req_bytes: usize) -> Response {
+        self.stats.record_net(0);
+        // The manager fans nothing out, so the child span goes unused.
+        serve_instrumented(&self.obs, req, ctx, req_bytes, |req, _child| {
+            self.dispatch(req)
+        })
     }
 }
 
@@ -567,5 +531,17 @@ mod tests {
             Response::Err { message } => assert!(message.contains("pangead")),
             other => panic!("{other:?}"),
         }
+        // Traced, the rejection lands in the ring as a span whose
+        // outcome is bounded like a worker's, not the whole message.
+        let ctx = TraceCtx { job: 1, span: 2 };
+        let req = Request::Scan {
+            set: "s".repeat(200),
+        };
+        let resp = FramedService::handle(&d, req, Some(ctx), 0);
+        assert!(matches!(resp, Response::Err { .. }));
+        let spans = d.obs().ring().since(0);
+        let (_, span) = spans.last().expect("the traced request left a span");
+        assert_eq!((span.job, span.parent, span.op.as_str()), (1, 2, "Scan"));
+        assert_eq!(span.outcome.chars().count(), 96, "{}", span.outcome);
     }
 }

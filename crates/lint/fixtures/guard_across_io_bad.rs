@@ -17,7 +17,7 @@ impl Node {
     fn match_guard_across_io(&self) {
         match self.peers.read().first() {
             Some(peer) => {
-                write_frame(&mut self.out, peer);
+                write_frame_corr(&mut self.out, 0, peer);
             }
             None => {}
         }

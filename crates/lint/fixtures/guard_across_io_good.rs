@@ -11,7 +11,7 @@ impl Node {
 
     fn io_through_the_guard_itself(&self) {
         let mut w = self.writer.lock();
-        write_frame(&mut *w, b"frame");
+        write_frame_corr(&mut *w, 0, b"frame");
     }
 
     fn copies_value_out(&self) {

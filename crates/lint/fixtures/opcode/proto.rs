@@ -1,24 +1,18 @@
-// Known-bad/known-good mix for the opcode-coverage rule: `Ping` is
-// fully covered, `Orphan` is missing everything, `Waived` carries an
-// allow. Line numbers are asserted exactly by tests/rules.rs.
+// Known-bad/known-good mix for the opcode-coverage rule, in the shape of
+// the `messages!` table: `Ping` is handled, `Orphan` has no handler
+// arm, `Waived` carries an allow. Line numbers are asserted exactly by
+// tests/rules.rs.
 
-pub enum Request {
-    Ping,
-    Orphan { payload: Vec<u8> },
-    // Decoder-internal pseudo-opcode, never dispatched. lint:allow(opcode-coverage)
-    Waived,
-}
+messages! {
+    pub enum Request {
+        Ping = 1,
+        Orphan { payload: Vec<u8>, } = 2,
+        // Decoder-internal pseudo-opcode, never dispatched. lint:allow(opcode-coverage)
+        Waived = 3,
+    }
 
-pub enum Response {
-    Ok,
-    Lost(u32),
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn ping_roundtrips() {
-        roundtrip(Request::Ping);
-        roundtrip_resp(Response::Ok);
+    pub enum Response {
+        Ok = 1,
+        Lost { code: u32, } = 2,
     }
 }

@@ -56,7 +56,7 @@ pub fn lint_file(f: &LintedFile) -> Vec<Diagnostic> {
 
 /// Runs per-file rules on every file plus the project-wide opcode rule,
 /// returning diagnostics sorted by (file, line).
-pub fn lint_project(files: &[LintedFile], design: &str) -> Vec<Diagnostic> {
+pub fn lint_project(files: &[LintedFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for f in files {
         out.extend(lint_file(f));
@@ -73,17 +73,7 @@ pub fn lint_project(files: &[LintedFile], design: &str) -> Vec<Diagnostic> {
         .iter()
         .filter_map(|r| find(r))
         .collect();
-        let roundtrips: Vec<&LintedFile> =
-            ["crates/net/tests/frame_props.rs", "crates/net/src/proto.rs"]
-                .iter()
-                .filter_map(|r| find(r))
-                .collect();
-        let ctx = OpcodeCtx {
-            proto,
-            handlers,
-            roundtrips,
-            design,
-        };
+        let ctx = OpcodeCtx { proto, handlers };
         rules::opcode_coverage(&ctx, &mut out);
     }
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));

@@ -20,8 +20,7 @@ fn main() -> ExitCode {
     collect(&root, &root, &mut files);
     files.sort_by(|a, b| a.rel.cmp(&b.rel));
 
-    let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default();
-    let diags = lint_project(&files, &design);
+    let diags = lint_project(&files);
 
     for d in &diags {
         println!("{d}");

@@ -9,7 +9,7 @@
 //! iteration) so an application can talk to a remote node with the same
 //! vocabulary it uses in-process.
 
-use crate::frame::{read_frame_corr, write_frame_corr, FRAME_CORR_OVERHEAD};
+use crate::frame::{read_frame_corr, write_frame_corr, FRAME_OVERHEAD};
 use crate::proto::{Request, Response};
 use crate::wire::{
     ReduceSpec, RepairFilter, RepairPushReport, TaskReport, TaskSpec, WireMetric, WireSpan,
@@ -55,8 +55,8 @@ pub struct PangeaClient {
     stream: TcpStream,
     addr: SocketAddr,
     stats: Arc<IoStats>,
-    /// When set, every outgoing request carries this [`TraceCtx`] as a
-    /// trailing envelope (see `Request::encode_traced`).
+    /// When set, every outgoing request carries this [`TraceCtx`] in its
+    /// header (see `Request::encode_traced`).
     trace: Option<TraceCtx>,
     /// Next correlation id handed out by [`PangeaClient::submit`].
     /// Starts at 1 — the server answers correlation 0 only with
@@ -153,7 +153,7 @@ impl PangeaClient {
         let corr = self.next_corr;
         let encoded = req.encode_traced(self.trace.as_ref());
         self.stats
-            .record_serialization(encoded.len() + FRAME_CORR_OVERHEAD);
+            .record_serialization(encoded.len() + FRAME_OVERHEAD);
         write_frame_corr(&mut self.stream, corr, &encoded)?;
         self.next_corr += 1;
         self.inflight += 1;
@@ -163,9 +163,9 @@ impl PangeaClient {
     /// Awaits the response to a prior [`PangeaClient::submit`].
     /// Responses to *other* outstanding submits that arrive first are
     /// parked and handed out when their id is awaited, so completion
-    /// order is free. A correlation-0 frame while pipelining is a
-    /// connection-level server error (e.g. [`Response::Busy`] from the
-    /// accept path) and fails the await typed.
+    /// order is free. A correlation-0 frame is a connection-level
+    /// server error (e.g. [`Response::Busy`] from the accept path) and
+    /// fails the await typed.
     pub fn await_response(&mut self, corr: u64) -> Result<Response> {
         self.inflight = self.inflight.saturating_sub(1);
         if let Some(resp) = self.parked.remove(&corr) {
@@ -175,7 +175,7 @@ impl PangeaClient {
             let (got, payload) =
                 read_frame_corr(&mut self.stream)?.ok_or_else(Self::closed_early)?;
             self.stats
-                .record_serialization(payload.len() + FRAME_CORR_OVERHEAD);
+                .record_serialization(payload.len() + FRAME_OVERHEAD);
             let resp = Response::decode(&payload)?;
             if got == corr {
                 return resp.into_result();

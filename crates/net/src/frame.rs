@@ -1,26 +1,19 @@
-//! Length-prefixed wire framing.
+//! Length-prefixed, correlated wire framing.
 //!
-//! One frame is a `u32` little-endian payload length followed by the
-//! payload bytes — the same self-framing layout `pangea_common::codec`
-//! uses inside pages, lifted onto a byte stream. Frames larger than
-//! [`MAX_FRAME`] are rejected on both sides: on send as an API misuse, on
-//! receive as corruption (a desynchronized or malicious peer), so a bad
-//! length prefix can never make a reader allocate gigabytes.
+//! One frame is a 12-byte header — a `u32` little-endian payload length,
+//! then a `u64` little-endian correlation id — followed by the payload:
+//! the same self-framing layout `pangea_common::codec` uses inside pages,
+//! lifted onto a byte stream. Frames larger than [`MAX_FRAME`] are
+//! rejected on both sides: on send as an API misuse, on receive as
+//! corruption (a desynchronized or malicious peer), so a bad length
+//! prefix can never make a reader allocate gigabytes.
 //!
-//! ## Correlated frames
-//!
-//! A connection that pipelines requests needs responses matched back to
-//! the request they answer, so a frame can optionally carry a `u64`
-//! correlation id: bit 31 of the length prefix ([`CORR_FLAG`]) marks a
-//! correlated frame, whose payload length is followed by an 8-byte
-//! little-endian id before the payload. The flag bit is free because
-//! [`MAX_FRAME`] is 2^26 — a legal length never sets it, and a legacy
-//! reader that saw one would reject it as an oversized frame instead of
-//! desynchronizing. Legacy frames (no flag) decode as correlation `0`,
-//! the strict-serial id, and correlation `0` is always *written* as a
-//! legacy frame — so a server answering in the shape the request used
-//! stays byte-identical to the pre-correlation protocol for serial
-//! clients.
+//! The correlation id matches a response to the request it answers, so
+//! one connection can pipeline many requests. A server answers with the
+//! request's id; clients number their requests from 1, so a frame with
+//! correlation 0 is a connection-level error that answers no request (a
+//! connection-cap `Busy` at accept, or the report of a desynchronized
+//! stream).
 
 use pangea_common::{PangeaError, Result};
 use std::io::{Read, Write};
@@ -29,26 +22,11 @@ use std::io::{Read, Write};
 /// (the largest legitimate message is a page fetch or an append batch).
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 
-/// Bytes of framing overhead per frame (the length prefix).
-pub const FRAME_OVERHEAD: usize = 4;
-
-/// Length-prefix bit marking a correlated frame (id follows the prefix).
-pub const CORR_FLAG: u32 = 0x8000_0000;
-
-/// Bytes of framing overhead per *correlated* frame (length prefix plus
-/// the 8-byte correlation id).
-pub const FRAME_CORR_OVERHEAD: usize = FRAME_OVERHEAD + 8;
-
-/// Writes one frame (length prefix + payload) and flushes.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    write_frame_corr(w, 0, payload)
-}
+/// Bytes of framing overhead per frame: the length prefix and the
+/// correlation id.
+pub const FRAME_OVERHEAD: usize = 12;
 
 /// Writes one frame carrying correlation id `corr` and flushes.
-///
-/// Correlation `0` (the strict-serial id) is written as a legacy
-/// unflagged frame, so serial traffic is bit-for-bit what it was before
-/// correlation existed.
 pub fn write_frame_corr(w: &mut impl Write, corr: u64, payload: &[u8]) -> Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(PangeaError::usage(format!(
@@ -56,64 +34,36 @@ pub fn write_frame_corr(w: &mut impl Write, corr: u64, payload: &[u8]) -> Result
             payload.len()
         )));
     }
-    // Prefix and id go out in one write: on an unbuffered socket every
+    // The header goes out in one write: on an unbuffered socket every
     // write is a syscall and, with Nagle off, a segment of its own.
-    let mut header = [0u8; FRAME_CORR_OVERHEAD];
-    let header_len = if corr == 0 {
-        header[..FRAME_OVERHEAD].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        FRAME_OVERHEAD
-    } else {
-        header[..FRAME_OVERHEAD].copy_from_slice(&(payload.len() as u32 | CORR_FLAG).to_le_bytes());
-        header[FRAME_OVERHEAD..].copy_from_slice(&corr.to_le_bytes());
-        FRAME_CORR_OVERHEAD
-    };
-    w.write_all(&header[..header_len])?;
+    let mut header = [0u8; FRAME_OVERHEAD];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&corr.to_le_bytes());
+    w.write_all(&header)?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
 }
 
-/// Reads one frame's payload, discarding any correlation id.
-///
-/// Returns `Ok(None)` on a clean end-of-stream (EOF exactly at a frame
-/// boundary — how a peer hangs up). EOF in the *middle* of a frame, or a
-/// length prefix above [`MAX_FRAME`], is corruption.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
-    Ok(read_frame_corr(r)?.map(|(_, payload)| payload))
-}
-
 /// Reads one frame as `(correlation, payload)`.
 ///
-/// Legacy frames (no [`CORR_FLAG`]) decode as correlation `0`. EOF and
-/// corruption semantics match [`read_frame`]; a truncation anywhere in
-/// the correlation id is corruption, same as inside the prefix.
+/// Returns `Ok(None)` on a clean end-of-stream (EOF exactly at a frame
+/// boundary — how a peer hangs up). EOF anywhere inside a frame, header
+/// included, or a length above [`MAX_FRAME`], is corruption.
 pub fn read_frame_corr(r: &mut impl Read) -> Result<Option<(u64, Vec<u8>)>> {
-    let mut prefix = [0u8; FRAME_OVERHEAD];
-    match read_exact_or_eof(r, &mut prefix)? {
+    let mut header = [0u8; FRAME_OVERHEAD];
+    match read_exact_or_eof(r, &mut header)? {
         ReadOutcome::Eof => return Ok(None),
         ReadOutcome::Partial(got) => {
             return Err(PangeaError::Corruption(format!(
-                "stream ended {got} B into a frame length prefix"
+                "stream ended {got} B into a frame header"
             )));
         }
         ReadOutcome::Full => {}
     }
-    let raw = u32::from_le_bytes(prefix);
-    let corr = if raw & CORR_FLAG != 0 {
-        let mut id = [0u8; 8];
-        match read_exact_or_eof(r, &mut id)? {
-            ReadOutcome::Full => {}
-            ReadOutcome::Eof | ReadOutcome::Partial(_) => {
-                return Err(PangeaError::Corruption(
-                    "stream ended inside a frame correlation id".to_string(),
-                ));
-            }
-        }
-        u64::from_le_bytes(id)
-    } else {
-        0
-    };
-    let len = (raw & !CORR_FLAG) as usize;
+    let [l0, l1, l2, l3, corr @ ..] = header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let corr = u64::from_le_bytes(corr);
     if len > MAX_FRAME {
         return Err(PangeaError::Corruption(format!(
             "frame length {len} B exceeds the {MAX_FRAME} B limit"
@@ -163,23 +113,23 @@ mod tests {
         for len in [0usize, 1, 7, 4096, 100_000] {
             let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let mut buf = Vec::new();
-            write_frame(&mut buf, &payload).unwrap();
+            write_frame_corr(&mut buf, 5, &payload).unwrap();
             assert_eq!(buf.len(), FRAME_OVERHEAD + len);
-            let got = read_frame(&mut Cursor::new(&buf)).unwrap().unwrap();
-            assert_eq!(got, payload);
+            let got = read_frame_corr(&mut Cursor::new(&buf)).unwrap().unwrap();
+            assert_eq!(got, (5, payload));
         }
     }
 
     #[test]
     fn clean_eof_is_none() {
-        assert!(read_frame(&mut Cursor::new(&[])).unwrap().is_none());
+        assert!(read_frame_corr(&mut Cursor::new(&[])).unwrap().is_none());
     }
 
     #[test]
     fn truncated_prefix_is_corruption() {
         let buf = [9u8, 0, 0]; // 3 of 4 prefix bytes
         assert!(matches!(
-            read_frame(&mut Cursor::new(&buf)),
+            read_frame_corr(&mut Cursor::new(&buf)),
             Err(PangeaError::Corruption(_))
         ));
     }
@@ -187,10 +137,10 @@ mod tests {
     #[test]
     fn truncated_payload_is_corruption() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"full payload").unwrap();
+        write_frame_corr(&mut buf, 1, b"full payload").unwrap();
         buf.truncate(buf.len() - 3);
         assert!(matches!(
-            read_frame(&mut Cursor::new(&buf)),
+            read_frame_corr(&mut Cursor::new(&buf)),
             Err(PangeaError::Corruption(_))
         ));
     }
@@ -198,9 +148,10 @@ mod tests {
     #[test]
     fn oversized_length_prefix_rejected_without_allocation() {
         let mut buf = (u32::MAX).to_le_bytes().to_vec();
+        buf.extend_from_slice(&7u64.to_le_bytes());
         buf.extend_from_slice(b"junk");
         assert!(matches!(
-            read_frame(&mut Cursor::new(&buf)),
+            read_frame_corr(&mut Cursor::new(&buf)),
             Err(PangeaError::Corruption(_))
         ));
     }
@@ -211,7 +162,7 @@ mod tests {
         let payload = vec![0u8; MAX_FRAME + 1];
         let mut out = Vec::new();
         assert!(matches!(
-            write_frame(&mut out, &payload),
+            write_frame_corr(&mut out, 1, &payload),
             Err(PangeaError::InvalidUsage(_))
         ));
         assert!(out.is_empty());
@@ -219,10 +170,10 @@ mod tests {
 
     #[test]
     fn correlated_roundtrip_carries_the_id() {
-        for corr in [1u64, 2, 0xDEAD_BEEF, u64::MAX] {
+        for corr in [0u64, 1, 2, 0xDEAD_BEEF, u64::MAX] {
             let mut buf = Vec::new();
             write_frame_corr(&mut buf, corr, b"payload").unwrap();
-            assert_eq!(buf.len(), FRAME_CORR_OVERHEAD + 7);
+            assert_eq!(buf.len(), FRAME_OVERHEAD + 7);
             let (got_corr, payload) = read_frame_corr(&mut Cursor::new(&buf)).unwrap().unwrap();
             assert_eq!(got_corr, corr);
             assert_eq!(payload, b"payload");
@@ -230,40 +181,10 @@ mod tests {
     }
 
     #[test]
-    fn correlation_zero_is_written_as_a_legacy_frame() {
-        let mut legacy = Vec::new();
-        write_frame(&mut legacy, b"serial").unwrap();
-        let mut corr0 = Vec::new();
-        write_frame_corr(&mut corr0, 0, b"serial").unwrap();
-        assert_eq!(legacy, corr0);
-        assert_eq!(legacy.len(), FRAME_OVERHEAD + 6);
-    }
-
-    #[test]
-    fn legacy_frame_decodes_as_correlation_zero() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"old wire").unwrap();
-        let (corr, payload) = read_frame_corr(&mut Cursor::new(&buf)).unwrap().unwrap();
-        assert_eq!(corr, 0);
-        assert_eq!(payload, b"old wire");
-    }
-
-    #[test]
-    fn legacy_reader_sees_correlated_frame_as_corruption_not_desync() {
-        // The flag bit makes the prefix read as an impossible length, so
-        // a pre-correlation reader rejects the frame instead of
-        // misparsing the id bytes as payload.
-        let mut buf = Vec::new();
-        write_frame_corr(&mut buf, 7, b"new wire").unwrap();
-        let raw = u32::from_le_bytes(buf[..4].try_into().unwrap());
-        assert!((raw as usize) > MAX_FRAME);
-    }
-
-    #[test]
     fn truncated_correlation_id_is_corruption() {
         let mut buf = Vec::new();
         write_frame_corr(&mut buf, 42, b"x").unwrap();
-        for cut in FRAME_OVERHEAD..FRAME_CORR_OVERHEAD {
+        for cut in 4..FRAME_OVERHEAD {
             let mut short = buf.clone();
             short.truncate(cut);
             assert!(matches!(
@@ -274,10 +195,10 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_correlated_and_legacy_frames_parse_in_order() {
+    fn back_to_back_frames_parse_in_order() {
         let mut buf = Vec::new();
         write_frame_corr(&mut buf, 3, b"three").unwrap();
-        write_frame(&mut buf, b"serial").unwrap();
+        write_frame_corr(&mut buf, 0, b"connection error").unwrap();
         write_frame_corr(&mut buf, 9, b"").unwrap();
         let mut cur = Cursor::new(&buf);
         assert_eq!(
@@ -286,22 +207,9 @@ mod tests {
         );
         assert_eq!(
             read_frame_corr(&mut cur).unwrap().unwrap(),
-            (0, b"serial".to_vec())
+            (0, b"connection error".to_vec())
         );
         assert_eq!(read_frame_corr(&mut cur).unwrap().unwrap(), (9, Vec::new()));
         assert!(read_frame_corr(&mut cur).unwrap().is_none());
-    }
-
-    #[test]
-    fn back_to_back_frames_parse_in_order() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"one").unwrap();
-        write_frame(&mut buf, b"two").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        let mut cur = Cursor::new(&buf);
-        assert_eq!(read_frame(&mut cur).unwrap().unwrap(), b"one");
-        assert_eq!(read_frame(&mut cur).unwrap().unwrap(), b"two");
-        assert_eq!(read_frame(&mut cur).unwrap().unwrap(), b"");
-        assert!(read_frame(&mut cur).unwrap().is_none());
     }
 }

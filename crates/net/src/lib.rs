@@ -5,19 +5,26 @@
 //! on a socket.
 //!
 //! * [`frame`] — length-prefixed binary framing over a byte stream (the
-//!   page codec's layout lifted onto sockets), with oversized-frame
-//!   rejection on both sides and a correlation id per frame.
-//! * [`proto`] — the request/response protocol: set creation, append,
-//!   page enumeration/fetch, scan, shipped map tasks and their ingest
-//!   sessions, worker-to-worker repair, the control plane, and stats and
-//!   trace probes.
-//! * [`wire`] — wire forms of control-plane state: declarative key
+//!   page codec's layout lifted onto sockets): one 12-byte header of
+//!   length and correlation id per frame, with oversized-frame rejection
+//!   on both sides.
+//! * [`proto`] — the request/response protocol, declared once in a
+//!   message table that generates its codec, opcodes and names: set
+//!   creation, append, page enumeration/fetch, scan, shipped map tasks
+//!   and their ingest sessions, worker-to-worker repair, the control
+//!   plane, and stats and trace probes. A request's header carries its
+//!   trace context.
+//! * [`wire`] — the crate's one field codec (`Wire`: integers,
+//!   strings, lists, options, pairs, trace contexts, and every type
+//!   below), and the wire forms of control-plane state: declarative key
 //!   specs, partitioning schemes, map specs and task specs (the
 //!   distributed map-shuffle ships these *to* the data), catalog
 //!   entries, and membership records served by the `pangea-coord`
 //!   manager daemon.
 //! * [`FramedServer`] — a reusable accept loop (handshake enforcement,
-//!   graceful drain) shared by `pangead` and `pangea-mgr`.
+//!   graceful drain) shared by `pangead` and `pangea-mgr`, and
+//!   [`serve_instrumented`], the per-opcode metrics and span recording
+//!   both daemons wrap around their dispatch.
 //! * [`Pangead`] / [`PangeadServer`] — the node daemon: a [`StorageNode`]
 //!   served behind the protocol (the `pangead` binary lives in
 //!   `pangea-coord`, next to `pangea-mgr`).
@@ -45,8 +52,8 @@ pub use frame::{FRAME_OVERHEAD, MAX_FRAME};
 pub use pangea_obs::TraceCtx;
 pub use proto::{error_response, Request, Response};
 pub use server::{
-    metrics_dump_response, FramedServer, FramedService, Pangead, PangeadServer, ServerConfig,
-    DEFAULT_DRAIN, DEFAULT_IO_THREADS, DEFAULT_MAX_CONNS, DEFAULT_PIPELINE_WINDOW,
+    metrics_dump_response, serve_instrumented, FramedServer, FramedService, Pangead, PangeadServer,
+    ServerConfig, DEFAULT_DRAIN, DEFAULT_IO_THREADS, DEFAULT_MAX_CONNS, DEFAULT_PIPELINE_WINDOW,
     MAX_PIPELINE_WINDOW, METRICS_CHUNK, SPANS_CHUNK,
 };
 pub use wire::{

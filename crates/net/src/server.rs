@@ -23,7 +23,7 @@
 //!   so it is testable (and reusable) without any networking.
 
 use crate::client::PangeaClient;
-use crate::frame::{read_frame_corr, write_frame, write_frame_corr};
+use crate::frame::{read_frame_corr, write_frame_corr};
 use crate::proto::{error_response, Request, Response};
 use crate::session::{local_set, Session, SessionTable, Sink, INGEST, REPAIR};
 use crate::wire::{
@@ -82,17 +82,54 @@ pub struct ServerConfig {
 /// not block indefinitely: a pool worker (or offload thread) holds its
 /// connection's execution slot for the duration of a call.
 pub trait FramedService: std::fmt::Debug + Send + Sync + 'static {
-    /// Handles one request, mapping internal errors to error responses.
-    fn handle(&self, req: Request) -> Response;
+    /// Handles one request with the [`TraceCtx`] its header carried and
+    /// its payload size in bytes, mapping internal errors to error
+    /// responses.
+    fn handle(&self, req: Request, ctx: Option<TraceCtx>, req_bytes: usize) -> Response;
+}
 
-    /// Handles one request with its wire-decoded [`TraceCtx`] (when the
-    /// frame carried one) and the request payload size in bytes.
-    /// Observability-aware services override this to record per-opcode
-    /// metrics and span records; the default simply forwards to
-    /// [`FramedService::handle`], so plain services need no change.
-    fn handle_traced(&self, req: Request, _ctx: Option<TraceCtx>, _req_bytes: usize) -> Response {
-        self.handle(req)
+/// Serves one request under the daemons' shared instrumentation:
+/// per-opcode `rpc.count`/`rpc.bytes`/`rpc.latency_ns` always, and a
+/// [`SpanRecord`] when the header carried a [`TraceCtx`]. The child span
+/// id is minted *before* `dispatch` runs and handed to it, so any
+/// fan-out the request performs (a `TaskRun`'s ingest pushes, a
+/// `RecoverPush`'s appends) propagates `(job, this span)` and the job's
+/// span tree stitches together across nodes. Errors become error
+/// responses.
+pub fn serve_instrumented(
+    obs: &Obs,
+    req: Request,
+    ctx: Option<TraceCtx>,
+    req_bytes: usize,
+    dispatch: impl FnOnce(Request, Option<TraceCtx>) -> Result<Response>,
+) -> Response {
+    let op = req.name();
+    let reg = obs.registry();
+    reg.counter(&names::rpc_count(op)).inc();
+    reg.counter(&names::rpc_bytes(op)).add(req_bytes as u64);
+    let child = ctx.map(|c| TraceCtx {
+        job: c.job,
+        span: pangea_obs::next_span_id(),
+    });
+    let start = obs.now_ns();
+    let resp = dispatch(req, child).unwrap_or_else(|e| error_response(&e));
+    let end = obs.now_ns();
+    reg.histogram(&names::rpc_latency_ns(op))
+        .observe(end.saturating_sub(start));
+    if let (Some(ctx), Some(child)) = (ctx, child) {
+        obs.ring().record(SpanRecord {
+            job: ctx.job,
+            span: child.span,
+            parent: ctx.span,
+            op: op.to_string(),
+            peer: String::new(),
+            start_ns: start,
+            end_ns: end,
+            bytes: req_bytes as u64,
+            outcome: outcome_of(&resp),
+        });
     }
+    resp
 }
 
 /// One accepted connection as the io pool sees it: its demuxed request
@@ -382,7 +419,7 @@ fn accept_loop(listener: TcpListener, shutdown: Arc<AtomicBool>, shared: Arc<Ser
                 "at the {}-connection cap",
                 shared.max_conns
             )));
-            let _ = write_frame(&mut stream, &busy.encode());
+            let _ = write_frame_corr(&mut stream, 0, &busy.encode());
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         }
@@ -432,11 +469,11 @@ fn reader_loop(mut stream: TcpStream, conn: Arc<ConnState>, shared: Arc<ServerSh
             }
             Ok(None) => break, // peer hung up cleanly
             Err(e) => {
-                // Desynchronized stream: report once (uncorrelated — the
-                // reader no longer knows which request is which), then
-                // give up.
+                // Desynchronized stream: report once on correlation 0
+                // (the reader no longer knows which request is which),
+                // then give up.
                 let mut w = conn.writer.lock();
-                let _ = write_frame(&mut *w, &error_response(&e).encode());
+                let _ = write_frame_corr(&mut *w, 0, &error_response(&e).encode());
                 break;
             }
         }
@@ -547,7 +584,7 @@ fn drain_conn(service: &Arc<dyn FramedService>, shared: &Arc<ServerShared>, conn
                 let spawned = std::thread::Builder::new()
                     .name("framed-offload".into())
                     .spawn(move || {
-                        let response = service2.handle_traced(req, ctx, bytes);
+                        let response = service2.handle(req, ctx, bytes);
                         finish_request(&shared2, &conn2, corr, response);
                         // Hand the still-claimed connection back to the
                         // pool (later queued requests stayed parked, so
@@ -577,7 +614,7 @@ fn drain_conn(service: &Arc<dyn FramedService>, shared: &Arc<ServerShared>, conn
                 }
             }
             Ok((req, ctx)) => {
-                let response = service.handle_traced(req, ctx, payload.len());
+                let response = service.handle(req, ctx, payload.len());
                 finish_request(shared, &conn, corr, response);
             }
             Err(e) => finish_request(shared, &conn, corr, error_response(&e)),
@@ -956,53 +993,14 @@ impl Pangead {
         reg.gauge(names::PAGING_PINNED_PAGES).set(p.pinned_pages);
     }
 
-    /// Handles one request, turning node errors into [`Response::Err`].
+    /// Handles one untraced request, turning node errors into
+    /// [`Response::Err`].
     pub fn handle(&self, req: Request) -> Response {
-        self.handle_full(req, None, 0)
-    }
-
-    /// The instrumented handler behind both [`Pangead::handle`] and the
-    /// [`FramedService::handle_traced`] seam: per-opcode count/bytes/
-    /// latency metrics always; a [`SpanRecord`] when the frame carried
-    /// a [`TraceCtx`]. The span id is allocated *before* dispatch so
-    /// any fan-out this request performs (a `TaskRun`'s ingest pushes,
-    /// a `RecoverPush`'s appends) propagates `(job, this span)` and the
-    /// job's span tree stitches together across nodes.
-    fn handle_full(&self, req: Request, ctx: Option<TraceCtx>, req_bytes: usize) -> Response {
-        let op = req.name();
-        let reg = self.obs.registry();
-        reg.counter(&names::rpc_count(op)).inc();
-        reg.counter(&names::rpc_bytes(op)).add(req_bytes as u64);
-        let child = ctx.map(|c| TraceCtx {
-            job: c.job,
-            span: pangea_obs::next_span_id(),
-        });
-        let start = self.obs.now_ns();
-        let resp = match self.dispatch(req, child) {
-            Ok(resp) => resp,
-            Err(e) => error_response(&e),
-        };
-        let end = self.obs.now_ns();
-        reg.histogram(&names::rpc_latency_ns(op))
-            .observe(end.saturating_sub(start));
-        if let (Some(ctx), Some(child)) = (ctx, child) {
-            self.obs.ring().record(SpanRecord {
-                job: ctx.job,
-                span: child.span,
-                parent: ctx.span,
-                op: op.to_string(),
-                peer: String::new(),
-                start_ns: start,
-                end_ns: end,
-                bytes: req_bytes as u64,
-                outcome: outcome_of(&resp),
-            });
-        }
-        resp
+        FramedService::handle(self, req, None, 0)
     }
 
     /// Dispatches one decoded request. `ctx`, when present, is the
-    /// *child* context minted by [`Pangead::handle_full`] — `(job, this
+    /// *child* context minted by [`serve_instrumented`] — `(job, this
     /// request's own span)` — which fan-out arms forward to peers.
     fn dispatch(&self, req: Request, ctx: Option<TraceCtx>) -> Result<Response> {
         match req {
@@ -1821,12 +1819,10 @@ impl Pangead {
 }
 
 impl FramedService for Pangead {
-    fn handle(&self, req: Request) -> Response {
-        Pangead::handle(self, req)
-    }
-
-    fn handle_traced(&self, req: Request, ctx: Option<TraceCtx>, req_bytes: usize) -> Response {
-        self.handle_full(req, ctx, req_bytes)
+    fn handle(&self, req: Request, ctx: Option<TraceCtx>, req_bytes: usize) -> Response {
+        serve_instrumented(&self.obs, req, ctx, req_bytes, |req, child| {
+            self.dispatch(req, child)
+        })
     }
 }
 
@@ -2498,7 +2494,7 @@ mod tests {
     }
 
     impl FramedService for HashShare {
-        fn handle(&self, req: Request) -> Response {
+        fn handle(&self, req: Request, _ctx: Option<TraceCtx>, _bytes: usize) -> Response {
             let Request::HashList { start_page, .. } = req else {
                 return Response::Err {
                     message: "a hash share serves HashList only".into(),
@@ -3616,7 +3612,8 @@ mod tests {
         // and hangs up. Read it raw — writing first would race the
         // server's close into a connection reset.
         let mut over = TcpStream::connect(server.local_addr()).unwrap();
-        let payload = crate::frame::read_frame(&mut over).unwrap().unwrap();
+        let (corr, payload) = read_frame_corr(&mut over).unwrap().unwrap();
+        assert_eq!(corr, 0, "a connection-level error answers no request");
         match Response::decode(&payload).unwrap().into_result() {
             Err(PangeaError::Busy(m)) => assert!(m.contains("cap"), "{m}"),
             other => panic!("expected Busy, got {other:?}"),

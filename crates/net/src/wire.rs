@@ -10,11 +10,169 @@
 //! catalog; `pangea-cluster` offers `hash_field`/`hash_whole`
 //! constructors that carry their spec.
 //!
-//! Encoding follows the [`crate::proto`] conventions: every field is a
-//! length-prefixed record in a `ByteWriter` stream, integers travel as
-//! `u64`, and unknown discriminants decode to [`PangeaError::Corruption`].
+//! Every type here travels through `Wire`, the crate's one field
+//! codec: each field is a length-prefixed record in a `ByteWriter`
+//! stream, integers travel as `u64` records (narrower ones are
+//! range-checked on read), and unknown discriminants decode to
+//! [`PangeaError::Corruption`].
 
 use pangea_common::{fx_hash64, ByteReader, ByteWriter, PangeaError, Result};
+use pangea_obs::TraceCtx;
+
+/// How one value travels inside a wire message: written as records into
+/// a [`ByteWriter`] and read back from a [`ByteReader`]. Every field of
+/// every `Request`/`Response` goes through this one codec, so a
+/// narrowing, an optional or a list is encoded the same way everywhere.
+pub(crate) trait Wire: Sized {
+    /// Appends this value's records.
+    fn put(&self, w: &mut ByteWriter);
+
+    /// Reads one value; malformed or out-of-range input is
+    /// [`PangeaError::Corruption`].
+    fn get(r: &mut ByteReader<'_>) -> Result<Self>;
+
+    /// How a `Vec<Self>` travels: a `u64` count, then each item. `u8`
+    /// overrides it, so a byte string is one length-prefixed record.
+    fn put_vec(items: &[Self], w: &mut ByteWriter) {
+        (items.len() as u64).put(w);
+        for item in items {
+            item.put(w);
+        }
+    }
+
+    /// Reads what [`Wire::put_vec`] wrote. The count comes off the wire,
+    /// so it bounds the preallocation, never the loop.
+    fn get_vec(r: &mut ByteReader<'_>) -> Result<Vec<Self>> {
+        let n = u64::get(r)?;
+        let mut out = Vec::with_capacity(n.min(1 << 20) as usize);
+        for _ in 0..n {
+            out.push(Self::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// [`Wire`] for a type that is one codec record.
+macro_rules! wire_record {
+    ($($T:ty),*) => {$(
+        impl Wire for $T {
+            fn put(&self, w: &mut ByteWriter) {
+                w.write_record(self);
+            }
+
+            fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+                r.read_record()
+            }
+        }
+    )*};
+}
+
+wire_record!(u64, i64, String);
+
+/// Reads a `u64` record into a narrower integer, rejecting values the
+/// target cannot hold instead of truncating them.
+fn get_narrow<T: TryFrom<u64>>(r: &mut ByteReader<'_>) -> Result<T> {
+    let v = u64::get(r)?;
+    T::try_from(v).map_err(|_| {
+        PangeaError::Corruption(format!(
+            "wire integer {v} out of range for {}",
+            std::any::type_name::<T>()
+        ))
+    })
+}
+
+impl Wire for u32 {
+    fn put(&self, w: &mut ByteWriter) {
+        u64::from(*self).put(w);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        get_narrow(r)
+    }
+}
+
+impl Wire for u8 {
+    fn put(&self, w: &mut ByteWriter) {
+        u64::from(*self).put(w);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        get_narrow(r)
+    }
+
+    fn put_vec(items: &[Self], w: &mut ByteWriter) {
+        w.write_bytes(items);
+    }
+
+    fn get_vec(r: &mut ByteReader<'_>) -> Result<Vec<Self>> {
+        Ok(r.read_bytes()?.to_vec())
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        T::put_vec(self, w);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        T::get_vec(r)
+    }
+}
+
+/// A `u64` presence flag (0 or 1), then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        u64::from(self.is_some()).put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        match u64::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            other => Err(PangeaError::Corruption(format!(
+                "presence flag {other} is neither 0 nor 1"
+            ))),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut ByteWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// [`Wire`] for a struct whose fields travel in the listed order.
+macro_rules! wire_struct {
+    ($($T:ident { $($field:ident),* })*) => {$(
+        impl Wire for $T {
+            fn put(&self, w: &mut ByteWriter) {
+                $(self.$field.put(w);)*
+            }
+
+            fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+                Ok(Self { $($field: Wire::get(r)?),* })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    TraceCtx { job, span }
+    MapSpec { filter, emit }
+    TaskSpec { input, output, map, reduce, scheme, nodes, source, dests }
+    WireCatalogEntry { name, scheme, group, objects, bytes }
+    WireWorker { node, addr, epoch, state }
+    WireSpan { seq, job, span, parent, op, peer, start_ns, end_ns, bytes, outcome }
+}
 
 /// A declarative, wire-safe key extractor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,34 +192,36 @@ pub enum KeySpec {
 const KEY_WHOLE: u64 = 1;
 const KEY_FIELD: u64 = 2;
 
-impl KeySpec {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
+impl Wire for KeySpec {
+    fn put(&self, w: &mut ByteWriter) {
         match self {
-            Self::WholeRecord => w.write_record(&KEY_WHOLE),
+            Self::WholeRecord => KEY_WHOLE.put(w),
             Self::Field { delim, index } => {
-                w.write_record(&KEY_FIELD);
-                w.write_record(&(*delim as u64));
-                w.write_record(&(*index as u64));
+                KEY_FIELD.put(w);
+                delim.put(w);
+                index.put(w);
             }
         }
     }
 
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let tag: u64 = r.read_record()?;
-        Ok(match tag {
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match u64::get(r)? {
             KEY_WHOLE => Self::WholeRecord,
             KEY_FIELD => Self::Field {
-                delim: r.read_record::<u64>()? as u8,
-                index: r.read_record::<u64>()? as u32,
+                delim: Wire::get(r)?,
+                index: Wire::get(r)?,
             },
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown key-spec tag {other}"
-                )))
-            }
+            other => return Err(unknown_tag("key-spec", other)),
         })
     }
+}
 
+/// The error for a discriminant no variant claims.
+fn unknown_tag(kind: &str, tag: u64) -> PangeaError {
+    PangeaError::Corruption(format!("unknown {kind} tag {tag}"))
+}
+
+impl KeySpec {
     /// Extracts this spec's key from a record's bytes.
     pub fn key_of(&self, record: &[u8]) -> Vec<u8> {
         self.key_slice(record).to_vec()
@@ -104,42 +264,37 @@ pub enum SchemeSpec {
 const SCHEME_HASH: u64 = 1;
 const SCHEME_RR: u64 = 2;
 
-impl SchemeSpec {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
+impl Wire for SchemeSpec {
+    fn put(&self, w: &mut ByteWriter) {
         match self {
             Self::Hash {
                 key_name,
                 partitions,
                 key,
             } => {
-                w.write_record(&SCHEME_HASH);
-                w.write_record(key_name);
-                w.write_record(&(*partitions as u64));
+                SCHEME_HASH.put(w);
+                key_name.put(w);
+                partitions.put(w);
                 key.put(w);
             }
             Self::RoundRobin { partitions } => {
-                w.write_record(&SCHEME_RR);
-                w.write_record(&(*partitions as u64));
+                SCHEME_RR.put(w);
+                partitions.put(w);
             }
         }
     }
 
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let tag: u64 = r.read_record()?;
-        let spec = match tag {
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let spec = match u64::get(r)? {
             SCHEME_HASH => Self::Hash {
-                key_name: r.read_record()?,
-                partitions: r.read_record::<u64>()? as u32,
-                key: KeySpec::get(r)?,
+                key_name: Wire::get(r)?,
+                partitions: Wire::get(r)?,
+                key: Wire::get(r)?,
             },
             SCHEME_RR => Self::RoundRobin {
-                partitions: r.read_record::<u64>()? as u32,
+                partitions: Wire::get(r)?,
             },
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown scheme tag {other}"
-                )))
-            }
+            other => return Err(unknown_tag("scheme", other)),
         };
         // The driver-side `PartitionScheme` clamps `partitions` to ≥ 1 at
         // construction; a zero can therefore only reach the wire from a
@@ -152,7 +307,9 @@ impl SchemeSpec {
         }
         Ok(spec)
     }
+}
 
+impl SchemeSpec {
     fn raw_partitions(&self) -> u32 {
         match self {
             Self::Hash { partitions, .. } | Self::RoundRobin { partitions } => *partitions,
@@ -225,42 +382,39 @@ const FILTER_LOST: u64 = 1;
 const FILTER_ALL: u64 = 2;
 const FILTER_ABSENT: u64 = 3;
 
-impl RepairFilter {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
+impl Wire for RepairFilter {
+    fn put(&self, w: &mut ByteWriter) {
         match self {
             Self::Lost {
                 scheme,
                 failed,
                 nodes,
             } => {
-                w.write_record(&FILTER_LOST);
+                FILTER_LOST.put(w);
                 scheme.put(w);
-                w.write_record(&(*failed as u64));
-                w.write_record(&(*nodes as u64));
+                failed.put(w);
+                nodes.put(w);
             }
-            Self::All => w.write_record(&FILTER_ALL),
-            Self::Absent => w.write_record(&FILTER_ABSENT),
+            Self::All => FILTER_ALL.put(w),
+            Self::Absent => FILTER_ABSENT.put(w),
         }
     }
 
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let tag: u64 = r.read_record()?;
-        Ok(match tag {
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match u64::get(r)? {
             FILTER_LOST => Self::Lost {
-                scheme: SchemeSpec::get(r)?,
-                failed: r.read_record::<u64>()? as u32,
-                nodes: r.read_record::<u64>()? as u32,
+                scheme: Wire::get(r)?,
+                failed: Wire::get(r)?,
+                nodes: Wire::get(r)?,
             },
             FILTER_ALL => Self::All,
             FILTER_ABSENT => Self::Absent,
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown repair-filter tag {other}"
-                )))
-            }
+            other => return Err(unknown_tag("repair-filter", other)),
         })
     }
+}
 
+impl RepairFilter {
     /// Compiles the filter into a per-record predicate: `true` means the
     /// record must be shipped. Mirrors `PartitionScheme::node_of` exactly
     /// (`hash(key) % partitions`, partitions striping over nodes), so a
@@ -385,8 +539,8 @@ const CMP_GE: u64 = 4;
 const CMP_EQ: u64 = 5;
 const CMP_NE: u64 = 6;
 
-impl CmpOp {
-    fn wire_tag(self) -> u64 {
+impl Wire for CmpOp {
+    fn put(&self, w: &mut ByteWriter) {
         match self {
             Self::Lt => CMP_LT,
             Self::Le => CMP_LE,
@@ -395,24 +549,23 @@ impl CmpOp {
             Self::Eq => CMP_EQ,
             Self::Ne => CMP_NE,
         }
+        .put(w);
     }
 
-    fn from_wire(tag: u64) -> Result<Self> {
-        Ok(match tag {
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match u64::get(r)? {
             CMP_LT => Self::Lt,
             CMP_LE => Self::Le,
             CMP_GT => Self::Gt,
             CMP_GE => Self::Ge,
             CMP_EQ => Self::Eq,
             CMP_NE => Self::Ne,
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown comparison-op tag {other}"
-                )))
-            }
+            other => return Err(unknown_tag("comparison-op", other)),
         })
     }
+}
 
+impl CmpOp {
     /// Evaluates `lhs <op> rhs`.
     pub fn eval(self, lhs: i64, rhs: i64) -> bool {
         match self {
@@ -438,50 +591,45 @@ const FILTER_KEY_EQUALS: u64 = 1;
 const FILTER_KEY_PRESENT: u64 = 2;
 const FILTER_KEY_COMPARE: u64 = 3;
 
-impl FilterSpec {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
+impl Wire for FilterSpec {
+    fn put(&self, w: &mut ByteWriter) {
         match self {
             Self::KeyEquals { key, value } => {
-                w.write_record(&FILTER_KEY_EQUALS);
+                FILTER_KEY_EQUALS.put(w);
                 key.put(w);
-                w.write_bytes(value);
+                value.put(w);
             }
             Self::KeyPresent { key } => {
-                w.write_record(&FILTER_KEY_PRESENT);
+                FILTER_KEY_PRESENT.put(w);
                 key.put(w);
             }
             Self::KeyCompare { key, cmp, value } => {
-                w.write_record(&FILTER_KEY_COMPARE);
+                FILTER_KEY_COMPARE.put(w);
                 key.put(w);
-                w.write_record(&cmp.wire_tag());
-                w.write_record(&(*value as u64));
+                cmp.put(w);
+                value.put(w);
             }
         }
     }
 
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let tag: u64 = r.read_record()?;
-        Ok(match tag {
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match u64::get(r)? {
             FILTER_KEY_EQUALS => Self::KeyEquals {
-                key: KeySpec::get(r)?,
-                value: r.read_bytes()?.to_vec(),
+                key: Wire::get(r)?,
+                value: Wire::get(r)?,
             },
-            FILTER_KEY_PRESENT => Self::KeyPresent {
-                key: KeySpec::get(r)?,
-            },
+            FILTER_KEY_PRESENT => Self::KeyPresent { key: Wire::get(r)? },
             FILTER_KEY_COMPARE => Self::KeyCompare {
-                key: KeySpec::get(r)?,
-                cmp: CmpOp::from_wire(r.read_record()?)?,
-                value: r.read_record::<u64>()? as i64,
+                key: Wire::get(r)?,
+                cmp: Wire::get(r)?,
+                value: Wire::get(r)?,
             },
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown filter-spec tag {other}"
-                )))
-            }
+            other => return Err(unknown_tag("filter-spec", other)),
         })
     }
+}
 
+impl FilterSpec {
     /// True when `record` passes the filter (allocation-free).
     pub fn keeps(&self, record: &[u8]) -> bool {
         match self {
@@ -525,54 +673,43 @@ const EMIT_KEY: u64 = 2;
 const EMIT_FIELDS: u64 = 3;
 const EMIT_TOKENS: u64 = 4;
 
-impl EmitSpec {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
+impl Wire for EmitSpec {
+    fn put(&self, w: &mut ByteWriter) {
         match self {
-            Self::Record => w.write_record(&EMIT_RECORD),
+            Self::Record => EMIT_RECORD.put(w),
             Self::Key(key) => {
-                w.write_record(&EMIT_KEY);
+                EMIT_KEY.put(w);
                 key.put(w);
             }
             Self::Fields { delim, indices } => {
-                w.write_record(&EMIT_FIELDS);
-                w.write_record(&(*delim as u64));
-                w.write_record(&(indices.len() as u64));
-                for i in indices {
-                    w.write_record(&(*i as u64));
-                }
+                EMIT_FIELDS.put(w);
+                delim.put(w);
+                indices.put(w);
             }
             Self::Tokens { delim } => {
-                w.write_record(&EMIT_TOKENS);
-                w.write_record(&(*delim as u64));
+                EMIT_TOKENS.put(w);
+                delim.put(w);
             }
         }
     }
 
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let tag: u64 = r.read_record()?;
-        Ok(match tag {
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match u64::get(r)? {
             EMIT_RECORD => Self::Record,
-            EMIT_KEY => Self::Key(KeySpec::get(r)?),
-            EMIT_FIELDS => {
-                let delim = r.read_record::<u64>()? as u8;
-                let n: u64 = r.read_record()?;
-                let mut indices = Vec::with_capacity(n.min(1 << 16) as usize);
-                for _ in 0..n {
-                    indices.push(r.read_record::<u64>()? as u32);
-                }
-                Self::Fields { delim, indices }
-            }
-            EMIT_TOKENS => Self::Tokens {
-                delim: r.read_record::<u64>()? as u8,
+            EMIT_KEY => Self::Key(Wire::get(r)?),
+            EMIT_FIELDS => Self::Fields {
+                delim: Wire::get(r)?,
+                indices: Wire::get(r)?,
             },
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown emit-spec tag {other}"
-                )))
-            }
+            EMIT_TOKENS => Self::Tokens {
+                delim: Wire::get(r)?,
+            },
+            other => return Err(unknown_tag("emit-spec", other)),
         })
     }
+}
 
+impl EmitSpec {
     /// Runs `f` over every output this spec emits for `record`, in
     /// order. The single-emit variants call `f` exactly once;
     /// [`EmitSpec::Tokens`] calls it once per non-empty token (possibly
@@ -703,27 +840,6 @@ impl MapSpec {
             }
         }
         Some(self.emit.emit(record))
-    }
-
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        w.write_record(&(self.filter.is_some() as u64));
-        if let Some(f) = &self.filter {
-            f.put(w);
-        }
-        self.emit.put(w);
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let has_filter: u64 = r.read_record()?;
-        let filter = if has_filter != 0 {
-            Some(FilterSpec::get(r)?)
-        } else {
-            None
-        };
-        Ok(Self {
-            filter,
-            emit: EmitSpec::get(r)?,
-        })
     }
 }
 
@@ -929,33 +1045,32 @@ impl ReduceSpec {
         })?;
         Ok((&record[..split], value))
     }
+}
 
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        w.write_record(&match self.op {
+impl Wire for ReduceSpec {
+    fn put(&self, w: &mut ByteWriter) {
+        match self.op {
             ReduceOp::Count => REDUCE_COUNT,
             ReduceOp::Sum => REDUCE_SUM,
             ReduceOp::Min => REDUCE_MIN,
             ReduceOp::Max => REDUCE_MAX,
-        });
+        }
+        .put(w);
         self.key.put(w);
-        w.write_record(&(self.delim as u64));
-        w.write_record(&(self.value_index as u64));
+        self.delim.put(w);
+        self.value_index.put(w);
     }
 
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let op = match r.read_record::<u64>()? {
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let op = match u64::get(r)? {
             REDUCE_COUNT => ReduceOp::Count,
             REDUCE_SUM => ReduceOp::Sum,
             REDUCE_MIN => ReduceOp::Min,
             REDUCE_MAX => ReduceOp::Max,
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown reduce-op tag {other}"
-                )))
-            }
+            other => return Err(unknown_tag("reduce-op", other)),
         };
-        let key = KeySpec::get(r)?;
-        let delim = r.read_record::<u64>()? as u8;
+        let key = Wire::get(r)?;
+        let delim = Wire::get(r)?;
         if !Self::delim_ok(delim) {
             return Err(PangeaError::Corruption(format!(
                 "reduce delimiter {delim:#04x} can appear inside a rendered \
@@ -966,23 +1081,7 @@ impl ReduceSpec {
             key,
             op,
             delim,
-            value_index: r.read_record::<u64>()? as u32,
-        })
-    }
-
-    pub(crate) fn put_opt(spec: &Option<ReduceSpec>, w: &mut ByteWriter) {
-        w.write_record(&(spec.is_some() as u64));
-        if let Some(spec) = spec {
-            spec.put(w);
-        }
-    }
-
-    pub(crate) fn get_opt(r: &mut ByteReader<'_>) -> Result<Option<Self>> {
-        let present: u64 = r.read_record()?;
-        Ok(if present != 0 {
-            Some(Self::get(r)?)
-        } else {
-            None
+            value_index: Wire::get(r)?,
         })
     }
 }
@@ -1021,48 +1120,6 @@ pub struct TaskSpec {
     /// Destination daemons: `(slot, advertised addr)` for every alive
     /// worker.
     pub dests: Vec<(u32, String)>,
-}
-
-impl TaskSpec {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        w.write_record(&self.input);
-        w.write_record(&self.output);
-        self.map.put(w);
-        ReduceSpec::put_opt(&self.reduce, w);
-        self.scheme.put(w);
-        w.write_record(&(self.nodes as u64));
-        w.write_record(&(self.source as u64));
-        w.write_record(&(self.dests.len() as u64));
-        for (node, addr) in &self.dests {
-            w.write_record(&(*node as u64));
-            w.write_record(addr);
-        }
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let input = r.read_record()?;
-        let output = r.read_record()?;
-        let map = MapSpec::get(r)?;
-        let reduce = ReduceSpec::get_opt(r)?;
-        let scheme = SchemeSpec::get(r)?;
-        let nodes = r.read_record::<u64>()? as u32;
-        let source = r.read_record::<u64>()? as u32;
-        let n: u64 = r.read_record()?;
-        let mut dests = Vec::with_capacity(n.min(1 << 20) as usize);
-        for _ in 0..n {
-            dests.push((r.read_record::<u64>()? as u32, r.read_record()?));
-        }
-        Ok(Self {
-            input,
-            output,
-            map,
-            reduce,
-            scheme,
-            nodes,
-            source,
-            dests,
-        })
-    }
 }
 
 /// Outcome of one shipped map task, as acknowledged over the wire
@@ -1126,30 +1183,6 @@ pub struct WireCatalogEntry {
     pub bytes: u64,
 }
 
-impl WireCatalogEntry {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        w.write_record(&self.name);
-        self.scheme.put(w);
-        // 0 marks "no group"; real group ids start at 1.
-        w.write_record(&self.group.unwrap_or(0));
-        w.write_record(&self.objects);
-        w.write_record(&self.bytes);
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let name = r.read_record()?;
-        let scheme = SchemeSpec::get(r)?;
-        let group: u64 = r.read_record()?;
-        Ok(Self {
-            name,
-            scheme,
-            group: (group != 0).then_some(group),
-            objects: r.read_record()?,
-            bytes: r.read_record()?,
-        })
-    }
-}
-
 /// A worker's liveness state at the manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerState {
@@ -1178,37 +1211,22 @@ pub struct WireWorker {
     pub state: WorkerState,
 }
 
-impl WireWorker {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        w.write_record(&(self.node as u64));
-        w.write_record(&self.addr);
-        w.write_record(&self.epoch);
-        w.write_record(&match self.state {
-            WorkerState::Alive => STATE_ALIVE,
-            WorkerState::Dead => STATE_DEAD,
-            WorkerState::Left => STATE_LEFT,
-        });
+impl Wire for WorkerState {
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            Self::Alive => STATE_ALIVE,
+            Self::Dead => STATE_DEAD,
+            Self::Left => STATE_LEFT,
+        }
+        .put(w);
     }
 
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let node = r.read_record::<u64>()? as u32;
-        let addr = r.read_record()?;
-        let epoch = r.read_record()?;
-        let state = match r.read_record::<u64>()? {
-            STATE_ALIVE => WorkerState::Alive,
-            STATE_DEAD => WorkerState::Dead,
-            STATE_LEFT => WorkerState::Left,
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown worker state {other}"
-                )))
-            }
-        };
-        Ok(Self {
-            node,
-            addr,
-            epoch,
-            state,
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match u64::get(r)? {
+            STATE_ALIVE => Self::Alive,
+            STATE_DEAD => Self::Dead,
+            STATE_LEFT => Self::Left,
+            other => return Err(unknown_tag("worker-state", other)),
         })
     }
 }
@@ -1256,18 +1274,20 @@ impl WireMetric {
             | Self::Histogram { name, .. } => name,
         }
     }
+}
 
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
+impl Wire for WireMetric {
+    fn put(&self, w: &mut ByteWriter) {
         match self {
             Self::Counter { name, value } => {
-                w.write_record(&METRIC_COUNTER);
-                w.write_record(name);
-                w.write_record(value);
+                METRIC_COUNTER.put(w);
+                name.put(w);
+                value.put(w);
             }
             Self::Gauge { name, value } => {
-                w.write_record(&METRIC_GAUGE);
-                w.write_record(name);
-                w.write_record(value);
+                METRIC_GAUGE.put(w);
+                name.put(w);
+                value.put(w);
             }
             Self::Histogram {
                 name,
@@ -1275,50 +1295,32 @@ impl WireMetric {
                 sum,
                 buckets,
             } => {
-                w.write_record(&METRIC_HISTOGRAM);
-                w.write_record(name);
-                w.write_record(count);
-                w.write_record(sum);
-                w.write_record(&(buckets.len() as u64));
-                for b in buckets {
-                    w.write_record(b);
-                }
+                METRIC_HISTOGRAM.put(w);
+                name.put(w);
+                count.put(w);
+                sum.put(w);
+                buckets.put(w);
             }
         }
     }
 
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let tag: u64 = r.read_record()?;
-        Ok(match tag {
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match u64::get(r)? {
             METRIC_COUNTER => Self::Counter {
-                name: r.read_record()?,
-                value: r.read_record()?,
+                name: Wire::get(r)?,
+                value: Wire::get(r)?,
             },
             METRIC_GAUGE => Self::Gauge {
-                name: r.read_record()?,
-                value: r.read_record()?,
+                name: Wire::get(r)?,
+                value: Wire::get(r)?,
             },
-            METRIC_HISTOGRAM => {
-                let name = r.read_record()?;
-                let count = r.read_record()?;
-                let sum = r.read_record()?;
-                let n: u64 = r.read_record()?;
-                let mut buckets = Vec::with_capacity(n.min(1 << 10) as usize);
-                for _ in 0..n {
-                    buckets.push(r.read_record()?);
-                }
-                Self::Histogram {
-                    name,
-                    count,
-                    sum,
-                    buckets,
-                }
-            }
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown wire-metric tag {other}"
-                )))
-            }
+            METRIC_HISTOGRAM => Self::Histogram {
+                name: Wire::get(r)?,
+                count: Wire::get(r)?,
+                sum: Wire::get(r)?,
+                buckets: Wire::get(r)?,
+            },
+            other => return Err(unknown_tag("wire-metric", other)),
         })
     }
 }
@@ -1348,36 +1350,6 @@ pub struct WireSpan {
     pub bytes: u64,
     /// `"ok"` or a short error description.
     pub outcome: String,
-}
-
-impl WireSpan {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        w.write_record(&self.seq);
-        w.write_record(&self.job);
-        w.write_record(&self.span);
-        w.write_record(&self.parent);
-        w.write_record(&self.op);
-        w.write_record(&self.peer);
-        w.write_record(&self.start_ns);
-        w.write_record(&self.end_ns);
-        w.write_record(&self.bytes);
-        w.write_record(&self.outcome);
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(Self {
-            seq: r.read_record()?,
-            job: r.read_record()?,
-            span: r.read_record()?,
-            parent: r.read_record()?,
-            op: r.read_record()?,
-            peer: r.read_record()?,
-            start_ns: r.read_record()?,
-            end_ns: r.read_record()?,
-            bytes: r.read_record()?,
-            outcome: r.read_record()?,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,10 @@
-//! Property tests over the wire framing and the protocol codec:
-//! round-trips for arbitrary payloads, corruption on truncation at every
-//! boundary, and oversized-frame rejection.
+//! Property tests over the wire framing and the whole protocol codec:
+//! round-trips for arbitrary payloads and messages, corruption on
+//! truncation at every boundary and on trailing bytes, and
+//! oversized-frame rejection.
 
 use pangea_common::PangeaError;
-use pangea_net::frame::{
-    read_frame, read_frame_corr, write_frame, write_frame_corr, FRAME_CORR_OVERHEAD,
-    FRAME_OVERHEAD, MAX_FRAME,
-};
+use pangea_net::frame::{read_frame_corr, write_frame_corr, FRAME_OVERHEAD, MAX_FRAME};
 use pangea_net::{
     CmpOp, EmitSpec, FilterSpec, KeySpec, MapSpec, ReduceOp, ReduceSpec, RepairFilter, Request,
     Response, SchemeSpec, TaskSpec, TraceCtx, WireCatalogEntry, WireMetric, WireSpan, WireWorker,
@@ -121,17 +119,22 @@ fn state_of(tag: u8) -> WorkerState {
     }
 }
 
-fn roundtrip_req(req: Request) {
+/// Frames `payload` under correlation 1 and unframes it again.
+fn through_a_frame(payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::new();
-    write_frame(&mut buf, &req.encode()).unwrap();
-    let unframed = read_frame(&mut Cursor::new(&buf)).unwrap().unwrap();
+    write_frame_corr(&mut buf, 1, payload).unwrap();
+    let (corr, unframed) = read_frame_corr(&mut Cursor::new(&buf)).unwrap().unwrap();
+    assert_eq!(corr, 1);
+    unframed
+}
+
+fn roundtrip_req(req: Request) {
+    let unframed = through_a_frame(&req.encode());
     assert_eq!(Request::decode(&unframed).unwrap(), req);
 }
 
 fn roundtrip_resp(resp: Response) {
-    let mut buf = Vec::new();
-    write_frame(&mut buf, &resp.encode()).unwrap();
-    let unframed = read_frame(&mut Cursor::new(&buf)).unwrap().unwrap();
+    let unframed = through_a_frame(&resp.encode());
     assert_eq!(Response::decode(&unframed).unwrap(), resp);
 }
 
@@ -144,7 +147,7 @@ fn oversized_page_and_repair_replies_are_rejected_at_the_frame() {
         bytes: vec![7u8; MAX_FRAME + 1],
     };
     let mut buf = Vec::new();
-    match write_frame(&mut buf, &page.encode()) {
+    match write_frame_corr(&mut buf, 1, &page.encode()) {
         Err(PangeaError::InvalidUsage(m)) => assert!(m.contains("exceeds")),
         other => panic!("oversized page must be refused, got {other:?}"),
     }
@@ -154,7 +157,7 @@ fn oversized_page_and_repair_replies_are_rejected_at_the_frame() {
         set: "users".into(),
         records: vec![vec![0u8; MAX_FRAME / 2]; 3],
     };
-    match write_frame(&mut buf, &batch.encode()) {
+    match write_frame_corr(&mut buf, 1, &batch.encode()) {
         Err(PangeaError::InvalidUsage(_)) => {}
         other => panic!("oversized repair batch must be refused, got {other:?}"),
     }
@@ -164,7 +167,7 @@ fn oversized_page_and_repair_replies_are_rejected_at_the_frame() {
         set: "words".into(),
         entries: vec![(7, vec![0u8; MAX_FRAME / 2]); 3],
     };
-    match write_frame(&mut buf, &ingest.encode()) {
+    match write_frame_corr(&mut buf, 1, &ingest.encode()) {
         Err(PangeaError::InvalidUsage(_)) => {}
         other => panic!("oversized ingest batch must be refused, got {other:?}"),
     }
@@ -228,31 +231,9 @@ fn ambiguous_reduce_delimiters_are_rejected_at_decode() {
 }
 
 proptest! {
-    /// Any sequence of payloads frames and unframes identically, in
-    /// order, consuming exactly the overhead the contract names.
-    #[test]
-    fn frames_roundtrip_in_order(
-        payloads in prop::collection::vec(
-            prop::collection::vec(any::<u8>(), 0..512),
-            0..20,
-        )
-    ) {
-        let mut buf = Vec::new();
-        for p in &payloads {
-            write_frame(&mut buf, p).unwrap();
-        }
-        let total: usize = payloads.iter().map(|p| p.len() + FRAME_OVERHEAD).sum();
-        prop_assert_eq!(buf.len(), total);
-        let mut cur = Cursor::new(&buf);
-        for p in &payloads {
-            prop_assert_eq!(&read_frame(&mut cur).unwrap().unwrap(), p);
-        }
-        prop_assert!(read_frame(&mut cur).unwrap().is_none());
-    }
-
-    /// Correlated frames round-trip id and payload exactly, in order,
-    /// and correlation 0 is byte-identical to a legacy frame — the
-    /// header stays version-tolerant in both directions.
+    /// Frames round-trip id and payload exactly, in order, each
+    /// consuming exactly the 12-byte overhead the contract names —
+    /// correlation 0 included.
     #[test]
     fn correlated_frames_roundtrip_in_order(
         frames in prop::collection::vec(
@@ -264,12 +245,7 @@ proptest! {
         for (corr, p) in &frames {
             write_frame_corr(&mut buf, *corr, p).unwrap();
         }
-        let total: usize = frames
-            .iter()
-            .map(|(corr, p)| {
-                p.len() + if *corr == 0 { FRAME_OVERHEAD } else { FRAME_CORR_OVERHEAD }
-            })
-            .sum();
+        let total: usize = frames.iter().map(|(_, p)| p.len() + FRAME_OVERHEAD).sum();
         prop_assert_eq!(buf.len(), total);
         let mut cur = Cursor::new(&buf);
         for (corr, p) in &frames {
@@ -280,26 +256,12 @@ proptest! {
         prop_assert!(read_frame_corr(&mut cur).unwrap().is_none());
     }
 
-    /// A legacy (unflagged) frame decodes through the correlated reader
-    /// as correlation 0 — pre-multiplexing peers stay on strict-serial
-    /// ordering without any handshake.
-    #[test]
-    fn legacy_frames_decode_as_correlation_zero(
-        payload in prop::collection::vec(any::<u8>(), 0..512),
-    ) {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
-        let (corr, got) = read_frame_corr(&mut Cursor::new(&buf)).unwrap().unwrap();
-        prop_assert_eq!(corr, 0);
-        prop_assert_eq!(got, payload);
-    }
-
-    /// Truncating a correlated frame at every cut point — inside the
+    /// Truncating a frame at every cut point — inside the length
     /// prefix, inside the correlation id, or inside the payload — is a
     /// corruption error, never a short or garbled payload.
     #[test]
     fn correlated_truncation_is_always_corruption(
-        corr in 1u64..u64::MAX,
+        corr in any::<u64>(),
         payload in prop::collection::vec(any::<u8>(), 1..256),
         cut_fraction in 0usize..100,
     ) {
@@ -324,25 +286,6 @@ proptest! {
         while let Ok(Some(_)) = read_frame_corr(&mut cur) {}
     }
 
-    /// Truncating a framed stream anywhere inside the final frame turns
-    /// into a corruption error, never a short or garbled payload.
-    #[test]
-    fn truncation_is_always_corruption(
-        payload in prop::collection::vec(any::<u8>(), 1..256),
-        cut_fraction in 0usize..100,
-    ) {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
-        let cut = 1 + cut_fraction * (buf.len() - 1) / 100; // 1..buf.len()
-        if cut < buf.len() {
-            let mut cur = Cursor::new(&buf[..cut]);
-            match read_frame(&mut cur) {
-                Err(PangeaError::Corruption(_)) => {}
-                other => prop_assert!(false, "cut at {cut}: {other:?}"),
-            }
-        }
-    }
-
     /// A length prefix above MAX_FRAME is rejected before any payload
     /// allocation, whatever follows it on the stream.
     #[test]
@@ -352,8 +295,9 @@ proptest! {
     ) {
         let len = (MAX_FRAME as u64 + excess).min(u32::MAX as u64) as u32;
         let mut buf = len.to_le_bytes().to_vec();
+        buf.extend_from_slice(&7u64.to_le_bytes());
         buf.extend_from_slice(&junk);
-        match read_frame(&mut Cursor::new(&buf)) {
+        match read_frame_corr(&mut Cursor::new(&buf)) {
             Err(PangeaError::Corruption(m)) => prop_assert!(m.contains("exceeds")),
             other => prop_assert!(false, "{other:?}"),
         }
@@ -411,8 +355,7 @@ proptest! {
         let entry = WireCatalogEntry {
             name: ident(&name),
             scheme: scheme_spec(&name, partitions, hash, key_spec(delim, index, whole)),
-            // Group ids are nonzero on the wire (0 marks "no group").
-            group: has_group.then_some(group | 1),
+            group: has_group.then_some(group),
             objects,
             bytes,
         };
@@ -696,9 +639,8 @@ proptest! {
         });
     }
 
-    /// A trace context survives the trip on any request, and every
-    /// untraced (pre-envelope) frame decodes with `None` — the trailer
-    /// is strictly additive.
+    /// A trace context in the request header survives the trip, and an
+    /// untraced request decodes with `None`.
     #[test]
     fn trace_contexts_roundtrip_through_frames(
         set in prop::collection::vec(any::<u8>(), 1..16),
@@ -708,56 +650,42 @@ proptest! {
     ) {
         let req = Request::Scan { set: ident(&set) };
         let ctx = TraceCtx { job, span };
-        let mut buf = Vec::new();
         let enc = if traced { req.encode_traced(Some(&ctx)) } else { req.encode() };
-        write_frame(&mut buf, &enc).unwrap();
-        let unframed = read_frame(&mut Cursor::new(&buf)).unwrap().unwrap();
-        let (back, got) = Request::decode_traced(&unframed).unwrap();
+        let (back, got) = Request::decode_traced(&through_a_frame(&enc)).unwrap();
         prop_assert_eq!(back, req);
         prop_assert_eq!(got, if traced { Some(ctx) } else { None });
     }
 
-    /// Truncating a traced frame anywhere never panics: cuts inside the
-    /// trailer decode the request with `None`, cuts inside the body stay
-    /// hard errors.
+    /// Every strict prefix of a traced request is an error: the trace
+    /// context is a header field, so a cut anywhere — inside it or
+    /// inside the body — leaves a field unread.
     #[test]
-    fn truncated_trace_trailer_never_panics(
+    fn traced_requests_reject_every_strict_prefix(
+        set in prop::collection::vec(any::<u8>(), 0..16),
         job in any::<u64>(),
         span in any::<u64>(),
         cut_fraction in 0.0f64..1.0,
     ) {
-        let req = Request::Stats;
-        let body_len = req.encode().len();
+        let req = Request::Scan { set: ident(&set) };
         let enc = req.encode_traced(Some(&TraceCtx { job, span }));
         let cut = ((enc.len() as f64) * cut_fraction) as usize;
-        match Request::decode_traced(&enc[..cut]) {
-            Ok((back, got)) => {
-                prop_assert_eq!(back, req);
-                prop_assert!(cut >= body_len, "body cut must not decode");
-                prop_assert!(got.is_none() || cut == enc.len());
-            }
-            Err(_) => prop_assert!(cut < body_len, "trailer cut must not error"),
-        }
+        prop_assert!(Request::decode_traced(&enc[..cut]).is_err(), "cut at {cut} decoded");
     }
 
-    /// Arbitrary garbage appended after a valid body is ignored by the
-    /// traced decoder (forward compatibility with future trailers) —
-    /// unless it happens to be a complete marked triple.
+    /// Bytes after a complete message are corruption, for requests
+    /// (traced or not) and responses alike: nothing trails a message.
     #[test]
-    fn garbage_trailers_degrade_to_none(
-        junk in prop::collection::vec(any::<u8>(), 0..64),
+    fn trailing_bytes_are_corruption(
+        junk in prop::collection::vec(any::<u8>(), 1..64),
+        traced in any::<bool>(),
     ) {
-        let req = Request::Ping;
-        let mut enc = req.encode();
-        enc.extend_from_slice(&junk);
-        let (back, got) = Request::decode_traced(&enc).unwrap();
-        prop_assert_eq!(back, req);
-        // An 8-byte marker colliding out of random junk is possible in
-        // principle; assert only that a context, when parsed, came from
-        // a junk run long enough to hold the marked triple's records.
-        if got.is_some() {
-            prop_assert!(junk.len() >= 24);
-        }
+        let ctx = traced.then_some(TraceCtx { job: 1, span: 2 });
+        let mut req = Request::Ping.encode_traced(ctx.as_ref());
+        req.extend_from_slice(&junk);
+        prop_assert!(matches!(Request::decode_traced(&req), Err(PangeaError::Corruption(_))));
+        let mut resp = Response::Ok.encode();
+        resp.extend_from_slice(&junk);
+        prop_assert!(matches!(Response::decode(&resp), Err(PangeaError::Corruption(_))));
     }
 
     /// Metrics-dump messages — arbitrary metric mixes, span batches,
@@ -926,7 +854,7 @@ fn oversized_trace_push_is_rejected_at_the_frame() {
         spans: vec![fat.clone(), fat.clone(), fat.clone(), fat],
     };
     let mut buf = Vec::new();
-    match write_frame(&mut buf, &push.encode()) {
+    match write_frame_corr(&mut buf, 1, &push.encode()) {
         Err(PangeaError::InvalidUsage(_)) => {}
         other => panic!("oversized trace push must be refused, got {other:?}"),
     }
