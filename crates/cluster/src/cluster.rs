@@ -158,7 +158,7 @@ struct SimSink {
 }
 
 impl RecordSink for SimSink {
-    fn append(&mut self, from: NodeId, records: &[Vec<u8>]) -> Result<()> {
+    fn append(&mut self, from: NodeId, records: Vec<Vec<u8>>) -> Result<()> {
         if records.is_empty() {
             return Ok(());
         }
@@ -168,12 +168,12 @@ impl RecordSink for SimSink {
         // messages.
         let total: usize = records.iter().map(Vec::len).sum();
         let mut payload = Vec::with_capacity(total);
-        for rec in records {
+        for rec in &records {
             payload.extend_from_slice(rec);
         }
         let delivered = self.net.transfer(from, self.to, &payload)?;
         let mut off = 0;
-        for rec in records {
+        for rec in &records {
             let next = off + rec.len();
             self.writer.add_object(&delivered[off..next])?;
             off = next;

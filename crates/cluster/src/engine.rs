@@ -43,8 +43,9 @@ pub trait RecordSink {
     /// Delivers one batch of records originating from node `from`
     /// (`NodeId(u32::MAX)` = external client). The implementation pays
     /// whatever wire cost the batch incurs and appends every record, in
-    /// order, to the destination set.
-    fn append(&mut self, from: NodeId, records: &[Vec<u8>]) -> Result<()>;
+    /// order, to the destination set. It takes the batch by value, so a
+    /// remote sink ships it without copying.
+    fn append(&mut self, from: NodeId, records: Vec<Vec<u8>>) -> Result<()>;
 
     /// Seals the sink (flushes the destination's in-progress page).
     fn finish(self: Box<Self>) -> Result<()>;
@@ -1303,10 +1304,9 @@ impl SinkSlot {
         if self.pending.is_empty() {
             return Ok(());
         }
-        self.sink.append(self.from, &self.pending)?;
-        self.pending.clear();
         self.pending_bytes = 0;
-        Ok(())
+        self.sink
+            .append(self.from, std::mem::take(&mut self.pending))
     }
 }
 

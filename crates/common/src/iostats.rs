@@ -39,6 +39,34 @@ pub struct IoStats {
     shuffles: Counter,
     shuffle_map_bytes: Counter,
     shuffle_reduce_bytes: Counter,
+    /// `io.disk_write_bytes.{seal,spill,evict}`, indexed by [`WriteCause`].
+    write_cause_bytes: [Counter; 3],
+}
+
+/// Why a page was written to disk: the split of `io.disk_write_bytes`
+/// that says which storage path wrote a workload's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteCause {
+    /// A writer sealed a full (or final) page of a write-through set.
+    Seal,
+    /// A service spilled a pinned page it could no longer keep resident.
+    Spill,
+    /// A dirty page was written back before it left the pool.
+    Evict,
+}
+
+impl WriteCause {
+    /// Every cause, in counter order.
+    pub const ALL: [WriteCause; 3] = [Self::Seal, Self::Spill, Self::Evict];
+
+    /// The metric this cause's bytes are counted under.
+    pub fn metric(self) -> &'static str {
+        match self {
+            Self::Seal => names::IO_DISK_WRITE_BYTES_SEAL,
+            Self::Spill => names::IO_DISK_WRITE_BYTES_SPILL,
+            Self::Evict => names::IO_DISK_WRITE_BYTES_EVICT,
+        }
+    }
 }
 
 impl Default for IoStats {
@@ -75,6 +103,7 @@ impl IoStats {
             shuffles: registry.counter(names::IO_SHUFFLES),
             shuffle_map_bytes: registry.counter(names::IO_SHUFFLE_BYTES_MAP),
             shuffle_reduce_bytes: registry.counter(names::IO_SHUFFLE_BYTES_REDUCE),
+            write_cause_bytes: WriteCause::ALL.map(|cause| registry.counter(cause.metric())),
             registry,
         }
     }
@@ -97,6 +126,18 @@ impl IoStats {
     pub fn record_disk_write(&self, bytes: usize) {
         self.disk_writes.inc();
         self.disk_write_bytes.add(bytes as u64);
+    }
+
+    /// Attributes `bytes` of page writes (already counted by
+    /// [`IoStats::record_disk_write`]) to the path that wrote them.
+    #[inline]
+    pub fn record_write_cause(&self, cause: WriteCause, bytes: usize) {
+        self.write_cause_bytes[cause as usize].add(bytes as u64);
+    }
+
+    /// Page bytes written for `cause` so far.
+    pub fn write_cause_bytes(&self, cause: WriteCause) -> u64 {
+        self.write_cause_bytes[cause as usize].get()
     }
 
     /// Records one page eviction from a buffer pool.
@@ -215,6 +256,9 @@ impl IoStats {
         self.shuffles.set(0);
         self.shuffle_map_bytes.set(0);
         self.shuffle_reduce_bytes.set(0);
+        for c in &self.write_cause_bytes {
+            c.set(0);
+        }
     }
 }
 

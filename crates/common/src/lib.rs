@@ -23,6 +23,6 @@ pub use codec::{decode_record, encode_record, ByteReader, ByteWriter, Record};
 pub use error::{PangeaError, Result};
 pub use hash::{fx_hash64, mix64, record_key, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{Epoch, NodeId, PageId, PageNum, PartitionId, ReplicaGroupId, SetId};
-pub use iostats::{IoStats, IoStatsSnapshot};
+pub use iostats::{IoStats, IoStatsSnapshot, WriteCause};
 pub use throttle::Throttle;
 pub use units::{GB, KB, MB};

@@ -24,8 +24,8 @@ use pangea_cluster::{PartitionKind, PartitionScheme};
 use pangea_common::ReplicaGroupId;
 use pangea_common::{Epoch, FxHashMap, IoStats, NodeId, PangeaError, Result};
 use pangea_net::{
-    MapSpec, PangeaClient, ReduceSpec, RepairFilter, RepairPushReport, SchemeSpec, TaskReport,
-    TaskSpec, WireSpan, WireWorker, WorkerState,
+    MapSpec, PangeaClient, PipelinedPeer, ReduceSpec, RepairFilter, RepairPushReport, SchemeSpec,
+    TaskReport, TaskSpec, WireSpan, WireWorker, WorkerState, DEFAULT_PIPELINE_WINDOW,
 };
 use pangea_obs::{Obs, SpanRecord, TraceCtx};
 use parking_lot::{Mutex, RwLock};
@@ -276,6 +276,20 @@ impl RemoteWorkers {
         out
     }
 
+    /// A fresh connection to slot `n` at `addr`; a refused or reset
+    /// dial is the typed [`PangeaError::NodeUnavailable`].
+    fn dial(&self, n: NodeId, addr: &str) -> Result<PangeaClient> {
+        PangeaClient::connect_with(
+            addr,
+            self.inner.secret.as_deref(),
+            Some(Arc::clone(&self.inner.stats)),
+        )
+        .map_err(|e| match e {
+            PangeaError::Io(_) => PangeaError::NodeUnavailable(n),
+            other => PangeaError::Remote(format!("connecting {n} at {addr}: {other}")),
+        })
+    }
+
     /// The untraced body of [`RemoteWorkers::with_client`]: pool
     /// checkout, the stale-idle-connection retry, and the Io →
     /// `NodeUnavailable` mapping.
@@ -302,15 +316,7 @@ impl RemoteWorkers {
                 }
             }
         }
-        let mut client = PangeaClient::connect_with(
-            addr,
-            self.inner.secret.as_deref(),
-            Some(Arc::clone(&self.inner.stats)),
-        )
-        .map_err(|e| match e {
-            PangeaError::Io(_) => PangeaError::NodeUnavailable(n),
-            other => PangeaError::Remote(format!("connecting {n} at {addr}: {other}")),
-        })?;
+        let mut client = self.dial(n, addr)?;
         client.set_trace(ctx);
         let out = f(&mut client);
         match out {
@@ -332,29 +338,74 @@ impl RemoteWorkers {
     }
 }
 
-/// A sink appending to one remote set: each batch is one `Append` RPC
-/// (the daemon seals its write after every request, so `finish` is a
-/// no-op here).
+/// A sink streaming one load into one remote set over a connection of
+/// its own, held for the dispatcher's life. Its `Append` batches ride
+/// the window loop every pipelined pusher runs ([`PipelinedPeer`], at
+/// [`DEFAULT_PIPELINE_WINDOW`] and paced by the worker's credit), and
+/// the worker's set-owned writer seals each page as it fills. `finish`
+/// drains the window and sends `AppendEnd`, which seals the tail page:
+/// the load is durable once `finish` returns, as a shuffle's output is
+/// once `IngestEnd` returns. Each ack charges its batch's payload bytes
+/// to the shared ledger, mirroring a `SimNetwork` transfer. Loads run
+/// outside traced jobs, so the stream carries no trace context.
 #[derive(Debug)]
 struct RemoteSink {
     workers: RemoteWorkers,
     node: NodeId,
+    addr: String,
     set: String,
+    /// The stream; `None` once it failed or was sealed.
+    peer: Option<PipelinedPeer>,
+}
+
+impl RemoteSink {
+    /// A stream failure: an I/O error means the worker is gone, which
+    /// callers see as the typed [`PangeaError::NodeUnavailable`]. The
+    /// stream is dropped either way — its state is unknown.
+    fn fail(&mut self, e: PangeaError) -> PangeaError {
+        self.peer = None;
+        match e {
+            PangeaError::Io(_) => PangeaError::NodeUnavailable(self.node),
+            other => other,
+        }
+    }
+
+    fn stream(&mut self) -> Result<&mut PipelinedPeer> {
+        let node = self.node;
+        self.peer
+            .as_mut()
+            .ok_or_else(|| PangeaError::usage(format!("the load stream to {node} is closed")))
+    }
 }
 
 impl RecordSink for RemoteSink {
-    fn append(&mut self, _from: NodeId, records: &[Vec<u8>]) -> Result<()> {
+    fn append(&mut self, _from: NodeId, records: Vec<Vec<u8>>) -> Result<()> {
         if records.is_empty() {
             return Ok(());
         }
-        // The RPC *is* the wire: the client charges the batch's payload
-        // bytes to the shared ledger, mirroring a SimNetwork transfer.
-        self.workers
-            .with_client(self.node, |c| c.append(&self.set, records))?;
-        Ok(())
+        let reg = Arc::clone(self.workers.inner.obs.registry());
+        let set = self.set.clone();
+        let sent = self.stream().and_then(|peer| {
+            peer.submit(DEFAULT_PIPELINE_WINDOW, &reg, |c| {
+                c.append_submit(&set, records)
+            })
+        });
+        sent.map(drop).map_err(|e| self.fail(e))
     }
 
-    fn finish(self: Box<Self>) -> Result<()> {
+    fn finish(mut self: Box<Self>) -> Result<()> {
+        let set = self.set.clone();
+        let sealed = self.stream().and_then(|peer| {
+            peer.drain()?;
+            peer.client().append_end(&set)
+        });
+        if let Err(e) = sealed {
+            return Err(self.fail(e));
+        }
+        if let Some(peer) = self.peer.take() {
+            self.workers
+                .check_in(self.node, self.addr, peer.into_client());
+        }
         Ok(())
     }
 }
@@ -386,12 +437,25 @@ impl WorkerBackend for RemoteWorkers {
     }
 
     fn open_sink(&self, n: NodeId, set: &str) -> Result<Box<dyn RecordSink>> {
-        // Fail early if the slot has no address.
-        self.addr_of(n)?;
+        // The slot's pooled connection when a ping proves it live: an
+        // idle one may have gone stale, and a pipelined stream would
+        // only find out at an ack, with batches already lost. The stream
+        // goes back to the pool when the load is sealed.
+        let addr = self.addr_of(n)?;
+        let pooled = self.inner.clients.lock().remove(&n);
+        let live = pooled
+            .filter(|(opened_against, _)| *opened_against == addr)
+            .and_then(|(_, mut client)| client.ping().is_ok().then_some(client));
+        let client = match live {
+            Some(client) => client,
+            None => self.dial(n, &addr)?,
+        };
         Ok(Box::new(RemoteSink {
             workers: self.clone(),
             node: n,
+            addr,
             set: set.to_string(),
+            peer: Some(PipelinedPeer::new(client)),
         }))
     }
 

@@ -9,7 +9,7 @@
 
 use crate::attributes::{SetAttributes, SetOptions};
 use crate::set::LocalitySet;
-use pangea_common::{FxHashMap, IoStats, PageId, PageNum, PangeaError, Result, SetId};
+use pangea_common::{FxHashMap, IoStats, PageId, PageNum, PangeaError, Result, SetId, WriteCause};
 use pangea_paging::{strategy_by_name, CurrentOp, Durability, PageView, PagingStrategy};
 use pangea_storage::{BufferPool, BufferPoolConfig, DiskConfig, DiskManager, PagePin, PagedFile};
 use parking_lot::{Mutex, RwLock};
@@ -397,11 +397,29 @@ impl StorageNode {
     pub(crate) fn seal_page(&self, state: &SetState, pin: &PagePin) -> Result<()> {
         if state.attrs().durability == Durability::WriteThrough {
             let bytes = pin.read();
-            state.file.write_page(pin.page_id().num, &bytes)?;
+            self.write_page(state, pin.page_id().num, &bytes, WriteCause::Seal)?;
             drop(bytes);
             pin.mark_clean();
             self.inner.disks.stats().record_flush();
         }
+        Ok(())
+    }
+
+    /// Writes one page image to its set's file, attributing the bytes
+    /// to `cause` — every page write goes through here, so the
+    /// `io.disk_write_bytes.*` split adds up to the page bytes written.
+    fn write_page(
+        &self,
+        state: &SetState,
+        num: PageNum,
+        bytes: &[u8],
+        cause: WriteCause,
+    ) -> Result<()> {
+        state.file.write_page(num, bytes)?;
+        self.inner
+            .disks
+            .stats()
+            .record_write_cause(cause, bytes.len());
         Ok(())
     }
 
@@ -421,7 +439,7 @@ impl StorageNode {
         let page = pin.page_id();
         {
             let bytes = pin.read();
-            state.file.write_page(page.num, &bytes)?;
+            self.write_page(state, page.num, &bytes, WriteCause::Spill)?;
             self.inner
                 .paging
                 .spill_bytes
@@ -550,7 +568,7 @@ impl StorageNode {
             // we need to make sure that all the changes are written back
             // to the Pangea file system first."
             let bytes = pin.read();
-            state.file.write_page(page.num, &bytes)?;
+            self.write_page(&state, page.num, &bytes, WriteCause::Evict)?;
             self.inner
                 .paging
                 .spill_bytes
@@ -610,8 +628,9 @@ impl StorageNode {
                     continue;
                 };
                 if pin.is_dirty() {
+                    // The write-back an eviction would otherwise do.
                     let bytes = pin.read();
-                    state.file.write_page(num, &bytes)?;
+                    self.write_page(&state, num, &bytes, WriteCause::Evict)?;
                     drop(bytes);
                     pin.mark_clean();
                     self.inner.disks.stats().record_flush();
@@ -716,6 +735,37 @@ mod tests {
         let pin = s.pin_page(0).unwrap();
         let mut it = crate::page::ObjectIter::new(&pin);
         assert_eq!(it.next(), Some(b"persist me".as_slice()));
+    }
+
+    #[test]
+    fn write_causes_sum_to_the_disk_write_counter() {
+        // Pool of 4 pages: a write-through seal, a write-back set of 8
+        // pages written back on eviction, and one explicit spill.
+        let n = node("causes", 16 * KB, 4 * KB);
+        let wt = n.create_set("user", SetOptions::write_through()).unwrap();
+        let mut w = wt.writer();
+        w.add_object(b"sealed").unwrap();
+        w.finish().unwrap();
+        let wb = n.create_set("job", SetOptions::write_back()).unwrap();
+        let mut w = wb.writer();
+        for i in 0..8u64 {
+            w.add_object(&i.to_le_bytes()).unwrap();
+            w.seal_current().unwrap();
+        }
+        w.finish().unwrap();
+        let spilled = n.create_set("hash", SetOptions::write_back()).unwrap();
+        spilled.spill_page_out(spilled.new_page().unwrap()).unwrap();
+
+        let stats = n.disk_stats();
+        let by_cause = WriteCause::ALL.map(|c| stats.write_cause_bytes(c));
+        let page = 4 * KB as u64;
+        assert_eq!(by_cause[WriteCause::Seal as usize], page);
+        assert_eq!(by_cause[WriteCause::Spill as usize], page);
+        assert!(by_cause[WriteCause::Evict as usize] >= page);
+        assert_eq!(
+            by_cause.iter().sum::<u64>(),
+            stats.snapshot().disk_write_bytes
+        );
     }
 
     #[test]

@@ -235,18 +235,28 @@ impl PangeaClient {
         }
     }
 
-    /// Appends records through the remote sequential write service.
-    pub fn append<R: AsRef<[u8]>>(&mut self, set: &str, records: &[R]) -> Result<u64> {
-        let payload_bytes: usize = records.iter().map(|r| r.as_ref().len()).sum();
-        let req = Request::Append {
+    /// Sends one batch of records into the remote set's loader writer
+    /// and returns `(correlation, payload_bytes)` for a later
+    /// [`PangeaClient::ingest_append_await`]; a load ends with
+    /// [`PangeaClient::append_end`]. Takes the batch by value, like
+    /// [`PangeaClient::recover_append_submit`].
+    pub fn append_submit(&mut self, set: &str, records: Vec<Vec<u8>>) -> Result<(u64, usize)> {
+        let payload_bytes: usize = records.iter().map(Vec::len).sum();
+        let corr = self.submit(&Request::Append {
             set: set.to_string(),
-            records: records.iter().map(|r| r.as_ref().to_vec()).collect(),
+            records,
+        })?;
+        Ok((corr, payload_bytes))
+    }
+
+    /// Seals the tail page of the remote set's loader writer: once this
+    /// returns, every record appended before it is durable. Idempotent.
+    pub fn append_end(&mut self, set: &str) -> Result<()> {
+        let req = Request::AppendEnd {
+            set: set.to_string(),
         };
         match self.call(&req)? {
-            Response::Appended { records } => {
-                self.stats.record_net(payload_bytes);
-                Ok(records)
-            }
+            Response::Ok => Ok(()),
             other => Err(Self::unexpected(other)),
         }
     }
@@ -594,9 +604,10 @@ impl PangeaClient {
         Ok((corr, payload_bytes))
     }
 
-    /// Awaits one pipelined session batch — an ingest batch from
+    /// Awaits one pipelined batch — a load batch from
+    /// [`PangeaClient::append_submit`], an ingest batch from
     /// [`PangeaClient::ingest_append_submit`] or a repair batch from
-    /// [`PangeaClient::recover_append_submit`], which both ack with one
+    /// [`PangeaClient::recover_append_submit`], which all ack with one
     /// [`Response::SessionAck`]; returns `(appended, appended_bytes,
     /// credit)` — `credit` is the receiver's current pool-residency
     /// grant, at least 1.

@@ -29,7 +29,11 @@
 //!   served behind the protocol (the `pangead` binary lives in
 //!   `pangea-coord`, next to `pangea-mgr`).
 //! * `session` (crate-private) — the daemon's one begin/append/end
-//!   machine, shared by shuffle ingest and peer repair.
+//!   machine, shared by shuffle ingest and peer repair; `load`
+//!   (crate-private) — the set-owned writers a loader's `Append`s fill.
+//! * [`pipeline`] — [`PipelinedPeer`], the one window loop every
+//!   pipelined push runs: mapper ingest, repair streaming and a
+//!   driver's load.
 //! * [`PangeaClient`] — a thin typed client over one connection.
 //!
 //! Byte accounting matches the in-process `SimNetwork` of
@@ -42,6 +46,8 @@
 
 pub mod client;
 pub mod frame;
+mod load;
+pub mod pipeline;
 pub mod proto;
 pub mod server;
 mod session;
@@ -50,6 +56,7 @@ pub mod wire;
 pub use client::{PangeaClient, RemoteStats};
 pub use frame::{FRAME_OVERHEAD, MAX_FRAME};
 pub use pangea_obs::TraceCtx;
+pub use pipeline::PipelinedPeer;
 pub use proto::{error_response, Request, Response};
 pub use server::{
     metrics_dump_response, serve_instrumented, FramedServer, FramedService, Pangead, PangeadServer,

@@ -30,7 +30,7 @@ use pangea_obs::TraceCtx;
 
 /// Declares the message enums from one table. Each variant names its
 /// fields and its opcode; opcodes are stable over the protocol's life
-/// (add, never renumber — requests 7–10 and responses 7 and 22 are
+/// (add, never renumber — requests 7–10 and responses 3, 7 and 22 are
 /// retired). Fields travel in declaration order, each through [`Wire`].
 /// For every enum this generates the enum itself, `OPCODES`, `name()`,
 /// and `encode_with`/`decode_with`, which put a caller-chosen header
@@ -136,13 +136,23 @@ messages! {
             /// Page size override in bytes.
             page_size: Option<u64>,
         } = 2,
-        /// Appends records through the sequential write service.
+        /// Appends records through the sequential write service: every
+        /// `Append` into a set resumes the set's one loader writer, so
+        /// pages are sealed when full. Acked with a
+        /// [`Response::SessionAck`] whose credit paces a pipelined loader.
         Append {
             /// Target locality set.
             set: String,
             /// Record payloads, written in order.
             records: Vec<Vec<u8>>,
         } = 3,
+        /// Seals the tail page of the set's loader writer and closes it:
+        /// the durability point of a load. Idempotent; `Ok` also when no
+        /// writer is open.
+        AppendEnd {
+            /// Target locality set.
+            set: String,
+        } = 41,
         /// Enumerates a set's page ordinals (dense).
         PageNumbers {
             /// Target locality set.
@@ -408,11 +418,6 @@ messages! {
             /// Raw `SetId` on the serving node.
             set: u64,
         } = 2,
-        /// Records appended.
-        Appended {
-            /// Number of records written.
-            records: u64,
-        } = 3,
         /// Page enumeration.
         Pages {
             /// Dense page ordinals.
@@ -563,10 +568,11 @@ messages! {
             /// Payload bytes the destinations appended.
             appended_bytes: u64,
         } = 24,
-        /// Session acknowledgement, for ingest and repair sessions alike:
-        /// what one [`Request::IngestAppend`]/[`Request::RecoverAppend`]
-        /// batch (or, for [`Request::IngestEnd`]/[`Request::RecoverEnd`],
-        /// the whole session) actually appended after dedup.
+        /// The ack of every pipelined append, for loads, ingest and repair
+        /// sessions alike: what one [`Request::Append`]/
+        /// [`Request::IngestAppend`]/[`Request::RecoverAppend`] batch (or,
+        /// for [`Request::IngestEnd`]/[`Request::RecoverEnd`], the whole
+        /// session) actually appended after dedup.
         SessionAck {
             /// Records appended.
             appended: u64,
@@ -786,6 +792,9 @@ mod tests {
                 set: "events".into(),
                 records: vec![b"a".to_vec(), vec![], b"ccc".to_vec()],
             },
+            Request::AppendEnd {
+                set: "events".into(),
+            },
             Request::PageNumbers { set: "s".into() },
             Request::FetchPage {
                 set: "s".into(),
@@ -905,7 +914,6 @@ mod tests {
         vec![
             Response::Ok,
             Response::Created { set: 9 },
-            Response::Appended { records: 1000 },
             Response::Pages {
                 nums: vec![0, 1, 2, 9],
             },
@@ -1080,7 +1088,7 @@ mod tests {
             ops.dedup();
             assert_eq!(ops.len(), opcodes.len(), "opcodes must be unique");
         }
-        assert_eq!((Request::OPCODES.len(), Response::OPCODES.len()), (36, 26));
+        assert_eq!((Request::OPCODES.len(), Response::OPCODES.len()), (37, 25));
     }
 
     #[test]

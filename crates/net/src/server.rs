@@ -24,13 +24,16 @@
 
 use crate::client::PangeaClient;
 use crate::frame::{read_frame_corr, write_frame_corr};
+use crate::load::LoadWriters;
+use crate::pipeline::PipelinedPeer;
+pub use crate::pipeline::{DEFAULT_PIPELINE_WINDOW, MAX_PIPELINE_WINDOW};
 use crate::proto::{error_response, Request, Response};
 use crate::session::{local_set, Session, SessionTable, Sink, INGEST, REPAIR};
 use crate::wire::{
     ingest_tag, RecordPredicate, RepairFilter, SchemeSpec, TaskReport, TaskSpec, WireMetric,
     WireSpan,
 };
-use pangea_common::{fx_hash64, record_key, FxHashMap, IoStats, PangeaError, Result};
+use pangea_common::{fx_hash64, record_key, FxHashMap, IoStats, PangeaError, Result, WriteCause};
 use pangea_core::{HashConfig, ObjectIter, ReduceBuffer, SetOptions, SpillLedger, StorageNode};
 use pangea_obs::{names, Counter, Gauge, MetricValue, Obs, Registry, SpanRecord, TraceCtx};
 use parking_lot::Mutex;
@@ -740,16 +743,6 @@ const PUSH_BATCH_BYTES: usize = 128 * 1024;
 /// connections for (see [`Pangead::checkin_peer`]).
 const PEER_POOL_CAP: usize = 64;
 
-/// Default pipeline window for this daemon's *outbound* pushes (mapper
-/// ingest fan-out, repair streaming): how many batches may be in flight
-/// on one peer connection before the sender awaits the oldest ack.
-pub const DEFAULT_PIPELINE_WINDOW: u32 = 8;
-
-/// Ceiling on any pipeline window — configured or credit-granted. Caps
-/// the unacked bytes one sender can park in a receiver's socket and
-/// session state (`MAX_PIPELINE_WINDOW * PUSH_BATCH_BYTES` ≈ 8 MB).
-pub const MAX_PIPELINE_WINDOW: u32 = 64;
-
 /// In-memory entries a session dedup ledger holds before spilling
 /// sorted runs through the pool (≈512 KB of heap per session).
 const LEDGER_SPILL_ENTRIES: usize = 64 * 1024;
@@ -758,69 +751,6 @@ const LEDGER_SPILL_ENTRIES: usize = 64 * 1024;
 /// session accumulator grows by page splits under memory headroom, so
 /// roots only set the floor of pinned pages per open session.
 const ACC_ROOT_PARTITIONS: u32 = 2;
-
-/// A checked-out peer connection plus its pipelined-push state: the
-/// correlation ids of unacked submits (oldest first, each with the
-/// payload bytes it carried, for ack-time net accounting) and the
-/// receiver's latest credit grant.
-#[derive(Debug)]
-struct PipelinedPeer {
-    client: PangeaClient,
-    /// `(correlation, payload_bytes)` of unacked submits, oldest first.
-    inflight: VecDeque<(u64, usize)>,
-    /// Latest credit grant from the receiver; `0` = nothing acked yet,
-    /// treated as unconstrained.
-    credit: u64,
-}
-
-impl PipelinedPeer {
-    fn new(client: PangeaClient) -> Self {
-        Self {
-            client,
-            inflight: VecDeque::new(),
-            credit: 0,
-        }
-    }
-
-    /// The window that gates the next submit: the configured window,
-    /// shrunk by the receiver's latest credit grant. Never below 1 — a
-    /// memory-pressured receiver throttles senders to strict-serial,
-    /// it does not starve them (its spill machinery needs batches to
-    /// keep arriving one at a time to make progress against).
-    fn effective_window(&self, configured: u32) -> usize {
-        let configured = configured.max(1) as usize;
-        if self.credit == 0 {
-            configured
-        } else {
-            configured.min(self.credit as usize).max(1)
-        }
-    }
-
-    /// Awaits the oldest outstanding ack, adopting the receiver's fresh
-    /// credit grant. Returns the acked `(appended, appended_bytes)`.
-    fn await_oldest(&mut self) -> Result<(u64, u64)> {
-        // Nothing in flight means nothing to await — a no-op, not a
-        // panic, so callers can drain unconditionally.
-        let Some((corr, payload_bytes)) = self.inflight.pop_front() else {
-            return Ok((0, 0));
-        };
-        let (appended, bytes, credit) = self.client.ingest_append_await(corr, payload_bytes)?;
-        self.credit = credit;
-        Ok((appended, bytes))
-    }
-
-    /// Awaits every outstanding ack — a connection goes back to the pool
-    /// only once nothing is in flight — and returns their summed totals.
-    fn drain(&mut self) -> Result<(u64, u64)> {
-        let (mut appended, mut bytes) = (0u64, 0u64);
-        while !self.inflight.is_empty() {
-            let (a, b) = self.await_oldest()?;
-            appended += a;
-            bytes += b;
-        }
-        Ok((appended, bytes))
-    }
-}
 
 /// A destination's pending batch: `(tag, record)` pairs and their
 /// payload bytes.
@@ -853,6 +783,8 @@ pub struct Pangead {
     /// `ingests`, so a repair session and an ingest session on one set
     /// never replace each other.
     repairs: SessionTable,
+    /// The loader's writers, one per set that `Append`s are filling.
+    loads: LoadWriters,
     /// Pooled *idle* outbound connections to sibling daemons, keyed by
     /// the advertised address they were opened against. A client is
     /// checked out for the duration of one RPC — the pool lock is never
@@ -889,6 +821,7 @@ impl Pangead {
             node,
             ingests: SessionTable::new(INGEST),
             repairs: SessionTable::new(REPAIR),
+            loads: LoadWriters::default(),
             peers: Mutex::new(FxHashMap::default()),
             peer_secret: None,
             pipeline_window: DEFAULT_PIPELINE_WINDOW,
@@ -991,6 +924,16 @@ impl Pangead {
         reg.gauge(names::PAGING_RESIDENT_PAGES)
             .set(p.resident_pages);
         reg.gauge(names::PAGING_PINNED_PAGES).set(p.pinned_pages);
+        // Disk writes live in the node's own counters; the dump carries
+        // their total and its split by cause, so a fleet snapshot says
+        // which path wrote a job's bytes.
+        let disk = self.node.disk_stats();
+        reg.counter(names::IO_DISK_WRITE_BYTES)
+            .set(disk.snapshot().disk_write_bytes);
+        for cause in WriteCause::ALL {
+            reg.counter(cause.metric())
+                .set(disk.write_cause_bytes(cause));
+        }
     }
 
     /// Handles one untraced request, turning node errors into
@@ -1045,16 +988,12 @@ impl Pangead {
                 })
             }
             Request::Append { set, records } => {
-                let set = self.get_set(&set)?;
-                let mut writer = set.writer();
-                for rec in &records {
-                    self.stats.record_net(rec.len());
-                    writer.add_object(rec)?;
-                }
-                writer.finish()?;
-                Ok(Response::Appended {
-                    records: records.len() as u64,
-                })
+                let acked = self.loads.append(&self.node, &set, &records, &self.stats)?;
+                Ok(self.session_ack(acked))
+            }
+            Request::AppendEnd { set } => {
+                self.loads.end(&set)?;
+                Ok(Response::Ok)
             }
             Request::PageNumbers { set } => Ok(Response::Pages {
                 nums: self.get_set(&set)?.page_numbers(),
@@ -1101,13 +1040,14 @@ impl Pangead {
             Request::DropSet { set } => {
                 // Idempotent: dropping a set the node never held is a
                 // no-op, so distributed teardown needs no error parsing.
-                // Session state keyed by this set dies with it, so
-                // tombstones never accumulate across jobs.
+                // Session and loader state keyed by this set dies with
+                // it, so tombstones never accumulate across jobs.
                 self.repairs.forget(&set, self.obs.registry());
                 self.ingests.forget(&set, self.obs.registry());
-                if let Some(set) = self.node.get_set(&set) {
-                    self.node.drop_set(set.id())?;
-                }
+                self.loads.retire(&set, || match self.node.get_set(&set) {
+                    Some(set) => self.node.drop_set(set.id()),
+                    None => Ok(()),
+                })?;
                 Ok(Response::Ok)
             }
             Request::Stats => {
@@ -1261,8 +1201,10 @@ impl Pangead {
                         page_size: Some(existing.page_size()),
                         estimated_pages: None,
                     };
-                    self.node.drop_set(existing.id())?;
-                    self.node.create_set(&set, options)?;
+                    self.loads.retire(&set, || {
+                        self.node.drop_set(existing.id())?;
+                        self.node.create_set(&set, options)
+                    })?;
                     let sink = match reduce {
                         Some(spec) => {
                             let acc = ReduceBuffer::create(
@@ -1636,7 +1578,7 @@ impl Pangead {
         };
         let output = &route.spec.output;
         let submit = |c: &mut PangeaClient| c.ingest_append_submit(output, entries);
-        match self.pipelined_submit(peer, route.window, submit) {
+        match peer.submit(route.window, self.obs.registry(), submit) {
             Ok(acked) => Ok(acked),
             Err(e) => {
                 // Dropped, not returned — and counted, so a failed push
@@ -1647,36 +1589,6 @@ impl Pangead {
                 Err(e)
             }
         }
-    }
-
-    /// One pipelined submit against a peer: make window room (awaiting
-    /// oldest acks, with credit-stall accounting), then send. Returns
-    /// the totals of whatever acks were drained for room.
-    fn pipelined_submit(
-        &self,
-        peer: &mut PipelinedPeer,
-        window: u32,
-        submit: impl FnOnce(&mut PangeaClient) -> Result<(u64, usize)>,
-    ) -> Result<(u64, u64)> {
-        let reg = self.obs.registry();
-        let (mut appended, mut bytes) = (0u64, 0u64);
-        while peer.inflight.len() >= peer.effective_window(window) {
-            let credit_limited = peer.effective_window(window) < window.max(1) as usize;
-            let start = Instant::now();
-            let (a, b) = peer.await_oldest()?;
-            appended += a;
-            bytes += b;
-            if credit_limited {
-                reg.counter(names::NET_CREDIT_STALLS).inc();
-                reg.counter(names::NET_CREDIT_STALLS_MS)
-                    .add(start.elapsed().as_millis() as u64);
-            }
-        }
-        let (corr, payload_bytes) = submit(&mut peer.client)?;
-        peer.inflight.push_back((corr, payload_bytes));
-        reg.histogram(names::NET_INFLIGHT)
-            .observe(peer.inflight.len() as u64);
-        Ok((appended, bytes))
     }
 
     /// The survivor half of peer repair: scan the local `source_set`,
@@ -1768,7 +1680,7 @@ impl Pangead {
                 return Ok(());
             }
             let records = std::mem::take(batch);
-            let (a, b) = self.pipelined_submit(peer, self.pipeline_window, |c| {
+            let (a, b) = peer.submit(self.pipeline_window, self.obs.registry(), |c| {
                 c.recover_append_submit(target_set, records)
             })?;
             appended += a;
@@ -1928,6 +1840,16 @@ mod tests {
         .unwrap()
     }
 
+    /// Loads `rows` into `set` as one pipelined batch, seals the load,
+    /// and returns the acked record count.
+    fn load<R: AsRef<[u8]>>(c: &mut PangeaClient, set: &str, rows: &[R]) -> u64 {
+        let records = rows.iter().map(|r| r.as_ref().to_vec()).collect();
+        let (corr, bytes) = c.append_submit(set, records).unwrap();
+        let (appended, ..) = c.ingest_append_await(corr, bytes).unwrap();
+        c.append_end(set).unwrap();
+        appended
+    }
+
     /// Page pins (hits and reloads) the node has served so far.
     fn pins(node: &StorageNode) -> u64 {
         let s = node.paging_stats();
@@ -1953,7 +1875,21 @@ mod tests {
             set: "events".into(),
             records: vec![b"a".to_vec(), b"bb".to_vec()],
         });
-        assert_eq!(resp, Response::Appended { records: 2 });
+        assert!(
+            matches!(
+                resp,
+                Response::SessionAck {
+                    appended: 2,
+                    bytes: 3,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
+        let end = Request::AppendEnd {
+            set: "events".into(),
+        };
+        assert_eq!(d.handle(end), Response::Ok);
         match d.handle(Request::Scan {
             set: "events".into(),
         }) {
@@ -1988,6 +1924,89 @@ mod tests {
             }),
             Response::Err { .. }
         ));
+    }
+
+    #[test]
+    fn loader_writer_follows_the_set_across_drop_and_truncate() {
+        let d = Pangead::new(node("load-writer"));
+        let create = || Request::CreateSet {
+            name: "events".into(),
+            durability: "write-through".into(),
+            page_size: None,
+        };
+        let append = |rec: &str| {
+            let records = vec![rec.as_bytes().to_vec()];
+            match d.handle(Request::Append {
+                set: "events".into(),
+                records,
+            }) {
+                Response::SessionAck { appended: 1, .. } => {}
+                other => panic!("{other:?}"),
+            }
+        };
+        let end = || {
+            let end = Request::AppendEnd {
+                set: "events".into(),
+            };
+            assert_eq!(d.handle(end), Response::Ok);
+        };
+        let scan = || match d.handle(Request::Scan {
+            set: "events".into(),
+        }) {
+            Response::Records { records } => records,
+            other => panic!("{other:?}"),
+        };
+        assert!(matches!(d.handle(create()), Response::Created { .. }));
+        // No writer open yet: the end is a no-op.
+        end();
+
+        // A writer left open on the set's first life...
+        append("old");
+        let drop = Request::DropSet {
+            set: "events".into(),
+        };
+        assert_eq!(d.handle(drop), Response::Ok);
+        assert!(matches!(d.handle(create()), Response::Created { .. }));
+        // ...never receives an append into its second life.
+        append("new");
+        end();
+        end();
+        assert_eq!(scan(), vec![b"new".to_vec()]);
+
+        // The same across the truncation an `IngestBegin` does.
+        append("stale");
+        let begin = Request::IngestBegin {
+            set: "events".into(),
+            reduce: None,
+        };
+        assert_eq!(d.handle(begin), Response::Ok);
+        append("fresh");
+        end();
+        assert_eq!(scan(), vec![b"fresh".to_vec()]);
+        let ingest_end = Request::IngestEnd {
+            set: "events".into(),
+        };
+        assert!(matches!(d.handle(ingest_end), Response::SessionAck { .. }));
+        assert_eq!(d.node().paging_stats().pinned_pages, 0);
+        // Sealed once, at the end: one page written per load.
+        let page = 4 * pangea_common::KB as u64;
+        let sealed = d.node().disk_stats().write_cause_bytes(WriteCause::Seal);
+        assert_eq!(sealed, 4 * page);
+        // The dump says so too.
+        let dump = d.handle(Request::MetricsDump {
+            metrics_start: 0,
+            spans_start: 0,
+        });
+        let Response::Metrics { metrics, .. } = dump else {
+            panic!("{dump:?}");
+        };
+        let seal = metrics.iter().find_map(|m| match m {
+            WireMetric::Counter { name, value } if name == WriteCause::Seal.metric() => {
+                Some(*value)
+            }
+            _ => None,
+        });
+        assert_eq!(seal, Some(sealed));
     }
 
     #[test]
@@ -2054,7 +2073,7 @@ mod tests {
             PangeaClient::connect_with_secret(server.local_addr(), Some("letmein")).unwrap();
         authed.ping().unwrap();
         authed.create_set("ok", "write-through", None).unwrap();
-        assert_eq!(authed.append("ok", &["x"]).unwrap(), 1);
+        assert_eq!(load(&mut authed, "ok", &["x"]), 1);
     }
 
     #[test]
@@ -2287,7 +2306,7 @@ mod tests {
         sc.create_set("src", "write-through", None).unwrap();
         rc.create_set("tgt", "write-through", None).unwrap();
         let rows: Vec<String> = (0..60).map(|i| format!("{}|row-{i}", i % 7)).collect();
-        sc.append("src", &rows).unwrap();
+        load(&mut sc, "src", &rows);
 
         // Lost filter: only records placing on slot 1 of a 3-node fleet.
         let filter = crate::wire::RepairFilter::Lost {
@@ -2337,7 +2356,7 @@ mod tests {
         // (the round-robin path): nothing new is appended. The survivor
         // plays the peer, holding the whole "tgt2" surviving share.
         sc.create_set("tgt2", "write-through", None).unwrap();
-        sc.append("tgt2", &rows).unwrap();
+        load(&mut sc, "tgt2", &rows);
         rc.create_set("tgt2", "write-through", None).unwrap();
         rc.recover_begin("tgt2", &[survivor.local_addr().to_string()])
             .unwrap();
@@ -2378,10 +2397,10 @@ mod tests {
         sc.create_set("src", "write-through", None).unwrap();
         rc.create_set("tgt", "write-through", None).unwrap();
         let rows: Vec<String> = (0..60).map(|i| format!("{i}|row-{i}")).collect();
-        sc.append("src", &rows).unwrap();
+        load(&mut sc, "src", &rows);
         // The replacement already holds a surviving share of 20 rows;
         // RecoverBegin seeds the session ledger from them.
-        rc.append("tgt", &rows[..20]).unwrap();
+        load(&mut rc, "tgt", &rows[..20]);
         rc.recover_begin("tgt", &[]).unwrap();
 
         // The ledger RPC pages the seeded hashes.
@@ -2439,10 +2458,10 @@ mod tests {
             .map(|i| &rows[i])
             .collect();
         for chunk in rows.chunks(8192) {
-            sc.append("src", chunk).unwrap();
+            load(&mut sc, "src", chunk);
         }
         for chunk in held.chunks(8192) {
-            rc.append("tgt", chunk).unwrap();
+            load(&mut rc, "tgt", chunk);
         }
         rc.recover_begin("tgt", &[]).unwrap();
 
@@ -3214,7 +3233,7 @@ mod tests {
         let rows: Vec<String> = (0..80)
             .map(|i| format!("{}|w{}|junk", i % 2, i % 9))
             .collect();
-        mc.append("lines", &rows).unwrap();
+        load(&mut mc, "lines", &rows);
         for c in [&mut c0, &mut c1] {
             c.create_set("words", "write-through", None).unwrap();
             c.ingest_begin("words", None).unwrap();
@@ -3489,7 +3508,7 @@ mod tests {
             PangeaClient::connect_with_secret(replacement.local_addr(), Some("acct-secret"))
                 .unwrap();
         sc.create_set("src", "write-through", None).unwrap();
-        sc.append("src", &["a|1", "b|2"]).unwrap();
+        load(&mut sc, "src", &["a|1", "b|2"]);
         rc.create_set("tgt", "write-through", None).unwrap();
 
         let balanced = |d: &Pangead| {

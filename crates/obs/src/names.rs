@@ -23,6 +23,12 @@ pub const IO_DISK_READ_BYTES: &str = "io.disk_read_bytes";
 pub const IO_DISK_WRITES: &str = "io.disk_writes";
 /// Bytes written to disk.
 pub const IO_DISK_WRITE_BYTES: &str = "io.disk_write_bytes";
+/// Page bytes written because a writer sealed a write-through page.
+pub const IO_DISK_WRITE_BYTES_SEAL: &str = "io.disk_write_bytes.seal";
+/// Page bytes written because a service spilled a pinned page.
+pub const IO_DISK_WRITE_BYTES_SPILL: &str = "io.disk_write_bytes.spill";
+/// Page bytes written back because a dirty page was evicted.
+pub const IO_DISK_WRITE_BYTES_EVICT: &str = "io.disk_write_bytes.evict";
 /// Pages evicted from a buffer pool.
 pub const IO_PAGES_EVICTED: &str = "io.pages_evicted";
 /// Dirty pages flushed.

@@ -40,7 +40,19 @@ fn main() -> Result<()> {
 
     client.create_set("events", "write-through", None)?;
     let events: Vec<String> = (0..10_000).map(|i| format!("event-{i:05}")).collect();
-    let appended = client.append("events", &events)?;
+    // A load is a stream of `Append` batches, all in flight before the
+    // first ack is read; the daemon writes them through one sequential
+    // writer, and `append_end` seals the tail page.
+    let mut inflight = Vec::new();
+    for batch in events.chunks(256) {
+        let records = batch.iter().map(|e| e.as_bytes().to_vec()).collect();
+        inflight.push(client.append_submit("events", records)?);
+    }
+    let mut appended = 0;
+    for (corr, bytes) in inflight {
+        appended += client.ingest_append_await(corr, bytes)?.0;
+    }
+    client.append_end("events")?;
     println!("appended {appended} records to 'events'");
 
     let pages = client.page_numbers("events")?;

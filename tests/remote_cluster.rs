@@ -267,3 +267,60 @@ fn snapshot_set(cluster: &RemoteCluster, name: &str) -> BTreeMap<Vec<u8>, u32> {
     .unwrap();
     m
 }
+
+/// A load streams into one writer per worker: with default batching,
+/// each worker ends with as many pages of the set as the in-process
+/// `SimCluster` fills from the same input, and writes each of them
+/// exactly once — sealed full, or sealed as the tail at `finish`.
+#[test]
+fn streamed_load_fills_pages_like_the_sim_and_writes_each_once() {
+    let mgr = MgrServer::bind_with(
+        "127.0.0.1:0",
+        Duration::from_millis(300),
+        Some(SECRET.into()),
+    )
+    .unwrap();
+    let mgr_addr = mgr.local_addr().to_string();
+    let servers: Vec<_> = (0..3)
+        .map(|slot| worker(&format!("stream{slot}"), &mgr_addr, slot))
+        .collect();
+    let cluster = RemoteCluster::connect(&mgr_addr, Some(SECRET)).unwrap();
+    let scheme = PartitionScheme::hash_field("uid", 6, b'|', 0);
+    let rows = records(4000);
+
+    let set = cluster.create_dist_set("users", scheme.clone()).unwrap();
+    let node = |slot: usize| servers[slot].0.daemon().node().clone();
+    let written = |slot: usize| node(slot).disk_stats().snapshot().disk_write_bytes;
+    let before: Vec<u64> = (0..3).map(written).collect();
+    let mut d = set.loader().unwrap();
+    for row in &rows {
+        d.dispatch(row.as_bytes()).unwrap();
+    }
+    d.finish().unwrap();
+
+    let config = ClusterConfig::new(dir("stream-sim"), 3)
+        .with_pool_capacity(256 * KB)
+        .with_page_size(4 * KB);
+    let sim = SimCluster::bootstrap(config, "pangea-default-keypair").unwrap();
+    let sim_set = sim.create_dist_set("users", scheme).unwrap();
+    let mut d = sim_set.loader().unwrap();
+    for row in &rows {
+        d.dispatch(row.as_bytes()).unwrap();
+    }
+    d.finish().unwrap();
+
+    for (slot, before) in before.into_iter().enumerate() {
+        let remote = node(slot).get_set("users").unwrap();
+        let pages = remote.num_pages();
+        let sim_pages = sim_set.local(NodeId(slot as u32)).unwrap().num_pages();
+        assert!(pages > 1, "slot {slot} holds a multi-page share");
+        assert_eq!(pages, sim_pages, "slot {slot} fills pages like the sim");
+        assert_eq!(
+            written(slot) - before,
+            pages * 4 * KB as u64,
+            "slot {slot} writes each page of the load once"
+        );
+        assert_eq!(node(slot).paging_stats().pinned_pages, 0);
+    }
+    assert_eq!(snapshot_set(&cluster, "users").values().sum::<u32>(), 4000);
+}

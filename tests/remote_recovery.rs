@@ -583,3 +583,67 @@ fn dispatch_flush_into_freshly_dead_worker_is_a_typed_error() {
         "a dead worker must fail fast, not hang the flush"
     );
 }
+
+/// A worker killed with a full window of `Append`s in flight fails the
+/// load typed and fast, and the failed load leaks no open writer: once
+/// the set is dropped, no survivor holds a pinned page.
+#[test]
+fn kill_with_a_full_append_window_fails_typed_and_leaks_no_writer() {
+    let (_mgr, mgr_addr) = mgr_server();
+    let (s0, _a0) = worker("w0", &mgr_addr, 0);
+    let (mut s1, mut a1) = worker("w1", &mgr_addr, 1);
+    let (s2, _a2) = worker("w2", &mgr_addr, 2);
+
+    let cluster = RemoteCluster::connect(&mgr_addr, Some(SECRET)).unwrap();
+    let set = cluster
+        .create_dist_set("events", PartitionScheme::round_robin(3))
+        .unwrap();
+    let mut d = set
+        .loader_with(DispatchConfig {
+            max_batch_records: 8,
+            max_batch_bytes: 64 * KB,
+        })
+        .unwrap();
+    // Round-robin: eight batches of eight per worker, none acked yet —
+    // a full default window on every stream.
+    for i in 0..3 * 64u32 {
+        d.dispatch(format!("{i}|before-death").as_bytes()).unwrap();
+    }
+
+    a1.abandon();
+    s1.shutdown();
+
+    let started = Instant::now();
+    let mut outcome = Ok(());
+    for i in 0..3 * 64u32 {
+        if let Err(e) = d.dispatch(format!("{i}|after-death").as_bytes()) {
+            outcome = Err(e);
+            break;
+        }
+    }
+    if outcome.is_ok() {
+        outcome = d.finish();
+    } else {
+        drop(d);
+    }
+    match outcome {
+        Err(PangeaError::NodeUnavailable(n)) => assert_eq!(n, NodeId(1)),
+        other => panic!("expected typed NodeUnavailable(node#1), got {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "a dead worker must fail the load fast, not hang it"
+    );
+
+    wait_dead(&cluster, &[NodeId(1)]);
+    cluster.drop_dist_set("events").unwrap();
+    for (slot, server) in [(0, &s0), (2, &s2)] {
+        let node = server.daemon().node();
+        assert!(node.get_set("events").is_none(), "slot {slot} dropped");
+        assert_eq!(
+            node.paging_stats().pinned_pages,
+            0,
+            "slot {slot} holds no page of the failed load"
+        );
+    }
+}

@@ -28,6 +28,16 @@ fn small_node(tag: &str) -> StorageNode {
     .unwrap()
 }
 
+/// Loads `rows` into `set` as one pipelined batch, seals the load, and
+/// returns the acked record count.
+fn load<R: AsRef<[u8]>>(client: &mut PangeaClient, set: &str, rows: &[R]) -> u64 {
+    let records = rows.iter().map(|r| r.as_ref().to_vec()).collect();
+    let (corr, bytes) = client.append_submit(set, records).unwrap();
+    let (appended, ..) = client.ingest_append_await(corr, bytes).unwrap();
+    client.append_end(set).unwrap();
+    appended
+}
+
 /// The recovery read path over the wire: fetch raw remote pages and
 /// parse them with the page codec, as a recovering node would.
 #[test]
@@ -36,7 +46,7 @@ fn fetch_page_supports_remote_recovery_reads() {
     let mut client = PangeaClient::connect(server.local_addr()).unwrap();
     client.create_set("events", "write-back", None).unwrap();
     let rows: Vec<String> = (0..300).map(|i| format!("event-{i:05}")).collect();
-    assert_eq!(client.append("events", &rows).unwrap(), 300);
+    assert_eq!(load(&mut client, "events", &rows), 300);
 
     let mut restored = Vec::new();
     for num in client.page_numbers("events").unwrap() {
@@ -66,5 +76,5 @@ fn remote_errors_round_trip_cleanly() {
     // The connection survives the error.
     client.ping().unwrap();
     client.create_set("ok", "write-through", None).unwrap();
-    assert_eq!(client.append("ok", &["x"]).unwrap(), 1);
+    assert_eq!(load(&mut client, "ok", &["x"]), 1);
 }
