@@ -30,9 +30,7 @@ use crate::replication::colliding_set_name;
 use pangea_common::{
     record_key, FxHashMap, FxHashSet, NodeId, PangeaError, ReplicaGroupId, Result,
 };
-use pangea_net::{
-    KeySpec, MapSpec, ReduceSpec, RepairFilter, RepairPushReport, SchemeSpec, TaskReport,
-};
+use pangea_net::{Job, KeySpec, MapSpec, ReduceSpec, RepairFilter, RepairPushReport, TaskReport};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -134,39 +132,27 @@ pub trait WorkerBackend: fmt::Debug + Send + Sync {
 /// the storage fabric scans, maps, and moves the bytes.
 ///
 /// Implementations must be callable from multiple threads at once — the
-/// engine runs one [`TaskExec::map_task`] per worker in parallel. Tasks
+/// engine runs each step on every node in parallel ([`fan_out`]). Tasks
 /// are idempotent by contract: each destination's ingest session dedups
 /// on provenance tags, so a retried or duplicated task never
 /// double-appends.
 pub trait TaskExec: Send + Sync {
-    /// Opens (or resets) the shuffle-ingest session for `set` on the
-    /// destination node, truncating its local share. With a `reduce`,
-    /// the session folds incoming partials into a keyed accumulator
-    /// (materialized at [`TaskExec::ingest_end`]) instead of appending
-    /// record-for-record.
-    fn ingest_begin(&self, dest: NodeId, set: &str, reduce: Option<&ReduceSpec>) -> Result<()>;
+    /// Opens (or resets) the shuffle-ingest session for the job's
+    /// output on the destination node, truncating its local share. With
+    /// a reduce, the session folds incoming partials into a keyed
+    /// accumulator (materialized at [`TaskExec::ingest_end`]) instead
+    /// of appending record-for-record.
+    fn ingest_begin(&self, dest: NodeId, job: &Job) -> Result<()>;
 
-    /// Ships one map task to `worker`: scan the local share of `input`,
-    /// apply `map` (combining per key first when `reduce` is given),
-    /// route by `scheme` striping over `nodes`, and stream straight to
-    /// the destinations' ingest sessions for `output`.
-    // Named debt: a map job's inputs still travel as loose arguments
-    // here and in `map_shuffle_tasks`, not yet as one job value.
-    #[allow(clippy::too_many_arguments)]
-    fn map_task(
-        &self,
-        worker: NodeId,
-        input: &str,
-        output: &str,
-        map: &MapSpec,
-        reduce: Option<&ReduceSpec>,
-        scheme: &SchemeSpec,
-        nodes: u32,
-    ) -> Result<TaskReport>;
+    /// Ships the job to `worker` as one map task: scan the local share
+    /// of its input, map (combining per key first under a reduce),
+    /// route by its scheme, and stream straight to the destinations'
+    /// ingest sessions for its output.
+    fn map_task(&self, worker: NodeId, job: &Job) -> Result<TaskReport>;
 
-    /// Seals the destination's ingest session; returns its
-    /// `(appended, appended_bytes)` totals.
-    fn ingest_end(&self, dest: NodeId, set: &str) -> Result<(u64, u64)>;
+    /// Seals the destination's ingest session for the job's output;
+    /// returns its `(appended, appended_bytes)` totals.
+    fn ingest_end(&self, dest: NodeId, job: &Job) -> Result<(u64, u64)>;
 }
 
 /// Worker→worker repair operations (paper §7 recovery without bouncing
@@ -590,16 +576,19 @@ impl ClusterCore {
         // Every validation runs before anything destructive: a rejected
         // job (closure-keyed scheme, dead slot) must never have dropped
         // the caller's existing output set first.
-        let spec = match self.workers.task_exec() {
+        let shipped = match self.workers.task_exec() {
             None => None,
-            Some(_) => Some(scheme.to_spec().map_err(|_| {
-                PangeaError::NotWireSafe(format!(
-                    "scheme '{}' is keyed by an opaque closure (a UDF) and \
-                     cannot ship with a map task; build it with \
-                     hash_field/hash_whole",
-                    scheme.key_name
-                ))
-            })?),
+            Some(exec) => Some((
+                exec,
+                scheme.to_spec().map_err(|_| {
+                    PangeaError::NotWireSafe(format!(
+                        "scheme '{}' is keyed by an opaque closure (a UDF) and \
+                         cannot ship with a map task; build it with \
+                         hash_field/hash_whole",
+                        scheme.key_name
+                    ))
+                })?,
+            )),
         };
         // Every slot holds a share of the input; running with a dead
         // slot would silently drop that share from the output (or fail
@@ -628,11 +617,19 @@ impl ClusterCore {
             }
             self.drop_dist_set(output)?;
         }
-        match (self.workers.task_exec(), spec) {
-            (Some(exec), Some(spec)) => {
-                self.map_shuffle_tasks(exec, &src, output, map, reduce, &spec, scheme, start)
+        match shipped {
+            Some((exec, spec)) => {
+                let job = Job {
+                    input: input.to_string(),
+                    output: output.to_string(),
+                    map: map.clone(),
+                    reduce: reduce.cloned(),
+                    scheme: spec,
+                    nodes: self.workers.num_nodes(),
+                };
+                self.map_shuffle_tasks(exec, &job, scheme, start)
             }
-            _ => self.map_shuffle_serial(&src, output, map, reduce, scheme, start),
+            None => self.map_shuffle_serial(&src, output, map, reduce, scheme, start),
         }
     }
 
@@ -719,98 +716,41 @@ impl ClusterCore {
     }
 
     /// The distributed path: ingest sessions bracket one shipped task
-    /// per worker, all tasks in flight at once (one orchestration
-    /// thread — and thus one `TaskRun` RPC — per worker). Sessions are
-    /// sealed whatever happens, and the sealed totals — not the task
-    /// acks — are authoritative for the materialized output (a task
-    /// whose ack was lost still appended for real).
-    // Named debt: see `TaskExec::map_task`.
-    #[allow(clippy::too_many_arguments)]
+    /// per worker, and each step — begins, tasks, ends — runs on every
+    /// node at once ([`fan_out`]). Sessions are sealed whatever happens,
+    /// and the sealed totals — not the task acks — are authoritative
+    /// for the materialized output (a task whose ack was lost still
+    /// appended for real).
     fn map_shuffle_tasks(
         &self,
         exec: &dyn TaskExec,
-        src: &EngineSet,
-        output: &str,
-        map: &MapSpec,
-        reduce: Option<&ReduceSpec>,
-        spec: &SchemeSpec,
+        job: &Job,
         scheme: PartitionScheme,
         start: Instant,
     ) -> Result<MapShuffleReport> {
-        self.create_dist_set(output, scheme)?;
+        self.create_dist_set(&job.output, scheme)?;
         let alive = self.workers.alive_nodes();
-        let nodes = self.workers.num_nodes();
-        for &dest in &alive {
-            exec.ingest_begin(dest, output, reduce)?;
-        }
-        let input = src.name();
-        let outcome: Result<Vec<(NodeId, TaskReport)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = alive
-                .iter()
-                .map(|&worker| {
-                    s.spawn(move || {
-                        exec.map_task(worker, input, output, map, reduce, spec, nodes)
-                            .map(|r| (worker, r))
-                    })
-                })
-                .collect();
-            // Join everything, then pick the error to surface: a typed
-            // NodeUnavailable (the worker is *gone*) beats whatever
-            // secondary failures its death caused in sibling tasks that
-            // were pushing to it.
-            let results: Vec<Result<(NodeId, TaskReport)>> = handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err(PangeaError::Remote("a map task panicked".into())))
-                })
-                .collect();
-            let mut tasks = Vec::new();
-            let mut first_err: Option<PangeaError> = None;
-            for r in results {
-                match r {
-                    Ok(t) => tasks.push(t),
-                    Err(e) => {
-                        let prefer = matches!(e, PangeaError::NodeUnavailable(_))
-                            && !matches!(first_err, Some(PangeaError::NodeUnavailable(_)));
-                        if first_err.is_none() || prefer {
-                            first_err = Some(e);
-                        }
-                    }
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(tasks),
-            }
-        });
+        fan_out(&alive, |dest| exec.ingest_begin(dest, job))?;
+        let tasks = fan_out(&alive, |worker| exec.map_task(worker, job));
         // Seal every session whatever happened: a failed job must not
         // leave destinations holding tag ledgers forever. (Should a
         // seal itself fail — daemon unreachable — the retry's
         // `ingest_begin` replaces the session.)
-        let mut end_err: Option<PangeaError> = None;
+        let ends = fan_out(&alive, |dest| exec.ingest_end(dest, job));
+        let tasks: Vec<(NodeId, TaskReport)> = alive.iter().copied().zip(tasks?).collect();
         let (mut records_out, mut bytes_out) = (0u64, 0u64);
-        for &dest in &alive {
-            match exec.ingest_end(dest, output) {
-                Ok((a, b)) => {
-                    records_out += a;
-                    bytes_out += b;
-                }
-                Err(e) if end_err.is_none() => end_err = Some(e),
-                Err(_) => {}
-            }
+        for (a, b) in ends? {
+            records_out += a;
+            bytes_out += b;
         }
-        let tasks = outcome?;
-        if let Some(e) = end_err {
-            return Err(e);
-        }
-        self.catalog.add_stats(output, records_out, bytes_out)?;
+        self.catalog
+            .add_stats(&job.output, records_out, bytes_out)?;
         let mut totals = TaskReport::default();
         for (_, task) in &tasks {
             totals.merge(task);
         }
         Ok(MapShuffleReport {
-            output: output.to_string(),
+            output: job.output.clone(),
             scanned: totals.scanned,
             records_out,
             bytes_out,
@@ -1081,8 +1021,7 @@ impl ClusterCore {
 
 /// Runs one repair push per `(survivor, source)` pair with one thread —
 /// and therefore one RPC in flight — per survivor, each survivor working
-/// through `sources` in order. All threads are joined before returning;
-/// the first error wins but never orphans a running push.
+/// through `sources` in order ([`fan_out`]).
 fn push_parallel(
     repair: &dyn PeerRepair,
     survivors: &[NodeId],
@@ -1091,37 +1030,63 @@ fn push_parallel(
     target_set: &str,
     filter: &RepairFilter,
 ) -> Result<RepairPushReport> {
-    let results: Vec<Result<RepairPushReport>> = std::thread::scope(|s| {
-        let handles: Vec<_> = survivors
-            .iter()
-            .map(|&survivor| {
-                s.spawn(move || {
-                    let mut total = RepairPushReport::default();
-                    for source in sources {
-                        let push =
-                            repair.repair_push(survivor, source, target, target_set, filter)?;
-                        total.merge(&push);
-                    }
-                    Ok(total)
-                })
-            })
-            .collect();
+    let pushed = fan_out(survivors, |survivor| {
+        let mut total = RepairPushReport::default();
+        for source in sources {
+            total.merge(&repair.repair_push(survivor, source, target, target_set, filter)?);
+        }
+        Ok(total)
+    })?;
+    let mut total = RepairPushReport::default();
+    for push in &pushed {
+        total.merge(push);
+    }
+    Ok(total)
+}
+
+/// Runs `f` once per node, each on a scoped thread of its own, and
+/// joins every thread before returning — so a step that failed on one
+/// node never orphans the others, and every node's step has run. The
+/// results come back in `nodes` order. A panicking step becomes
+/// [`PangeaError::Remote`]. When several steps fail, a typed
+/// [`PangeaError::NodeUnavailable`] (the node is *gone*) wins over the
+/// secondary failures its death caused in sibling steps that talked to
+/// it; otherwise the first failure in `nodes` order wins.
+pub fn fan_out<T: Send>(
+    nodes: &[NodeId],
+    f: impl Fn(NodeId) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let f = &f;
+    let results: Vec<Result<T>> = std::thread::scope(|s| {
+        let handles: Vec<_> = nodes.iter().map(|&n| s.spawn(move || f(n))).collect();
         handles
             .into_iter()
-            .map(|h| {
+            .zip(nodes)
+            .map(|(h, n)| {
                 h.join().unwrap_or_else(|_| {
-                    Err(PangeaError::Remote(
-                        "a repair-push thread panicked".to_string(),
-                    ))
+                    Err(PangeaError::Remote(format!("the step on {n} panicked")))
                 })
             })
             .collect()
     });
-    let mut total = RepairPushReport::default();
-    for result in results {
-        total.merge(&result?);
+    let mut out = Vec::with_capacity(results.len());
+    let mut first_err: Option<PangeaError> = None;
+    for r in results {
+        match r {
+            Ok(v) => out.push(v),
+            Err(e) => {
+                let prefer = matches!(e, PangeaError::NodeUnavailable(_))
+                    && !matches!(first_err, Some(PangeaError::NodeUnavailable(_)));
+                if first_err.is_none() || prefer {
+                    first_err = Some(e);
+                }
+            }
+        }
     }
-    Ok(total)
+    match first_err {
+        Some(e) => Err(e),
+        None => Ok(out),
+    }
 }
 
 /// A distributed dataset handle served by the engine: one locality set
@@ -1367,5 +1332,76 @@ impl BatchedSinks {
             slot.sink.finish()?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Mutex};
+
+    fn nodes(n: u32) -> Vec<NodeId> {
+        (0..n).map(NodeId).collect()
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_node_order() {
+        let out = fan_out(&[NodeId(3), NodeId(1), NodeId(2)], |n| Ok(n.raw() * 10)).unwrap();
+        assert_eq!(out, vec![30, 10, 20]);
+        assert!(fan_out(&[], |_| Ok(())).unwrap().is_empty());
+    }
+
+    #[test]
+    fn fan_out_runs_every_step_even_when_one_fails_early() {
+        // The failing step releases its siblings as it fails, so each
+        // of them finishes after the failure.
+        let (release, released) = mpsc::channel();
+        let released = Mutex::new(released);
+        let ran = AtomicUsize::new(0);
+        let out = fan_out(&nodes(4), |n| {
+            if n == NodeId(0) {
+                for _ in 0..3 {
+                    release.send(()).expect("siblings are waiting");
+                }
+                return Err(PangeaError::Remote("node 0 failed first".into()));
+            }
+            released.lock().unwrap().recv().unwrap();
+            ran.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        });
+        assert!(matches!(out, Err(PangeaError::Remote(_))), "{out:?}");
+        assert_eq!(ran.load(Ordering::SeqCst), 3, "every sibling step ran");
+    }
+
+    #[test]
+    fn fan_out_turns_a_panicking_step_into_remote() {
+        let out = fan_out(&nodes(3), |n| {
+            if n == NodeId(1) {
+                panic!("step on node 1 panicked on purpose");
+            }
+            Ok(n)
+        });
+        match out {
+            Err(PangeaError::Remote(msg)) => assert!(msg.contains("node#1"), "{msg}"),
+            other => panic!("expected Remote, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fan_out_prefers_node_unavailable_over_sibling_errors_in_any_order() {
+        for order in [[NodeId(0), NodeId(1)], [NodeId(1), NodeId(0)]] {
+            let out: Result<Vec<()>> = fan_out(&order, |n| {
+                Err(if n == NodeId(1) {
+                    PangeaError::NodeUnavailable(n)
+                } else {
+                    PangeaError::Remote("push to node 1 failed".into())
+                })
+            });
+            assert!(
+                matches!(out, Err(PangeaError::NodeUnavailable(NodeId(1)))),
+                "order {order:?}: {out:?}"
+            );
+        }
     }
 }

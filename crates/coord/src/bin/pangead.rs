@@ -7,7 +7,7 @@
 //!         [--secret S | --secret-file PATH] \
 //!         [--manager <addr:port>] [--advertise <addr:port>] \
 //!         [--slot N] [--heartbeat-ms 500] [--trace-log PATH] \
-//!         [--io-threads 4] [--max-conns 256] [--window 8]
+//!         [--io-threads 4] [--max-conns 256]
 //! ```
 //!
 //! With `--manager`, the daemon registers itself with a `pangea-mgr`
@@ -15,8 +15,11 @@
 //! background, and deregisters on clean exit. With `--trace-log`, every
 //! completed trace span (traced RPCs and their fan-out) is also
 //! appended to PATH as one JSON object per line, in addition to the
-//! in-memory ring served by `MetricsDump`. Argument parsing is
-//! deliberately dependency-free.
+//! in-memory ring served by `MetricsDump`. Outbound pushes (task
+//! ingest, repair streaming) keep at most `PIPELINE_WINDOW` batches in
+//! flight per peer, fewer when the receiver's credit grant says so;
+//! the window is not a flag. Argument parsing is deliberately
+//! dependency-free.
 
 use pangea_coord::WorkerAgent;
 use pangea_core::{NodeConfig, StorageNode};
@@ -40,14 +43,13 @@ struct Args {
     trace_log: Option<String>,
     io_threads: usize,
     max_conns: usize,
-    window: u32,
 }
 
 const USAGE: &str = "usage: pangead --listen <addr:port> --data <dir> \
     [--pool-mb N] [--page-kb N] [--disks N] [--strategy NAME] [--disk-bw-mb N] \
     [--secret S | --secret-file PATH] \
     [--manager <addr:port>] [--advertise <addr:port>] [--slot N] [--heartbeat-ms N] \
-    [--trace-log PATH] [--io-threads N] [--max-conns N] [--window N]";
+    [--trace-log PATH] [--io-threads N] [--max-conns N]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -66,7 +68,6 @@ fn parse_args() -> Result<Args, String> {
         trace_log: None,
         io_threads: 0,
         max_conns: 0,
-        window: 0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -126,11 +127,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--max-conns: {e}"))?;
             }
-            "--window" => {
-                args.window = value("--window")?
-                    .parse()
-                    .map_err(|e| format!("--window: {e}"))?;
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 exit(0);
@@ -167,13 +163,12 @@ fn main() {
             exit(1);
         }
     };
-    // 0 for any tuning flag keeps the library default (io threads,
-    // connection cap, push-pipelining window).
+    // 0 for either tuning flag keeps the library default (io threads,
+    // connection cap).
     let server_config = ServerConfig {
         io_threads: args.io_threads,
         max_conns: args.max_conns,
         registry: None,
-        pipeline_window: args.window,
     };
     let mut server = match PangeadServer::bind_with_config(
         node,

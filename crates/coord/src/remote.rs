@@ -17,15 +17,15 @@
 
 use crate::client::{ManagerClient, MgrConn, RemoteCatalog};
 use pangea_cluster::engine::{
-    Catalog, ClusterCore, EngineSet, MapShuffleReport, PeerRepair, RecordSink, RecoveryReport,
-    ReplicaReport, TaskExec, WorkerBackend,
+    fan_out, Catalog, ClusterCore, EngineSet, MapShuffleReport, PeerRepair, RecordSink,
+    RecoveryReport, ReplicaReport, TaskExec, WorkerBackend,
 };
 use pangea_cluster::{PartitionKind, PartitionScheme};
 use pangea_common::ReplicaGroupId;
 use pangea_common::{Epoch, FxHashMap, IoStats, NodeId, PangeaError, Result};
 use pangea_net::{
-    MapSpec, PangeaClient, PipelinedPeer, ReduceSpec, RepairFilter, RepairPushReport, SchemeSpec,
-    TaskReport, TaskSpec, WireSpan, WireWorker, WorkerState, DEFAULT_PIPELINE_WINDOW,
+    Job, MapSpec, PangeaClient, PipelinedPeer, ReduceSpec, RepairFilter, RepairPushReport,
+    TaskReport, TaskSpec, WireSpan, WireWorker, WorkerState,
 };
 use pangea_obs::{Obs, SpanRecord, TraceCtx};
 use parking_lot::{Mutex, RwLock};
@@ -55,15 +55,9 @@ struct RemoteWorkersInner {
     /// Shared payload-byte ledger across all per-worker clients.
     stats: Arc<IoStats>,
     /// Driver-side observability bundle over the same registry as
-    /// `stats`: every RPC the driver issues lands one span in its ring,
-    /// correlated by the active job id.
+    /// `stats`: every RPC the driver issues under a traced job lands one
+    /// span in its ring, correlated by the job id.
     obs: Obs,
-    /// The `(job id, job-root span id)` for the RPCs currently in
-    /// flight (set for the duration of a `map_shuffle`/`map_reduce`/
-    /// recovery call, `None` between jobs). Shared across the per-slot
-    /// orchestration threads. Every driver RPC span parents under the
-    /// job root, so one job stitches into exactly one tree.
-    job: Mutex<Option<(u64, u64)>>,
     /// The most recently allocated job id — what a caller correlates
     /// worker-side spans against after a job returns.
     last_job: Mutex<Option<u64>>,
@@ -92,6 +86,12 @@ impl std::fmt::Debug for RemoteWorkersInner {
 #[derive(Debug, Clone)]
 pub struct RemoteWorkers {
     inner: Arc<RemoteWorkersInner>,
+    /// The `(job id, job-root span id)` every RPC through this handle
+    /// carries, or `None` outside traced jobs. Each traced job runs on
+    /// a clone of its own (see `RemoteCluster::run_traced`), so
+    /// concurrent jobs never share — or overwrite — a trace context,
+    /// and every driver RPC span parents under its own job's root.
+    job: Option<(u64, u64)>,
 }
 
 impl RemoteWorkers {
@@ -104,11 +104,11 @@ impl RemoteWorkers {
                 secret: secret.map(str::to_string),
                 stats: Arc::clone(&stats),
                 obs: Obs::with_registry(stats.registry().clone()),
-                job: Mutex::new(None),
                 last_job: Mutex::new(None),
                 trace_cursor: Mutex::new(0),
                 task_hook: Mutex::new(None),
             }),
+            job: None,
         }
     }
 
@@ -158,34 +158,6 @@ impl RemoteWorkers {
             })
             .collect();
         (wire, gap)
-    }
-
-    /// Scopes a fresh trace job id around `f`: every RPC issued from
-    /// any thread while `f` runs carries `TraceCtx { job, .. }` on the
-    /// wire and records a driver span under it. The whole scope is
-    /// itself recorded as one `DriverJob` root span; per-RPC driver
-    /// spans parent under it, so a job's fleet-wide spans stitch into
-    /// exactly one tree with the driver at the root.
-    fn with_job<T>(&self, f: impl FnOnce() -> T) -> T {
-        let job = pangea_obs::next_job_id();
-        let root = pangea_obs::next_span_id();
-        *self.inner.job.lock() = Some((job, root));
-        *self.inner.last_job.lock() = Some(job);
-        let start = self.inner.obs.now_ns();
-        let out = f();
-        *self.inner.job.lock() = None;
-        self.inner.obs.ring().record(SpanRecord {
-            job,
-            span: root,
-            parent: 0,
-            op: "DriverJob".to_string(),
-            peer: String::new(),
-            start_ns: start,
-            end_ns: self.inner.obs.now_ns(),
-            bytes: 0,
-            outcome: "ok".to_string(),
-        });
-        out
     }
 
     fn addr_of(&self, n: NodeId) -> Result<String> {
@@ -244,7 +216,7 @@ impl RemoteWorkers {
     /// error prose. Non-I/O failures propagate unchanged.
     fn with_client<T>(&self, n: NodeId, f: impl Fn(&mut PangeaClient) -> Result<T>) -> Result<T> {
         let addr = self.addr_of(n)?;
-        let job = *self.inner.job.lock();
+        let job = self.job;
         let ctx = job.map(|(job, _)| TraceCtx {
             job,
             span: pangea_obs::next_span_id(),
@@ -341,13 +313,15 @@ impl RemoteWorkers {
 /// A sink streaming one load into one remote set over a connection of
 /// its own, held for the dispatcher's life. Its `Append` batches ride
 /// the window loop every pipelined pusher runs ([`PipelinedPeer`], at
-/// [`DEFAULT_PIPELINE_WINDOW`] and paced by the worker's credit), and
+/// [`PIPELINE_WINDOW`] and paced by the worker's credit), and
 /// the worker's set-owned writer seals each page as it fills. `finish`
 /// drains the window and sends `AppendEnd`, which seals the tail page:
 /// the load is durable once `finish` returns, as a shuffle's output is
 /// once `IngestEnd` returns. Each ack charges its batch's payload bytes
 /// to the shared ledger, mirroring a `SimNetwork` transfer. Loads run
 /// outside traced jobs, so the stream carries no trace context.
+///
+/// [`PIPELINE_WINDOW`]: pangea_net::PIPELINE_WINDOW
 #[derive(Debug)]
 struct RemoteSink {
     workers: RemoteWorkers,
@@ -385,11 +359,9 @@ impl RecordSink for RemoteSink {
         }
         let reg = Arc::clone(self.workers.inner.obs.registry());
         let set = self.set.clone();
-        let sent = self.stream().and_then(|peer| {
-            peer.submit(DEFAULT_PIPELINE_WINDOW, &reg, |c| {
-                c.append_submit(&set, records)
-            })
-        });
+        let sent = self
+            .stream()
+            .and_then(|peer| peer.submit(&reg, |c| c.append_submit(&set, records)));
         sent.map(drop).map_err(|e| self.fail(e))
     }
 
@@ -501,27 +473,18 @@ impl WorkerBackend for RemoteWorkers {
 /// scans its own share and streams the mapped output straight to the
 /// destination workers' ingest sessions.
 impl TaskExec for RemoteWorkers {
-    fn ingest_begin(&self, dest: NodeId, set: &str, reduce: Option<&ReduceSpec>) -> Result<()> {
-        self.with_client(dest, |c| c.ingest_begin(set, reduce))
+    fn ingest_begin(&self, dest: NodeId, job: &Job) -> Result<()> {
+        self.with_client(dest, |c| c.ingest_begin(&job.output, job.reduce.as_ref()))
     }
 
-    fn map_task(
-        &self,
-        worker: NodeId,
-        input: &str,
-        output: &str,
-        map: &MapSpec,
-        reduce: Option<&ReduceSpec>,
-        scheme: &SchemeSpec,
-        nodes: u32,
-    ) -> Result<TaskReport> {
+    fn map_task(&self, worker: NodeId, job: &Job) -> Result<TaskReport> {
         // Clone the hook out before invoking it (never hold the lock
         // across the call — it would serialize "parallel" tasks).
         let hook = self.inner.task_hook.lock().clone();
         if let Some(hook) = hook {
             hook(worker);
         }
-        // The engine hands logical job parameters; this backend owns the
+        // The engine hands the logical job; this backend owns the
         // address book, so it fills in the wire task's destinations and
         // the executing worker's provenance slot.
         let dests: Vec<(u32, String)> = self
@@ -533,20 +496,15 @@ impl TaskExec for RemoteWorkers {
             .filter_map(|(i, s)| s.as_ref().map(|addr| (i as u32, addr.clone())))
             .collect();
         let spec = TaskSpec {
-            input: input.to_string(),
-            output: output.to_string(),
-            map: map.clone(),
-            reduce: reduce.cloned(),
-            scheme: scheme.clone(),
-            nodes,
+            job: job.clone(),
             source: worker.raw(),
             dests,
         };
         self.with_client(worker, |c| c.run_task(&spec))
     }
 
-    fn ingest_end(&self, dest: NodeId, set: &str) -> Result<(u64, u64)> {
-        self.with_client(dest, |c| c.ingest_end(set))
+    fn ingest_end(&self, dest: NodeId, job: &Job) -> Result<(u64, u64)> {
+        self.with_client(dest, |c| c.ingest_end(&job.output))
     }
 }
 
@@ -742,10 +700,44 @@ impl RemoteCluster {
     /// flight per survivor); this driver only orchestrates and never
     /// touches a record payload.
     pub fn recover_worker(&self, failed: NodeId) -> Result<RecoveryReport> {
-        let out = self.workers.with_job(|| {
+        self.run_traced(|core| {
             self.ensure_replacement(failed)?;
-            self.core.provision_node(failed)?;
-            self.repair_slot(failed)
+            core.provision_node(failed)?;
+            self.fire_recovery_hook(failed);
+            self.repair_slot(core, failed, None)
+        })
+    }
+
+    /// Runs `body` as one traced job: allocates the job and its root
+    /// span, hands `body` an engine over a [`RemoteWorkers`] clone that
+    /// carries that context (every RPC it issues, from any thread,
+    /// carries `TraceCtx { job, .. }` and records a driver span under
+    /// the root), then records the `DriverJob` root span and pushes the
+    /// driver's spans to the manager. The context belongs to this call
+    /// alone, so jobs running at once on one handle stitch into one
+    /// tree each.
+    fn run_traced<T>(&self, body: impl FnOnce(&ClusterCore) -> Result<T>) -> Result<T> {
+        let job = pangea_obs::next_job_id();
+        let root = pangea_obs::next_span_id();
+        *self.workers.inner.last_job.lock() = Some(job);
+        let workers = RemoteWorkers {
+            inner: Arc::clone(&self.workers.inner),
+            job: Some((job, root)),
+        };
+        let core = ClusterCore::new(Arc::new(workers), Arc::clone(self.core.catalog()));
+        let obs = &self.workers.inner.obs;
+        let start = obs.now_ns();
+        let out = body(&core);
+        obs.ring().record(SpanRecord {
+            job,
+            span: root,
+            parent: 0,
+            op: "DriverJob".to_string(),
+            peer: String::new(),
+            start_ns: start,
+            end_ns: obs.now_ns(),
+            bytes: 0,
+            outcome: "ok".to_string(),
         });
         self.push_driver_trace();
         out
@@ -809,35 +801,31 @@ impl RemoteCluster {
         Ok(())
     }
 
-    /// The repair half of recovery: the slot must already be validated
-    /// and provisioned (multi-slot recovery provisions every replacement
-    /// before any repair starts, so concurrent repairs never scan a
-    /// fellow replacement whose sets do not exist yet).
-    fn repair_slot(&self, failed: NodeId) -> Result<RecoveryReport> {
-        self.repair_slot_in(failed, None, true)
+    /// Invokes the test-only recovery rendezvous, if one is installed,
+    /// once per slot repair. The hook is cloned out first: an `if let`
+    /// over the guard would hold the lock for the whole call and
+    /// serialize concurrent slot repairs on it.
+    fn fire_recovery_hook(&self, failed: NodeId) {
+        let hook = self.recovery_hook.lock().clone();
+        if let Some(hook) = hook {
+            hook(failed);
+        }
     }
 
-    /// [`RemoteCluster::repair_slot`] restricted to a subset of replica
-    /// groups (`None` = all). `fire_hook` gates the test-only
-    /// rendezvous so a two-phase repair announces each slot once.
-    fn repair_slot_in(
+    /// The repair half of recovery, restricted to a subset of replica
+    /// groups (`None` = all): the slot must already be validated and
+    /// provisioned (multi-slot recovery provisions every replacement
+    /// before any repair starts, so concurrent repairs never scan a
+    /// fellow replacement whose sets do not exist yet).
+    fn repair_slot(
         &self,
+        core: &ClusterCore,
         failed: NodeId,
         groups: Option<&[ReplicaGroupId]>,
-        fire_hook: bool,
     ) -> Result<RecoveryReport> {
         let start = Instant::now();
         let net_before = self.workers.net_bytes();
-        // Clone the hook out before invoking it: an `if let` over the
-        // guard would hold the lock for the whole call and serialize
-        // concurrent slot repairs on it.
-        if fire_hook {
-            let hook = self.recovery_hook.lock().clone();
-            if let Some(hook) = hook {
-                hook(failed);
-            }
-        }
-        let mut report = self.core.recover_sets_in(failed, groups)?;
+        let mut report = core.recover_sets_in(failed, groups)?;
         self.dead_epochs.lock().remove(&failed);
         // The engine already charged the worker→worker payload; any
         // driver-side payload (none, by design — asserted by the
@@ -877,33 +865,34 @@ impl RemoteCluster {
         if failed.len() < 2 {
             return failed.iter().map(|&n| self.recover_worker(n)).collect();
         }
-        let out = self
-            .workers
-            .with_job(|| self.recover_workers_traced(failed));
-        self.push_driver_trace();
-        out
+        self.run_traced(|core| self.recover_workers_traced(core, failed))
     }
 
     /// The body of [`RemoteCluster::recover_workers`] for two or more
     /// slots, running under an already-scoped trace job.
-    fn recover_workers_traced(&self, failed: &[NodeId]) -> Result<Vec<RecoveryReport>> {
+    fn recover_workers_traced(
+        &self,
+        core: &ClusterCore,
+        failed: &[NodeId],
+    ) -> Result<Vec<RecoveryReport>> {
         for &n in failed {
             self.ensure_replacement(n)?;
         }
         for &n in failed {
-            self.core.provision_node(n)?;
+            core.provision_node(n)?;
         }
         // Only replica-group members are recovery targets; unreplicated
         // sets (and the groups' round-robin colliding sets, which are
         // repair *sources*) do not constrain parallelism — so consult
         // the groups directly instead of paying one manager RPC per
         // cataloged set.
+        let catalog = core.catalog();
         let mut hash_groups = Vec::new();
         let mut rr_groups = Vec::new();
-        for group in self.core.catalog().groups()? {
+        for group in catalog.groups()? {
             let mut all_hash = true;
-            for member in self.core.catalog().group_members(group)? {
-                if let Some(entry) = self.core.catalog().entry(&member)? {
+            for member in catalog.group_members(group)? {
+                if let Some(entry) = catalog.entry(&member)? {
                     all_hash &= entry.scheme.kind == PartitionKind::Hash;
                 }
             }
@@ -913,63 +902,22 @@ impl RemoteCluster {
                 rr_groups.push(group);
             }
         }
-        if rr_groups.is_empty() {
-            // Single parallel phase over everything.
-            return std::thread::scope(|s| {
-                let handles: Vec<_> = failed
-                    .iter()
-                    .map(|&n| s.spawn(move || self.repair_slot(n)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(PangeaError::Remote("a recovery thread panicked".into()))
-                        })
-                    })
-                    .collect()
-            });
-        }
-        // Phase 1: hash-only groups, all slots concurrently (skipped
-        // when there are none). The rendezvous hook fires here — or in
-        // phase 2 when phase 1 is empty — so each slot announces once.
-        let mut reports: Vec<RecoveryReport> = if hash_groups.is_empty() {
-            failed
-                .iter()
-                .map(|&n| RecoveryReport {
-                    failed: n,
-                    replicas_recovered: Vec::new(),
-                    objects_restored: 0,
-                    colliding_restored: 0,
-                    bytes_moved: 0,
-                    duration: Duration::ZERO,
-                })
-                .collect()
-        } else {
-            let hash_groups = &hash_groups;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = failed
-                    .iter()
-                    .map(|&n| s.spawn(move || self.repair_slot_in(n, Some(hash_groups), true)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(PangeaError::Remote("a recovery thread panicked".into()))
-                        })
-                    })
-                    .collect::<Result<Vec<_>>>()
-            })?
-        };
+        // Phase 1: hash-only groups, every slot at once (an empty list
+        // repairs nothing). Each slot announces itself here, once.
+        let mut reports = fan_out(failed, |n| {
+            self.fire_recovery_hook(n);
+            self.repair_slot(core, n, Some(&hash_groups))
+        })?;
         // Phase 2: round-robin-carrying groups, slot by slot.
-        for (slot, report) in failed.iter().zip(reports.iter_mut()) {
-            let serial = self.repair_slot_in(*slot, Some(&rr_groups), hash_groups.is_empty())?;
-            report.replicas_recovered.extend(serial.replicas_recovered);
-            report.objects_restored += serial.objects_restored;
-            report.colliding_restored += serial.colliding_restored;
-            report.bytes_moved += serial.bytes_moved;
-            report.duration += serial.duration;
+        if !rr_groups.is_empty() {
+            for report in &mut reports {
+                let serial = self.repair_slot(core, report.failed, Some(&rr_groups))?;
+                report.replicas_recovered.extend(serial.replicas_recovered);
+                report.objects_restored += serial.objects_restored;
+                report.colliding_restored += serial.colliding_restored;
+                report.bytes_moved += serial.bytes_moved;
+                report.duration += serial.duration;
+            }
         }
         Ok(reports)
     }
@@ -998,11 +946,7 @@ impl RemoteCluster {
         scheme: PartitionScheme,
     ) -> Result<MapShuffleReport> {
         self.refresh_membership()?;
-        let out = self
-            .workers
-            .with_job(|| self.core.map_shuffle(input, output, map, scheme));
-        self.push_driver_trace();
-        out
+        self.run_traced(|core| core.map_shuffle(input, output, map, scheme))
     }
 
     /// A distributed map-**combine-reduce**: like
@@ -1029,11 +973,7 @@ impl RemoteCluster {
         scheme: PartitionScheme,
     ) -> Result<MapShuffleReport> {
         self.refresh_membership()?;
-        let out = self
-            .workers
-            .with_job(|| self.core.map_reduce(input, output, map, reduce, scheme));
-        self.push_driver_trace();
-        out
+        self.run_traced(|core| core.map_reduce(input, output, map, reduce, scheme))
     }
 
     /// Installs (or clears) the test-only per-task rendezvous. Hidden:

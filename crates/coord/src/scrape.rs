@@ -104,14 +104,18 @@ pub(crate) fn wire_of(seq: u64, r: SpanRecord) -> WireSpan {
     }
 }
 
-/// Per-worker scraper state that must survive between ticks: the pooled
-/// connection (keyed by the address it was opened against, so a slot
-/// replacement at a new address reconnects) and the incremental span
-/// cursor.
+/// One worker incarnation: its slot and registration epoch. A
+/// replacement at a slot is a new process whose span ring restarts at
+/// sequence 0, so its cursor and connection must not be the dead
+/// incarnation's.
+type Incarnation = (u32, u64);
+
+/// Per-worker scraper state that must survive between ticks, per
+/// incarnation: the pooled connection and the incremental span cursor.
 #[derive(Default)]
 struct ScraperState {
-    clients: FxHashMap<u32, (String, PangeaClient)>,
-    cursors: FxHashMap<u32, u64>,
+    clients: FxHashMap<Incarnation, PangeaClient>,
+    cursors: FxHashMap<Incarnation, u64>,
     mgr_cursor: u64,
 }
 
@@ -176,21 +180,23 @@ fn scrape_once(
 
     // -- 2. every alive worker ------------------------------------------
     let workers = daemon.membership().workers();
+    // Forget replaced incarnations. A Dead one that resumes heartbeating
+    // keeps its cursor, since its ring did not restart.
+    let listed = |i: &Incarnation| workers.iter().any(|w| (w.node, w.epoch) == *i);
+    state.cursors.retain(|i, _| listed(i));
+    state.clients.retain(|i, _| listed(i));
     for w in &workers {
+        let incarnation = (w.node, w.epoch);
         if w.state != WorkerState::Alive {
-            state.clients.remove(&w.node);
+            state.clients.remove(&incarnation);
             continue;
         }
         let name = format!("worker{}", w.node);
-        let cached = match state.clients.remove(&w.node) {
-            Some((addr, client)) if addr == w.addr => Some(client),
-            _ => None,
-        };
-        let client = match cached {
+        let client = match state.clients.remove(&incarnation) {
             Some(c) => Ok(c),
             None => PangeaClient::connect_with_secret(&w.addr, secret),
         };
-        let from = state.cursors.get(&w.node).copied().unwrap_or(0);
+        let from = state.cursors.get(&incarnation).copied().unwrap_or(0);
         let scraped = client.and_then(|mut c| {
             c.metrics_dump_since(from)
                 .map(|(metrics, spans, cursor)| (c, metrics, spans, cursor))
@@ -215,8 +221,8 @@ fn scrape_once(
                 }
                 store.record_metrics(&name, at, &snapshot_of(&metrics));
                 store.record_spans(&name, spans.into_iter().map(record_of).collect());
-                state.cursors.insert(w.node, cursor);
-                state.clients.insert(w.node, (w.addr.clone(), client));
+                state.cursors.insert(incarnation, cursor);
+                state.clients.insert(incarnation, client);
             }
             Err(e) => {
                 reg.counter(names::MGR_SCRAPE_ERRORS).inc();

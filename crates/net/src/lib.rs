@@ -30,7 +30,8 @@
 //!   `pangea-coord`, next to `pangea-mgr`).
 //! * `session` (crate-private) — the daemon's one begin/append/end
 //!   machine, shared by shuffle ingest and peer repair; `load`
-//!   (crate-private) — the set-owned writers a loader's `Append`s fill.
+//!   (crate-private) — the set-owned writers a loader's `Append`s fill;
+//!   `task` (crate-private) — the mapper a shipped `TaskRun` runs.
 //! * [`pipeline`] — [`PipelinedPeer`], the one window loop every
 //!   pipelined push runs: mapper ingest, repair streaming and a
 //!   driver's load.
@@ -51,20 +52,20 @@ pub mod pipeline;
 pub mod proto;
 pub mod server;
 mod session;
+mod task;
 pub mod wire;
 
 pub use client::{PangeaClient, RemoteStats};
 pub use frame::{FRAME_OVERHEAD, MAX_FRAME};
 pub use pangea_obs::TraceCtx;
-pub use pipeline::PipelinedPeer;
+pub use pipeline::{PipelinedPeer, MAX_PIPELINE_WINDOW, PIPELINE_WINDOW};
 pub use proto::{error_response, Request, Response};
 pub use server::{
     metrics_dump_response, serve_instrumented, FramedServer, FramedService, Pangead, PangeadServer,
-    ServerConfig, DEFAULT_DRAIN, DEFAULT_IO_THREADS, DEFAULT_MAX_CONNS, DEFAULT_PIPELINE_WINDOW,
-    MAX_PIPELINE_WINDOW, METRICS_CHUNK, SPANS_CHUNK,
+    ServerConfig, DEFAULT_DRAIN, DEFAULT_IO_THREADS, DEFAULT_MAX_CONNS, METRICS_CHUNK, SPANS_CHUNK,
 };
 pub use wire::{
-    ingest_tag, CmpOp, EmitSpec, FilterSpec, KeySpec, MapSpec, ReduceOp, ReduceSpec, RepairFilter,
-    RepairPushReport, SchemeSpec, TaskReport, TaskSpec, WireCatalogEntry, WireMetric, WireSpan,
-    WireWorker, WorkerState,
+    ingest_tag, CmpOp, EmitSpec, FilterSpec, Job, KeySpec, MapSpec, ReduceOp, ReduceSpec,
+    RepairFilter, RepairPushReport, SchemeSpec, TaskReport, TaskSpec, WireCatalogEntry, WireMetric,
+    WireSpan, WireWorker, WorkerState,
 };

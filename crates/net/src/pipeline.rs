@@ -10,13 +10,14 @@ use pangea_obs::{names, Registry};
 use std::collections::VecDeque;
 use std::time::Instant;
 
-/// Default pipeline window for pushes: how many batches may be in
-/// flight on one connection before the sender awaits the oldest ack.
-pub const DEFAULT_PIPELINE_WINDOW: u32 = 8;
+/// The pipeline window for pushes: how many batches may be in flight
+/// on one connection before the sender awaits the oldest ack. The
+/// receiver's credit grant is the only thing that shrinks it.
+pub const PIPELINE_WINDOW: u32 = 8;
 
-/// Ceiling on any pipeline window — configured or credit-granted. Caps
-/// the unacked bytes one sender can park in a receiver's socket and
-/// session state (about 8 MB at the daemon's 128 KB batch ceiling).
+/// Ceiling on any credit grant: the most unacked batches a receiver
+/// invites one sender to park in its socket and session state (about
+/// 8 MB at the daemon's 128 KB batch ceiling).
 pub const MAX_PIPELINE_WINDOW: u32 = 64;
 
 /// A connection plus its pipelined-push state: the correlation ids of
@@ -54,17 +55,17 @@ impl PipelinedPeer {
         self.client
     }
 
-    /// The window that gates the next submit: the configured window,
+    /// The window that gates the next submit: [`PIPELINE_WINDOW`],
     /// shrunk by the receiver's latest credit grant. Never below 1 — a
     /// memory-pressured receiver throttles senders to strict-serial,
     /// it does not starve them (its spill machinery needs batches to
     /// keep arriving one at a time to make progress against).
-    fn effective_window(&self, configured: u32) -> usize {
-        let configured = configured.max(1) as usize;
+    fn effective_window(&self) -> usize {
+        let window = PIPELINE_WINDOW as usize;
         if self.credit == 0 {
-            configured
+            window
         } else {
-            configured.min(self.credit as usize).max(1)
+            window.min(self.credit as usize).max(1)
         }
     }
 
@@ -89,13 +90,12 @@ impl PipelinedPeer {
     /// surface from a later submit or [`PipelinedPeer::drain`].
     pub fn submit(
         &mut self,
-        window: u32,
         reg: &Registry,
         submit: impl FnOnce(&mut PangeaClient) -> Result<(u64, usize)>,
     ) -> Result<(u64, u64)> {
         let (mut appended, mut bytes) = (0u64, 0u64);
-        while self.inflight.len() >= self.effective_window(window) {
-            let credit_limited = self.effective_window(window) < window.max(1) as usize;
+        while self.inflight.len() >= self.effective_window() {
+            let credit_limited = self.effective_window() < PIPELINE_WINDOW as usize;
             let start = Instant::now();
             let (a, b) = self.await_oldest()?;
             appended += a;

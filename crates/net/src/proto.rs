@@ -717,7 +717,7 @@ pub fn error_response(e: &PangeaError) -> Response {
 mod tests {
     use super::*;
     use crate::wire::{
-        EmitSpec, FilterSpec, KeySpec, MapSpec, WireCatalogEntry, WireMetric, WireWorker,
+        EmitSpec, FilterSpec, Job, KeySpec, MapSpec, WireCatalogEntry, WireMetric, WireWorker,
         WorkerState,
     };
 
@@ -749,21 +749,23 @@ mod tests {
             key: pipe,
         };
         let task = TaskSpec {
-            input: "lines".into(),
-            output: "words".into(),
-            map: MapSpec {
-                filter: Some(FilterSpec::KeyEquals {
-                    key: pipe,
-                    value: b"7".to_vec(),
-                }),
-                emit: EmitSpec::Fields {
-                    delim: b'|',
-                    indices: vec![1, 2],
+            job: Job {
+                input: "lines".into(),
+                output: "words".into(),
+                map: MapSpec {
+                    filter: Some(FilterSpec::KeyEquals {
+                        key: pipe,
+                        value: b"7".to_vec(),
+                    }),
+                    emit: EmitSpec::Fields {
+                        delim: b'|',
+                        indices: vec![1, 2],
+                    },
                 },
+                reduce: Some(ReduceSpec::sum(KeySpec::WholeRecord, b'|', 1)),
+                scheme: hash.clone(),
+                nodes: 4,
             },
-            reduce: Some(ReduceSpec::sum(KeySpec::WholeRecord, b'|', 1)),
-            scheme: hash.clone(),
-            nodes: 4,
             source: 1,
             dests: vec![(0, "127.0.0.1:7781".into()), (2, "127.0.0.1:7783".into())],
         };

@@ -25,19 +25,14 @@
 use crate::client::PangeaClient;
 use crate::frame::{read_frame_corr, write_frame_corr};
 use crate::load::LoadWriters;
-use crate::pipeline::PipelinedPeer;
-pub use crate::pipeline::{DEFAULT_PIPELINE_WINDOW, MAX_PIPELINE_WINDOW};
+use crate::pipeline::{PipelinedPeer, MAX_PIPELINE_WINDOW};
 use crate::proto::{error_response, Request, Response};
 use crate::session::{local_set, Session, SessionTable, Sink, INGEST, REPAIR};
-use crate::wire::{
-    ingest_tag, RecordPredicate, RepairFilter, SchemeSpec, TaskReport, TaskSpec, WireMetric,
-    WireSpan,
-};
-use pangea_common::{fx_hash64, record_key, FxHashMap, IoStats, PangeaError, Result, WriteCause};
+use crate::wire::{RecordPredicate, RepairFilter, WireMetric, WireSpan};
+use pangea_common::{record_key, FxHashMap, IoStats, PangeaError, Result, WriteCause};
 use pangea_core::{HashConfig, ObjectIter, ReduceBuffer, SetOptions, SpillLedger, StorageNode};
 use pangea_obs::{names, Counter, Gauge, MetricValue, Obs, Registry, SpanRecord, TraceCtx};
 use parking_lot::Mutex;
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -70,15 +65,6 @@ pub struct ServerConfig {
     /// When set, the server publishes `net.conns_open` (gauge) and
     /// `net.busy_rejects` (counter) here.
     pub registry: Option<Arc<Registry>>,
-    /// Outbound push-pipelining window for the daemon's own fan-out
-    /// (task ingest, repair streaming): batches in flight per peer
-    /// before awaiting the oldest ack. `0` keeps
-    /// [`DEFAULT_PIPELINE_WINDOW`]; `1` is strict-serial. Receiver
-    /// credit can shrink the effective window below this, never above
-    /// [`MAX_PIPELINE_WINDOW`]. Ignored by [`FramedServer`] itself
-    /// (which has no outbound pushes); [`PangeadServer`] applies it to
-    /// its [`Pangead`].
-    pub pipeline_window: u32,
 }
 
 /// Anything that can answer one decoded request. Implementations must
@@ -736,8 +722,8 @@ fn outcome_of(resp: &Response) -> String {
 
 /// Per-push batching thresholds for the survivor's streaming loop
 /// (mirrors the engine's default `DispatchConfig`).
-const PUSH_BATCH_RECORDS: usize = 256;
-const PUSH_BATCH_BYTES: usize = 128 * 1024;
+pub(crate) const PUSH_BATCH_RECORDS: usize = 256;
+pub(crate) const PUSH_BATCH_BYTES: usize = 128 * 1024;
 
 /// Most distinct peer addresses the outbound pool caches idle
 /// connections for (see [`Pangead::checkin_peer`]).
@@ -750,27 +736,7 @@ const LEDGER_SPILL_ENTRIES: usize = 64 * 1024;
 /// Root partitions for per-session reduce accumulators. Small: a
 /// session accumulator grows by page splits under memory headroom, so
 /// roots only set the floor of pinned pages per open session.
-const ACC_ROOT_PARTITIONS: u32 = 2;
-
-/// A destination's pending batch: `(tag, record)` pairs and their
-/// payload bytes.
-type Batch = (Vec<(u64, Vec<u8>)>, usize);
-
-/// One task's fan-out state: the task, where each destination slot
-/// lives, one pipelined connection per remote destination, and the
-/// batch pending for each slot.
-struct Router<'t> {
-    spec: &'t TaskSpec,
-    addr_of: FxHashMap<u32, &'t str>,
-    conns: FxHashMap<String, PipelinedPeer>,
-    batches: FxHashMap<u32, Batch>,
-    /// Per-destination pipeline window: this daemon's deployment
-    /// setting, already capped at `MAX_PIPELINE_WINDOW`.
-    window: u32,
-    /// `(job, the TaskRun's span)`, carried by every ingest RPC so the
-    /// destinations' spans stitch under the task that produced them.
-    ctx: Option<TraceCtx>,
-}
+pub(crate) const ACC_ROOT_PARTITIONS: u32 = 2;
 
 /// The protocol brain of a Pangea node daemon: dispatches decoded
 /// requests against the wrapped [`StorageNode`].
@@ -796,9 +762,6 @@ pub struct Pangead {
     /// surrounding [`FramedServer`] enforces, though deployments
     /// conventionally share one.
     peer_secret: Option<String>,
-    /// Outbound pipeline window (batches in flight per peer connection)
-    /// for every task and repair push; see [`DEFAULT_PIPELINE_WINDOW`].
-    pipeline_window: u32,
     /// Payload bytes and messages received by this daemon.
     stats: Arc<IoStats>,
     /// This daemon's observability bundle: the metrics registry (shared
@@ -824,7 +787,6 @@ impl Pangead {
             loads: LoadWriters::default(),
             peers: Mutex::new(FxHashMap::default()),
             peer_secret: None,
-            pipeline_window: DEFAULT_PIPELINE_WINDOW,
             stats,
             obs,
             session_seq: AtomicU64::new(0),
@@ -832,7 +794,7 @@ impl Pangead {
     }
 
     /// A fresh, collision-free backing-set name for per-session state.
-    fn session_set_name(&self, set: &str, kind: &str) -> String {
+    pub(crate) fn session_set_name(&self, set: &str, kind: &str) -> String {
         let seq = self.session_seq.fetch_add(1, Ordering::Relaxed);
         format!("{set}::{kind}.{seq}")
     }
@@ -840,17 +802,6 @@ impl Pangead {
     /// Sets the secret this daemon presents when dialing repair peers.
     pub fn with_peer_secret(mut self, secret: Option<String>) -> Self {
         self.peer_secret = secret;
-        self
-    }
-
-    /// Sets the default outbound pipeline window (`0` keeps the
-    /// built-in [`DEFAULT_PIPELINE_WINDOW`]; values are clamped to
-    /// [`MAX_PIPELINE_WINDOW`]). `1` makes every push strict-serial —
-    /// the pre-pipelining behavior.
-    pub fn with_pipeline_window(mut self, window: u32) -> Self {
-        if window != 0 {
-            self.pipeline_window = window.min(MAX_PIPELINE_WINDOW);
-        }
         self
     }
 
@@ -1274,7 +1225,7 @@ impl Pangead {
     /// checkout ends in exactly one of the two, so
     /// `pool.checkouts == pool.checkins + pool.drops` holds at every
     /// idle instant — the invariant the accounting unit test pins.
-    fn checkout_peer(&self, addr: &str) -> Result<PangeaClient> {
+    pub(crate) fn checkout_peer(&self, addr: &str) -> Result<PangeaClient> {
         if let Some(client) = self.peers.lock().remove(addr) {
             let reg = self.obs.registry();
             reg.counter(names::POOL_CHECKOUTS).inc();
@@ -1298,7 +1249,7 @@ impl Pangead {
     /// so an unbounded map would pin one dead socket per churned worker
     /// address forever — and refusing inserts instead would stop
     /// pooling new peers for the daemon's lifetime.
-    fn checkin_peer(&self, addr: &str, mut client: PangeaClient) {
+    pub(crate) fn checkin_peer(&self, addr: &str, mut client: PangeaClient) {
         // A connection with pipelined requests still outstanding is not
         // idle — its stream carries unread responses that would poison
         // whatever checks it out next. Callers are supposed to drain
@@ -1324,218 +1275,14 @@ impl Pangead {
     /// Closes a checked-out connection whose RPC failed. Taking the
     /// client by value makes the accounting structural: an error path
     /// cannot forget the counter without also forgetting to close.
-    fn discard_peer(&self, client: PangeaClient) {
+    pub(crate) fn discard_peer(&self, client: PangeaClient) {
         drop(client);
         self.obs.registry().counter(names::POOL_DROPS).inc();
     }
 
-    /// The mapper half of the distributed map-shuffle: scan the local
-    /// share of the task's input, apply the declarative map (possibly
-    /// multi-emit), route each output record by the task's scheme, and
-    /// stream batches straight to each destination worker's ingest
-    /// session — one pooled connection per destination for the task's
-    /// lifetime. With a [`ReduceSpec`] the mapper *combines* first:
-    /// the whole share folds into a keyed accumulator and only the
-    /// encoded per-key partials ship, so the shuffle pays for distinct
-    /// keys instead of raw emissions. The orchestrating driver only
-    /// ever sees the outcome counters.
-    ///
-    /// Round-robin output striping is **per source**: mapper `s`'s
-    /// `i`-th emission lands on partition `(s + i) % partitions` (the
-    /// `s` offset decorrelates the mappers' first records). The serial
-    /// engine reference applies the identical rule per scanned node,
-    /// so per-node parity holds for round-robin outputs too.
-    fn run_task(&self, spec: &TaskSpec, ctx: Option<TraceCtx>) -> Result<Response> {
-        let input = self.get_set(&spec.input)?;
-        let nodes = spec.nodes.max(1);
-        if spec.reduce.is_some() && matches!(spec.scheme, SchemeSpec::RoundRobin { .. }) {
-            return Err(PangeaError::usage(
-                "a reduce needs key-determined placement; round-robin output \
-                 schemes cannot host one",
-            ));
-        }
-        let mut route = Router {
-            spec,
-            addr_of: spec
-                .dests
-                .iter()
-                .map(|(node, addr)| (*node, addr.as_str()))
-                .collect(),
-            conns: FxHashMap::default(),
-            batches: FxHashMap::default(),
-            window: self.pipeline_window,
-            ctx,
-        };
-        let mut report = TaskReport::default();
-        let outcome = (|| -> Result<()> {
-            match &spec.reduce {
-                // Source-side combine: fold the whole local share, then
-                // ship one encoded partial per key. Tags derive from
-                // the key (a retried task re-derives the same fold, so
-                // its partials dedup away at the destinations). The
-                // fold runs through a pool-paged [`ReduceBuffer`], so a
-                // share whose distinct keys exceed the memory budget
-                // spills partial aggregates instead of OOMing the
-                // worker; sorting the finalized pairs keeps the shipped
-                // order deterministic across retries.
-                Some(reduce) => {
-                    let mut acc = ReduceBuffer::create(
-                        &self.node,
-                        &self.session_set_name(&spec.output, "combine"),
-                        HashConfig::new(ACC_ROOT_PARTITIONS),
-                        reduce.merge_fn(),
-                    )?;
-                    for num in input.page_numbers() {
-                        let pin = input.pin_page(num)?;
-                        let mut it = ObjectIter::new(&pin);
-                        while let Some(rec) = it.next() {
-                            report.scanned += 1;
-                            spec.map.for_each_emit(rec, &mut |out| {
-                                if let Some((key, value)) = reduce.accumulate(out) {
-                                    acc.insert_merge(&key, value)?;
-                                }
-                                Ok(())
-                            })?;
-                        }
-                    }
-                    let mut pairs = acc.finalize()?;
-                    pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    for (key, value) in &pairs {
-                        let out = reduce.encode_record(key, *value);
-                        let dest = spec.scheme.node_of(&out, 0, nodes);
-                        let tag = ingest_tag(spec.source, fx_hash64(key), &out);
-                        self.route_output(&mut route, &mut report, dest, tag, out)?;
-                    }
-                }
-                None => {
-                    // The emission sequence number doubles as the
-                    // round-robin stripe position and the provenance-tag
-                    // ordinal: stable across retries (storage order is
-                    // deterministic), and distinct per emission so a
-                    // flat-map record emitting the same token twice
-                    // keeps both honest duplicates.
-                    for num in input.page_numbers() {
-                        let pin = input.pin_page(num)?;
-                        let mut it = ObjectIter::new(&pin);
-                        while let Some(rec) = it.next() {
-                            report.scanned += 1;
-                            spec.map.for_each_emit(rec, &mut |out| {
-                                let seq = report.emitted;
-                                let dest =
-                                    spec.scheme.node_of(out, spec.source as u64 + seq, nodes);
-                                let tag = ingest_tag(spec.source, seq, out);
-                                self.route_output(&mut route, &mut report, dest, tag, out.to_vec())
-                            })?;
-                        }
-                    }
-                }
-            }
-            for (dest, (entries, _)) in std::mem::take(&mut route.batches) {
-                if entries.is_empty() {
-                    continue;
-                }
-                let (a, b) = self.deliver_entries(&mut route, dest, entries)?;
-                report.appended += a;
-                report.appended_bytes += b;
-            }
-            // Drain every destination's outstanding acks: the task's
-            // totals only count what the receivers acknowledged.
-            let drained = route.conns.iter_mut().try_for_each(|(addr, peer)| {
-                let (a, b) = peer.drain().map_err(|e| (addr.clone(), e))?;
-                report.appended += a;
-                report.appended_bytes += b;
-                Ok(())
-            });
-            if let Err((addr, e)) = drained {
-                if let Some(peer) = route.conns.remove(&addr) {
-                    self.discard_peer(peer.client);
-                }
-                return Err(e);
-            }
-            Ok(())
-        })();
-        // Healthy (drained) connections go back to the pool even when
-        // the task failed on another destination; the failed connection
-        // was already dropped by `ingest_into`, and any connection the
-        // failure left with acks still in flight is discarded by
-        // `checkin_peer`'s pipelined guard.
-        for (addr, peer) in route.conns.drain() {
-            self.checkin_peer(&addr, peer.client);
-        }
-        outcome?;
-        // Mapper-side attribution: this node shipped `emitted_bytes` of
-        // shuffle payload to its peers without touching the driver —
-        // labeled by mode, so combine/reduce traffic is distinguishable
-        // from map-only traffic in a dump.
-        if spec.reduce.is_some() {
-            self.stats
-                .record_shuffle_reduce(report.emitted_bytes as usize);
-        } else {
-            self.stats.record_shuffle(report.emitted_bytes as usize);
-        }
-        Ok(Response::TaskDone {
-            scanned: report.scanned,
-            emitted: report.emitted,
-            emitted_bytes: report.emitted_bytes,
-            appended: report.appended,
-            appended_bytes: report.appended_bytes,
-        })
-    }
-
-    /// Queues one routed output record for its destination, flushing
-    /// the destination's batch once a size threshold trips.
-    fn route_output(
-        &self,
-        route: &mut Router,
-        report: &mut TaskReport,
-        dest: u32,
-        tag: u64,
-        out: Vec<u8>,
-    ) -> Result<()> {
-        report.emitted += 1;
-        report.emitted_bytes += out.len() as u64;
-        let (batch, batch_bytes) = route.batches.entry(dest).or_default();
-        *batch_bytes += out.len();
-        batch.push((tag, out));
-        if batch.len() >= PUSH_BATCH_RECORDS || *batch_bytes >= PUSH_BATCH_BYTES {
-            let entries = std::mem::take(batch);
-            *batch_bytes = 0;
-            let (a, b) = self.deliver_entries(route, dest, entries)?;
-            report.appended += a;
-            report.appended_bytes += b;
-        }
-        Ok(())
-    }
-
-    /// Delivers one tagged batch to its destination: the self-destined
-    /// share never touches a socket (appended straight into this
-    /// daemon's own ingest session — the sim's free local delivery,
-    /// remotely); every other slot goes through its pooled connection.
-    ///
-    /// For a remote destination the returned totals are *not* this
-    /// batch's: they are whatever older in-flight batches got acked
-    /// while making window room (possibly nothing). This batch's own
-    /// totals surface from some later call or the task's final drain —
-    /// the task-level sums come out identical to the serial protocol.
-    fn deliver_entries(
-        &self,
-        route: &mut Router,
-        dest: u32,
-        entries: Vec<(u64, Vec<u8>)>,
-    ) -> Result<(u64, u64)> {
-        if dest == route.spec.source {
-            self.ingest_append(&route.spec.output, &entries, false)
-        } else {
-            let addr = *route.addr_of.get(&dest).ok_or_else(|| {
-                PangeaError::usage(format!("task has no destination address for slot {dest}"))
-            })?;
-            self.ingest_into(route, addr, entries)
-        }
-    }
-
     /// Appends one tagged batch, tags as dedup keys, into this daemon's
     /// ingest session for `set` (`over_wire = false`: a mapper's own share).
-    fn ingest_append(
+    pub(crate) fn ingest_append(
         &self,
         set: &str,
         entries: &[(u64, Vec<u8>)],
@@ -1546,49 +1293,6 @@ impl Pangead {
         let reg = self.obs.registry();
         self.ingests
             .append(&target, pairs, over_wire, &self.stats, reg)
-    }
-
-    /// Pipelines one tagged batch into the ingest session for the task's
-    /// output on the daemon at `addr`, opening (and caching in the
-    /// router's connections) the
-    /// destination connection on first use. A connection whose RPC
-    /// failed is dropped, never cached.
-    ///
-    /// The batch is *submitted*, not round-tripped: up to the effective
-    /// window (the configured `window`, shrunk by the receiver's latest
-    /// credit grant) of batches ride the wire unacked, so the mapper
-    /// keeps scanning while the receiver appends. When the window is
-    /// full the oldest ack is awaited first — and when it is the
-    /// *credit* that made the window small, the wait is counted as a
-    /// credit stall: the receiver's pool residency is throttling this
-    /// sender, which is backpressure working as designed.
-    fn ingest_into(
-        &self,
-        route: &mut Router,
-        addr: &str,
-        entries: Vec<(u64, Vec<u8>)>,
-    ) -> Result<(u64, u64)> {
-        let peer = match route.conns.entry(addr.to_string()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => {
-                let mut conn = self.checkout_peer(addr)?;
-                conn.set_trace(route.ctx);
-                v.insert(PipelinedPeer::new(conn))
-            }
-        };
-        let output = &route.spec.output;
-        let submit = |c: &mut PangeaClient| c.ingest_append_submit(output, entries);
-        match peer.submit(route.window, self.obs.registry(), submit) {
-            Ok(acked) => Ok(acked),
-            Err(e) => {
-                // Dropped, not returned — and counted, so a failed push
-                // doesn't strand the checkout accounting.
-                if let Some(peer) = route.conns.remove(addr) {
-                    self.discard_peer(peer.client);
-                }
-                Err(e)
-            }
-        }
     }
 
     /// The survivor half of peer repair: scan the local `source_set`,
@@ -1680,7 +1384,7 @@ impl Pangead {
                 return Ok(());
             }
             let records = std::mem::take(batch);
-            let (a, b) = peer.submit(self.pipeline_window, self.obs.registry(), |c| {
+            let (a, b) = peer.submit(self.obs.registry(), |c| {
                 c.recover_append_submit(target_set, records)
             })?;
             appended += a;
@@ -1725,7 +1429,7 @@ impl Pangead {
         })
     }
 
-    fn get_set(&self, name: &str) -> Result<pangea_core::LocalitySet> {
+    pub(crate) fn get_set(&self, name: &str) -> Result<pangea_core::LocalitySet> {
         local_set(&self.node, name)
     }
 }
@@ -1775,11 +1479,7 @@ impl PangeadServer {
         // The deployment shares one secret: what peers must present to
         // this daemon is also what this daemon presents when it dials
         // repair peers.
-        let daemon = Arc::new(
-            Pangead::new(node)
-                .with_peer_secret(secret.clone())
-                .with_pipeline_window(config.pipeline_window),
-        );
+        let daemon = Arc::new(Pangead::new(node).with_peer_secret(secret.clone()));
         if config.registry.is_none() {
             config.registry = Some(daemon.obs().registry().clone());
         }
@@ -3212,7 +2912,7 @@ mod tests {
     /// daemons' ingest sessions — and a re-run task is idempotent.
     #[test]
     fn run_task_maps_and_routes_to_destination_ingests() {
-        use crate::wire::{KeySpec, MapSpec, SchemeSpec, TaskSpec};
+        use crate::wire::{Job, KeySpec, MapSpec, SchemeSpec, TaskSpec};
         let secret = Some("task-secret".to_string());
         let mapper =
             PangeadServer::bind_with_secret(node("task-mapper"), "127.0.0.1:0", secret.clone())
@@ -3242,31 +2942,34 @@ mod tests {
         // Keep rows whose first field is "1", emit field 1, route by the
         // whole emitted record over 4 partitions striping 2 nodes.
         let spec = TaskSpec {
-            input: "lines".into(),
-            output: "words".into(),
-            map: MapSpec::extract(KeySpec::Field {
-                delim: b'|',
-                index: 1,
-            })
-            .with_filter(crate::wire::FilterSpec::KeyEquals {
-                key: KeySpec::Field {
+            job: Job {
+                input: "lines".into(),
+                output: "words".into(),
+                map: MapSpec::extract(KeySpec::Field {
                     delim: b'|',
-                    index: 0,
+                    index: 1,
+                })
+                .with_filter(crate::wire::FilterSpec::KeyEquals {
+                    key: KeySpec::Field {
+                        delim: b'|',
+                        index: 0,
+                    },
+                    value: b"1".to_vec(),
+                }),
+                reduce: None,
+                scheme: SchemeSpec::Hash {
+                    key_name: "word".into(),
+                    partitions: 4,
+                    key: KeySpec::WholeRecord,
                 },
-                value: b"1".to_vec(),
-            }),
-            reduce: None,
-            scheme: SchemeSpec::Hash {
-                key_name: "word".into(),
-                partitions: 4,
-                key: KeySpec::WholeRecord,
+                // The mapper plays slot 2 — outside the 2-wide
+                // destination stripe — so nothing self-routes and every
+                // record crosses a real socket to dest0/dest1 (the
+                // self-destined shortcut would otherwise expect slot 0
+                // to be this daemon's own ingest session, per the
+                // TaskSpec::source contract).
+                nodes: 2,
             },
-            // The mapper plays slot 2 — outside the 2-wide destination
-            // stripe — so nothing self-routes and every record crosses
-            // a real socket to dest0/dest1 (the self-destined shortcut
-            // would otherwise expect slot 0 to be this daemon's own
-            // ingest session, per the TaskSpec::source contract).
-            nodes: 2,
             source: 2,
             dests: vec![
                 (0, dest0.local_addr().to_string()),

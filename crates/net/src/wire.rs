@@ -168,7 +168,8 @@ macro_rules! wire_struct {
 wire_struct! {
     TraceCtx { job, span }
     MapSpec { filter, emit }
-    TaskSpec { input, output, map, reduce, scheme, nodes, source, dests }
+    Job { input, output, map, reduce, scheme, nodes }
+    TaskSpec { job, source, dests }
     WireCatalogEntry { name, scheme, group, objects, bytes }
     WireWorker { node, addr, epoch, state }
     WireSpan { seq, job, span, parent, op, peer, start_ns, end_ns, bytes, outcome }
@@ -1086,14 +1087,13 @@ impl Wire for ReduceSpec {
     }
 }
 
-/// One map task as shipped to a worker (`Request::TaskRun`): scan the
-/// local share of `input`, apply `map`, route each output record by
-/// `scheme` striping over `nodes`, and stream batches straight to the
-/// destination worker's ingest session for `output`. The driver only
-/// plans and collects the [`TaskReport`] — no record payload ever
-/// touches its connections.
+/// One map job, as the driver plans it once and ships it to every
+/// worker: scan each worker's local share of `input`, apply `map`
+/// (combining per key first when `reduce` is given), route each output
+/// record by `scheme` striping over `nodes`, and stream batches
+/// straight to the destination workers' ingest sessions for `output`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskSpec {
+pub struct Job {
     /// The worker-local input set to scan.
     pub input: String,
     /// The destination set (ingest sessions must be open on every
@@ -1107,10 +1107,20 @@ pub struct TaskSpec {
     /// ingest sessions. Must pair with a hash `scheme` keyed by field 0
     /// under the reduce's delimiter, so placement is key-determined.
     pub reduce: Option<ReduceSpec>,
-    /// Output partitioning (declarative — it crossed the wire).
+    /// Output partitioning (declarative — it crosses the wire).
     pub scheme: SchemeSpec,
     /// Fleet width the output partitions stripe over.
     pub nodes: u32,
+}
+
+/// One map task as shipped to a worker (`Request::TaskRun`): the
+/// [`Job`] plus what only the backend knows — which worker runs it and
+/// where every destination lives. The driver only plans and collects
+/// the [`TaskReport`] — no record payload ever touches its connections.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TaskSpec {
+    /// The job every worker runs against its own share.
+    pub job: Job,
     /// The executing worker's slot, for provenance tags
     /// ([`ingest_tag`]) — stable across task retries. Contract: this
     /// names the daemon the task runs on, so records routing to the
@@ -1550,19 +1560,21 @@ mod tests {
     #[test]
     fn task_specs_roundtrip() {
         let spec = TaskSpec {
-            input: "lines".into(),
-            output: "words".into(),
-            map: MapSpec::extract(KeySpec::Field {
-                delim: b'|',
-                index: 1,
-            }),
-            reduce: Some(ReduceSpec::count(KeySpec::WholeRecord, b'|')),
-            scheme: SchemeSpec::Hash {
-                key_name: "word".into(),
-                partitions: 8,
-                key: KeySpec::WholeRecord,
+            job: Job {
+                input: "lines".into(),
+                output: "words".into(),
+                map: MapSpec::extract(KeySpec::Field {
+                    delim: b'|',
+                    index: 1,
+                }),
+                reduce: Some(ReduceSpec::count(KeySpec::WholeRecord, b'|')),
+                scheme: SchemeSpec::Hash {
+                    key_name: "word".into(),
+                    partitions: 8,
+                    key: KeySpec::WholeRecord,
+                },
+                nodes: 4,
             },
-            nodes: 4,
             source: 2,
             dests: vec![
                 (0, "127.0.0.1:7781".into()),
@@ -1574,6 +1586,19 @@ mod tests {
         spec.put(&mut w);
         let mut r = ByteReader::new(w.as_bytes());
         assert_eq!(TaskSpec::get(&mut r).unwrap(), spec);
+        // The job's fields travel flat, in order, before `source` and
+        // `dests`: nesting them in `Job` left the wire bytes unchanged.
+        let mut flat = ByteWriter::new();
+        let job = &spec.job;
+        job.input.put(&mut flat);
+        job.output.put(&mut flat);
+        job.map.put(&mut flat);
+        job.reduce.put(&mut flat);
+        job.scheme.put(&mut flat);
+        job.nodes.put(&mut flat);
+        spec.source.put(&mut flat);
+        spec.dests.put(&mut flat);
+        assert_eq!(w.as_bytes(), flat.as_bytes());
         // Unknown filter/emit tags decode to corruption, like every spec.
         let mut w = ByteWriter::new();
         w.write_record(&99u64);

@@ -6,9 +6,9 @@
 use pangea_common::PangeaError;
 use pangea_net::frame::{read_frame_corr, write_frame_corr, FRAME_OVERHEAD, MAX_FRAME};
 use pangea_net::{
-    CmpOp, EmitSpec, FilterSpec, KeySpec, MapSpec, ReduceOp, ReduceSpec, RepairFilter, Request,
-    Response, SchemeSpec, TaskSpec, TraceCtx, WireCatalogEntry, WireMetric, WireSpan, WireWorker,
-    WorkerState,
+    CmpOp, EmitSpec, FilterSpec, Job, KeySpec, MapSpec, ReduceOp, ReduceSpec, RepairFilter,
+    Request, Response, SchemeSpec, TaskSpec, TraceCtx, WireCatalogEntry, WireMetric, WireSpan,
+    WireWorker, WorkerState,
 };
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -469,12 +469,14 @@ proptest! {
         let key = key_spec(delim, index, whole);
         let reduce = reduce_spec(reduce_tag, key, delim, index);
         let spec = TaskSpec {
-            input: ident(&name),
-            output: ident(&name),
-            map: map_spec(filter_tag, key, &value, cmp_value, emit_tag, key, delim, &indices),
-            reduce: reduce.clone(),
-            scheme: scheme_spec(&name, partitions, hash, key),
-            nodes,
+            job: Job {
+                input: ident(&name),
+                output: ident(&name),
+                map: map_spec(filter_tag, key, &value, cmp_value, emit_tag, key, delim, &indices),
+                reduce: reduce.clone(),
+                scheme: scheme_spec(&name, partitions, hash, key),
+                nodes,
+            },
             source,
             dests: dests.iter().map(|(n, a)| (*n, ident(a))).collect(),
         };
@@ -516,12 +518,14 @@ proptest! {
         let key = key_spec(delim, index, false);
         let enc = Request::TaskRun {
             spec: TaskSpec {
-                input: ident(&name),
-                output: ident(&name),
-                map: MapSpec::extract(key),
-                reduce: reduce_spec(reduce_tag | 1, key, delim, index),
-                scheme: scheme_spec(&name, partitions, true, key),
-                nodes,
+                job: Job {
+                    input: ident(&name),
+                    output: ident(&name),
+                    map: MapSpec::extract(key),
+                    reduce: reduce_spec(reduce_tag | 1, key, delim, index),
+                    scheme: scheme_spec(&name, partitions, true, key),
+                    nodes,
+                },
                 source,
                 dests: vec![(0, "127.0.0.1:7781".into()), (1, "127.0.0.1:7782".into())],
             },

@@ -14,6 +14,11 @@
 //!    sets' bytes-on-disk within one scrape interval.
 //! 4. A worker ring that **wraps past the scrape cursor** surfaces as a
 //!    nonzero dropped-span count — an incomplete trace must say so.
+//! 5. Two jobs running **at once on one `RemoteCluster`** each stitch
+//!    into a tree of their own: every traced job owns its context.
+//! 6. A **replacement worker** is scraped from its own ring's start,
+//!    not from the dead incarnation's cursor, so a recovery's spans on
+//!    the replacement reach the job's tree.
 
 use pangea::cluster::PartitionScheme;
 use pangea::common::{NodeId, KB};
@@ -22,6 +27,8 @@ use pangea::core::{NodeConfig, StorageNode};
 use pangea::net::{FilterSpec, KeySpec, MapSpec, PangeadServer, ReduceSpec, WireMetric};
 use pangea::obs::{SpanRecord, SpanTree};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SECRET: &str = "trace-deployment-secret";
@@ -317,4 +324,188 @@ fn wrapped_worker_ring_surfaces_as_dropped_spans() {
     // complete.
     let text = trace::run(&mgr_addr, Some(SECRET), 777, false).unwrap();
     assert!(text.contains("WARNING"), "{text}");
+}
+
+/// Loads `rows` into a round-robin set `name` through the driver.
+fn load(cluster: &RemoteCluster, name: &str, rows: &[String]) {
+    let set = cluster
+        .create_dist_set(name, PartitionScheme::round_robin(8))
+        .unwrap();
+    let mut d = set.loader().unwrap();
+    for row in rows {
+        d.dispatch(row.as_bytes()).unwrap();
+    }
+    d.finish().unwrap();
+}
+
+fn count_op(tree: &SpanTree, op: &str, node: &str) -> usize {
+    tree.spans
+        .iter()
+        .filter(|s| s.record.op == op && s.node == node)
+        .count()
+}
+
+/// Two `map_reduce` jobs on one handle, their tasks held in flight
+/// together by a rendezvous: each job's tree holds exactly its own
+/// driver root and one `TaskRun` per worker, and nothing of the other.
+#[test]
+fn concurrent_jobs_on_one_handle_each_own_their_trace() {
+    const WORKERS: u32 = 3;
+    let (_mgr, mgr_addr) = scraping_mgr();
+    let _fleet: Vec<_> = (0..WORKERS)
+        .map(|i| worker(&format!("cj{i}"), &mgr_addr, i))
+        .collect();
+    let cluster = RemoteCluster::connect(&mgr_addr, Some(SECRET)).unwrap();
+    let rows: Vec<String> = (0..300)
+        .map(|i| format!("u{}|w{:02}|row-{i:05}", i % 7, i % 31))
+        .collect();
+    load(&cluster, "lines", &rows);
+
+    // Every task of both jobs must arrive before any is released, so a
+    // single shared trace slot could not tell the jobs apart.
+    let arrivals = Arc::new(AtomicUsize::new(0));
+    let hook_arrivals = Arc::clone(&arrivals);
+    cluster.set_task_hook(Some(Arc::new(move |_: NodeId| {
+        hook_arrivals.fetch_add(1, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while hook_arrivals.load(Ordering::SeqCst) < 2 * WORKERS as usize {
+            assert!(Instant::now() < deadline, "task rendezvous timed out");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    })));
+    let driver_cursor = cluster.workers().obs().ring().next_seq();
+    let reduce = ReduceSpec::count(KeySpec::WholeRecord, b'|');
+    std::thread::scope(|s| {
+        let jobs: Vec<_> = ["counts_a", "counts_b"]
+            .into_iter()
+            .map(|output| {
+                let (cluster, reduce) = (&cluster, &reduce);
+                s.spawn(move || {
+                    cluster
+                        .map_reduce(
+                            "lines",
+                            output,
+                            &word_map(),
+                            reduce,
+                            PartitionScheme::hash_field("word", 8, b'|', 0),
+                        )
+                        .unwrap()
+                })
+            })
+            .collect();
+        for job in jobs {
+            assert_eq!(job.join().unwrap().scanned, rows.len() as u64);
+        }
+    });
+    cluster.set_task_hook(None);
+    assert_eq!(arrivals.load(Ordering::SeqCst), 2 * WORKERS as usize);
+
+    // The two jobs' ids, from the driver roots the jobs recorded.
+    let ids: Vec<u64> = cluster
+        .workers()
+        .obs()
+        .ring()
+        .since(driver_cursor)
+        .into_iter()
+        .filter(|(_, s)| s.op == "DriverJob")
+        .map(|(_, s)| s.job)
+        .collect();
+    assert_eq!(ids.len(), 2, "one driver root per job: {ids:?}");
+    assert_ne!(ids[0], ids[1]);
+    for &job in &ids {
+        let (tree, _) = wait_for_tree(&mgr_addr, job, |tree| {
+            tree.is_connected()
+                && (0..WORKERS).all(|w| count_op(tree, "TaskRun", &format!("worker{w}")) >= 1)
+        });
+        assert!(
+            tree.spans.iter().all(|s| s.record.job == job),
+            "job {job}'s tree holds another job's span"
+        );
+        assert_eq!(tree.roots.len(), 1);
+        assert_eq!(tree.spans[tree.roots[0]].record.op, "DriverJob");
+        assert_eq!(count_op(&tree, "DriverJob", "driver"), 1);
+        for w in 0..WORKERS {
+            assert_eq!(
+                count_op(&tree, "TaskRun", &format!("worker{w}")),
+                1,
+                "job {job}: worker{w} ran exactly one task"
+            );
+        }
+    }
+}
+
+/// A replacement `pangead`'s ring restarts at sequence 0. The scraper
+/// must read it from there, not from the dead incarnation's cursor, or
+/// the recovery's spans on the replacement never reach the fleet store.
+#[test]
+fn replacement_worker_spans_reach_the_recovery_trace() {
+    let (_mgr, mgr_addr) = scraping_mgr();
+    let (_s0, _a0) = worker("rp0", &mgr_addr, 0);
+    let (mut s1, mut a1) = worker("rp1", &mgr_addr, 1);
+    let (_s2, _a2) = worker("rp2", &mgr_addr, 2);
+    let cluster = RemoteCluster::connect(&mgr_addr, Some(SECRET)).unwrap();
+
+    let rows: Vec<String> = (0..300)
+        .map(|i| format!("u{}|w{:02}|row-{i:05}", i % 7, i % 31))
+        .collect();
+    let set = cluster
+        .create_dist_set("users", PartitionScheme::hash_field("uid", 8, b'|', 0))
+        .unwrap();
+    let mut d = set.loader().unwrap();
+    for row in &rows {
+        d.dispatch(row.as_bytes()).unwrap();
+    }
+    d.finish().unwrap();
+    cluster
+        .register_replica(
+            "users",
+            "users_f1",
+            PartitionScheme::hash_field("f1", 8, b'|', 1),
+        )
+        .unwrap();
+
+    // Traced jobs until slot 1's ring is far past anything one recovery
+    // records on a fresh ring, then let the scraper catch up to it.
+    let mut job = 0;
+    while s1.daemon().obs().ring().next_seq() < 200 {
+        cluster
+            .map_shuffle(
+                "users",
+                "words",
+                &word_map(),
+                PartitionScheme::hash_whole("word", 8),
+            )
+            .unwrap();
+        job = cluster.workers().last_job().unwrap();
+    }
+    wait_for_tree(&mgr_addr, job, |tree| {
+        tree.is_connected() && count_op(tree, "TaskRun", "worker1") == 1
+    });
+
+    a1.abandon();
+    s1.shutdown();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cluster.dead_workers().unwrap().contains(&NodeId(1)) {
+        assert!(Instant::now() < deadline, "node#1 never declared dead");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let (s1b, _a1b) = worker("rp1-replacement", &mgr_addr, 1);
+    let report = cluster.recover_worker(NodeId(1)).unwrap();
+    assert!(report.objects_restored > 0);
+    let job = cluster.workers().last_job().unwrap();
+    let recorded = s1b.daemon().obs().ring().next_seq();
+    assert!(recorded < 200, "one recovery recorded {recorded} spans");
+
+    let ops = ["RecoverBegin", "RecoverAppend", "RecoverEnd"];
+    let (tree, _) = wait_for_tree(&mgr_addr, job, |tree| {
+        ops.iter().all(|op| count_op(tree, op, "worker1") > 0)
+    });
+    assert!(tree.spans.iter().all(|s| s.record.job == job));
+    // The appends arrived from the survivors' pushes.
+    assert!(
+        tree.spans.iter().any(|s| s.node != "worker1"
+            && s.record.op == "RecoverPush"
+            && s.record.outcome == "ok"),
+        "no survivor push in the recovery tree"
+    );
 }
