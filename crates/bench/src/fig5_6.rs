@@ -182,7 +182,7 @@ pub fn run_recovery(cfg: &Fig6Config) -> Vec<Row> {
             "pangea",
             &x,
             "colliding-ratio",
-            Outcome::Seconds(report.colliding_ratio()),
+            Outcome::Ratio(report.colliding_ratio()),
         ));
         cluster.kill_node(pangea_common::NodeId(0)).expect("kill");
         let rec = cluster

@@ -15,6 +15,8 @@ pub enum Outcome {
     Bytes(u64),
     /// A count.
     Count(u64),
+    /// A dimensionless ratio (a share, a fraction of objects).
+    Ratio(f64),
     /// The system failed (plotted as a gap); carries the failure text.
     Failed(String),
 }
@@ -36,6 +38,7 @@ impl Outcome {
             Outcome::Seconds(s) => Some(*s),
             Outcome::Bytes(b) => Some(*b as f64),
             Outcome::Count(c) => Some(*c as f64),
+            Outcome::Ratio(r) => Some(*r),
             Outcome::Failed(_) => None,
         }
     }
@@ -54,6 +57,7 @@ impl fmt::Display for Outcome {
                 write!(f, "{}", pangea_common::units::fmt_bytes(*b as usize))
             }
             Outcome::Count(c) => write!(f, "{c}"),
+            Outcome::Ratio(r) => write!(f, "{r:.4}"),
             Outcome::Failed(_) => write!(f, "FAILED"),
         }
     }
@@ -134,5 +138,12 @@ mod tests {
         assert!(gap.is_failure());
         assert!(gap.value().is_none());
         assert_eq!(Outcome::Seconds(2.0).value(), Some(2.0));
+    }
+
+    #[test]
+    fn ratios_render_without_a_unit() {
+        assert_eq!(Outcome::Ratio(0.0113).to_string(), "0.0113");
+        assert_eq!(Outcome::Ratio(1.0).to_string(), "1.0000");
+        assert_eq!(Outcome::Ratio(0.25).value(), Some(0.25));
     }
 }

@@ -16,7 +16,7 @@
 //!
 //! Record movement is batched per destination ([`DispatchConfig`]): a
 //! dispatcher accumulates records per target node and flushes them as
-//! one delivery once a record-count or byte threshold is crossed, so a
+//! one delivery once their encoded size reaches a byte bound, so a
 //! TCP-backed cluster pays one round trip per *batch* instead of one per
 //! record, while payload byte accounting is unchanged (a batch's net
 //! bytes are exactly the sum of its records').
@@ -30,7 +30,10 @@ use crate::replication::colliding_set_name;
 use pangea_common::{
     record_key, FxHashMap, FxHashSet, NodeId, PangeaError, ReplicaGroupId, Result,
 };
-use pangea_net::{Job, KeySpec, MapSpec, ReduceSpec, RepairFilter, RepairPushReport, TaskReport};
+use pangea_net::{
+    Job, KeySpec, MapSpec, PushBatch, ReduceSpec, RepairFilter, RepairPushReport, TaskReport,
+    PUSH_BATCH_BYTES,
+};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -214,20 +217,19 @@ pub trait Catalog: fmt::Debug + Send + Sync {
     fn best_replica(&self, set: &str, key: &str) -> Result<Option<String>>;
 }
 
-/// Per-destination batching thresholds for record movement.
+/// The per-destination batch bound for record movement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchConfig {
-    /// Flush a destination once this many records are pending.
-    pub max_batch_records: usize,
-    /// Flush a destination once this many payload bytes are pending.
+    /// Flush a destination once its pending records' encoded size
+    /// (payload plus 4 B of framing each) reaches this many bytes.
     pub max_batch_bytes: usize,
 }
 
 impl Default for DispatchConfig {
+    /// The batch rule every push shares, [`PUSH_BATCH_BYTES`].
     fn default() -> Self {
         Self {
-            max_batch_records: 256,
-            max_batch_bytes: 128 * 1024,
+            max_batch_bytes: PUSH_BATCH_BYTES,
         }
     }
 }
@@ -236,10 +238,7 @@ impl DispatchConfig {
     /// One delivery per record — the pre-batching behavior, kept for
     /// round-trip-count comparisons.
     pub fn unbatched() -> Self {
-        Self {
-            max_batch_records: 1,
-            max_batch_bytes: 0,
-        }
+        Self { max_batch_bytes: 0 }
     }
 }
 
@@ -1247,7 +1246,7 @@ impl EngineDispatcher {
 
 /// Per-destination batching over backend sinks: records accumulate per
 /// `(origin, destination)` run and flush as one [`RecordSink::append`]
-/// when a threshold trips, the origin changes, or the batch is sealed.
+/// when the batch is full, the origin changes, or the batch is sealed.
 struct BatchedSinks {
     core: ClusterCore,
     set: String,
@@ -1260,18 +1259,20 @@ struct SinkSlot {
     /// Origin of the pending batch; a batch never mixes origins so the
     /// local-delivery (`from == to`) free path stays exact.
     from: NodeId,
-    pending: Vec<Vec<u8>>,
-    pending_bytes: usize,
+    pending: PushBatch<Vec<u8>>,
 }
 
 impl SinkSlot {
     fn flush(&mut self) -> Result<()> {
-        if self.pending.is_empty() {
+        let records = self.pending.take();
+        self.deliver(records)
+    }
+
+    fn deliver(&mut self, records: Vec<Vec<u8>>) -> Result<()> {
+        if records.is_empty() {
             return Ok(());
         }
-        self.pending_bytes = 0;
-        self.sink
-            .append(self.from, std::mem::take(&mut self.pending))
+        self.sink.append(self.from, records)
     }
 }
 
@@ -1306,8 +1307,7 @@ impl BatchedSinks {
                 SinkSlot {
                     sink,
                     from,
-                    pending: Vec::new(),
-                    pending_bytes: 0,
+                    pending: PushBatch::new(self.config.max_batch_bytes),
                 },
             );
         }
@@ -1316,14 +1316,10 @@ impl BatchedSinks {
             slot.flush()?;
             slot.from = from;
         }
-        slot.pending.push(record.to_vec());
-        slot.pending_bytes += record.len();
-        if slot.pending.len() >= self.config.max_batch_records
-            || slot.pending_bytes >= self.config.max_batch_bytes
-        {
-            slot.flush()?;
+        match slot.pending.push(record.to_vec()) {
+            Some(full) => slot.deliver(full),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn finish(mut self) -> Result<()> {

@@ -155,7 +155,14 @@ impl IoStats {
     /// Records one network message of `bytes`.
     #[inline]
     pub fn record_net(&self, bytes: usize) {
-        self.net_messages.inc();
+        self.record_net_batch(1, bytes);
+    }
+
+    /// Records `messages` network messages of `bytes` in all — a
+    /// received batch, charged once instead of once per record.
+    #[inline]
+    pub fn record_net_batch(&self, messages: usize, bytes: usize) {
+        self.net_messages.add(messages as u64);
         self.net_bytes.add(bytes as u64);
     }
 

@@ -50,6 +50,43 @@ impl SeqWriter {
     /// Appends one object (raw payload bytes). The paper's
     /// `myData.addObject(myObject)`.
     pub fn add_object(&mut self, payload: &[u8]) -> Result<()> {
+        self.add_objects([payload])
+    }
+
+    /// Appends a run of objects, in order, taking the current page's
+    /// write guard once per page fill rather than once per object; no
+    /// guard is held across a seal. An object larger than a page fails
+    /// the call, and the objects before it stay written.
+    pub fn add_objects<'p>(&mut self, payloads: impl IntoIterator<Item = &'p [u8]>) -> Result<()> {
+        let mut payloads = payloads.into_iter();
+        let mut next = payloads.next();
+        while let Some(first) = next {
+            self.check_fits(first)?;
+            let pin = match &mut self.current {
+                Some(pin) => pin,
+                slot => slot.insert(self.set.new_page()?),
+            };
+            let mut bytes = pin.write();
+            while let Some(payload) = next {
+                if !page::append_record(&mut bytes, payload) {
+                    break;
+                }
+                self.objects_written += 1;
+                next = payloads.next();
+            }
+            drop(bytes);
+            if let Some(payload) = next {
+                // The page is full, or the object fits in no page: an
+                // oversized object leaves the page open, as it found it.
+                self.check_fits(payload)?;
+                self.seal_current()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Rejects an object too large for an empty page.
+    fn check_fits(&self, payload: &[u8]) -> Result<()> {
         let max_payload = self.set.page_size() - page::PAGE_HEADER - page::RECORD_PREFIX;
         if payload.len() > max_payload {
             return Err(PangeaError::usage(format!(
@@ -57,18 +94,7 @@ impl SeqWriter {
                 payload.len()
             )));
         }
-        loop {
-            if self.current.is_none() {
-                self.current = Some(self.set.new_page()?);
-            }
-            let pin = self.current.as_ref().expect("just ensured");
-            if page::append_record(&mut pin.write(), payload) {
-                self.objects_written += 1;
-                return Ok(());
-            }
-            // Page full: seal it and retry on a fresh one.
-            self.seal_current()?;
-        }
+        Ok(())
     }
 
     /// Appends one typed record (encoded through the workspace codec).
@@ -162,6 +188,58 @@ mod tests {
         assert_eq!(recs[0], b"record-0000");
         assert_eq!(recs[99], b"record-0099");
         assert_eq!(w.objects_written(), 100);
+    }
+
+    fn page_images(set: &LocalitySet) -> Vec<Vec<u8>> {
+        set.page_numbers()
+            .into_iter()
+            .map(|num| set.pin_page(num).unwrap().read().to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn a_run_fills_the_same_pages_as_one_object_at_a_time() {
+        let n = node("run");
+        let objects: Vec<Vec<u8>> = (0..300u64)
+            .map(|i| format!("object-{i}-{}", "x".repeat((i % 40) as usize)).into_bytes())
+            .collect();
+        let one = n.create_set("one", SetOptions::write_back()).unwrap();
+        let mut w1 = one.writer();
+        for obj in &objects {
+            w1.add_object(obj).unwrap();
+        }
+        w1.finish().unwrap();
+        let run = n.create_set("run", SetOptions::write_back()).unwrap();
+        let mut w2 = run.writer();
+        // Uneven runs, so some start mid-page and some end exactly at a
+        // page's last object.
+        for chunk in objects.chunks(37) {
+            w2.add_objects(chunk.iter().map(Vec::as_slice)).unwrap();
+        }
+        w2.finish().unwrap();
+        assert!(run.num_pages() > 1, "the runs must roll over pages");
+        assert_eq!(page_images(&run), page_images(&one));
+        assert_eq!(w2.objects_written(), w1.objects_written());
+        assert_eq!(w2.objects_written(), 300);
+    }
+
+    #[test]
+    fn an_oversized_object_mid_run_fails_after_the_objects_before_it() {
+        let n = node("run-oversize");
+        let s = n.create_set("s", SetOptions::write_back()).unwrap();
+        let mut w = s.writer();
+        let big = vec![7u8; 2 * KB];
+        let run: Vec<&[u8]> = vec![b"kept-0", b"kept-1", &big, b"never-written"];
+        assert!(w.add_objects(run).is_err());
+        assert_eq!(w.objects_written(), 2);
+        // The open page is left as it was: the writer goes on filling it.
+        w.add_object(b"after").unwrap();
+        w.finish().unwrap();
+        assert_eq!(s.num_pages(), 1);
+        assert_eq!(
+            read_all(&s),
+            vec![b"kept-0".to_vec(), b"kept-1".to_vec(), b"after".to_vec()]
+        );
     }
 
     #[test]

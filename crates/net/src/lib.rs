@@ -34,7 +34,8 @@
 //!   `task` (crate-private) — the mapper a shipped `TaskRun` runs.
 //! * [`pipeline`] — [`PipelinedPeer`], the one window loop every
 //!   pipelined push runs: mapper ingest, repair streaming and a
-//!   driver's load.
+//!   driver's load; and [`PushBatch`], the one batch rule they fill
+//!   their batches by ([`PUSH_BATCH_BYTES`] encoded bytes).
 //! * [`PangeaClient`] — a thin typed client over one connection.
 //!
 //! Byte accounting matches the in-process `SimNetwork` of
@@ -58,7 +59,9 @@ pub mod wire;
 pub use client::{PangeaClient, RemoteStats};
 pub use frame::{FRAME_OVERHEAD, MAX_FRAME};
 pub use pangea_obs::TraceCtx;
-pub use pipeline::{PipelinedPeer, MAX_PIPELINE_WINDOW, PIPELINE_WINDOW};
+pub use pipeline::{
+    BatchEntry, PipelinedPeer, PushBatch, MAX_PIPELINE_WINDOW, PIPELINE_WINDOW, PUSH_BATCH_BYTES,
+};
 pub use proto::{error_response, Request, Response};
 pub use server::{
     metrics_dump_response, serve_instrumented, FramedServer, FramedService, Pangead, PangeadServer,

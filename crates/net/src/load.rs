@@ -7,7 +7,7 @@
 //! `IngestBegin` drops the set.
 
 use crate::session::local_set;
-use pangea_common::{FxHashMap, IoStats, Result, SetId};
+use pangea_common::{FxHashMap, Result, SetId};
 use pangea_core::{SeqWriter, StorageNode};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -27,15 +27,14 @@ pub(crate) struct LoadWriters {
 }
 
 impl LoadWriters {
-    /// Appends `records`, in order, through `set`'s writer and returns
-    /// `(records, payload bytes)`. Each record is charged to the
-    /// inbound net counters.
+    /// Appends `records`, in order, through `set`'s writer — one write
+    /// guard per page they fill — and returns `(records, payload
+    /// bytes)`.
     pub(crate) fn append(
         &self,
         node: &StorageNode,
         set: &str,
         records: &[Vec<u8>],
-        stats: &IoStats,
     ) -> Result<(u64, u64)> {
         loop {
             let handle = self.resolve(node, set)?;
@@ -43,12 +42,8 @@ impl LoadWriters {
             let Some(writer) = slot.as_mut() else {
                 continue;
             };
-            let mut bytes = 0u64;
-            for rec in records {
-                stats.record_net(rec.len());
-                writer.add_object(rec)?;
-                bytes += rec.len() as u64;
-            }
+            writer.add_objects(records.iter().map(Vec::as_slice))?;
+            let bytes = records.iter().map(|rec| rec.len() as u64).sum();
             return Ok((records.len() as u64, bytes));
         }
     }

@@ -2,7 +2,9 @@
 //! fan-out, a survivor's repair stream and a driver's load. Each keeps
 //! up to a window of batches in flight on one connection, awaits the
 //! oldest ack when the window is full, and lets the receiver's credit
-//! grant shrink the window when its pool runs hot.
+//! grant shrink the window when its pool runs hot. All three fill their
+//! batches by one rule, [`PushBatch`]: a batch closes once its encoded
+//! size reaches [`PUSH_BATCH_BYTES`].
 
 use crate::client::PangeaClient;
 use pangea_common::Result;
@@ -17,8 +19,80 @@ pub const PIPELINE_WINDOW: u32 = 8;
 
 /// Ceiling on any credit grant: the most unacked batches a receiver
 /// invites one sender to park in its socket and session state (about
-/// 8 MB at the daemon's 128 KB batch ceiling).
+/// 8 MB of [`PUSH_BATCH_BYTES`] batches).
 pub const MAX_PIPELINE_WINDOW: u32 = 64;
+
+/// The one batch rule of every push — a mapper's ingest batches, a
+/// survivor's repair batches and, through `pangea-cluster`'s default
+/// `DispatchConfig`, a driver's load batches: a batch closes once its
+/// encoded size reaches this many bytes. It is also the unit of a
+/// receiver's credit grant.
+pub const PUSH_BATCH_BYTES: usize = 128 * 1024;
+
+/// Codec framing of one record in a batch: its `u32` length prefix.
+const RECORD_FRAMING: usize = 4;
+
+/// What one item adds to a batch's encoded size: its payload plus its
+/// codec framing.
+pub trait BatchEntry {
+    /// The item's encoded size in a batch.
+    fn encoded_len(&self) -> usize;
+}
+
+/// A plain record (`Append`, `RecoverAppend`): 4 B of framing.
+impl BatchEntry for Vec<u8> {
+    fn encoded_len(&self) -> usize {
+        RECORD_FRAMING + self.len()
+    }
+}
+
+/// A tagged entry (`IngestAppend`): the tag travels as one 8-byte
+/// record, so 16 B of framing.
+impl BatchEntry for (u64, Vec<u8>) {
+    fn encoded_len(&self) -> usize {
+        RECORD_FRAMING + 8 + self.1.encoded_len()
+    }
+}
+
+/// One destination's pending batch under the batch rule.
+#[derive(Debug)]
+pub struct PushBatch<T> {
+    items: Vec<T>,
+    encoded: usize,
+    limit: usize,
+}
+
+impl<T: BatchEntry> PushBatch<T> {
+    /// An empty batch that closes at `limit` encoded bytes; `0` closes
+    /// it at every item.
+    pub fn new(limit: usize) -> Self {
+        Self {
+            items: Vec::new(),
+            encoded: 0,
+            limit,
+        }
+    }
+
+    /// Adds `item`, and hands the batch back once it is full.
+    pub fn push(&mut self, item: T) -> Option<Vec<T>> {
+        self.encoded += item.encoded_len();
+        self.items.push(item);
+        (self.encoded >= self.limit).then(|| self.take())
+    }
+
+    /// Takes what is pending, full or not, leaving the batch empty.
+    pub fn take(&mut self) -> Vec<T> {
+        self.encoded = 0;
+        std::mem::take(&mut self.items)
+    }
+}
+
+impl<T: BatchEntry> Default for PushBatch<T> {
+    /// A batch under [`PUSH_BATCH_BYTES`].
+    fn default() -> Self {
+        Self::new(PUSH_BATCH_BYTES)
+    }
+}
 
 /// A connection plus its pipelined-push state: the correlation ids of
 /// unacked submits (oldest first, each with the payload bytes it
@@ -123,5 +197,54 @@ impl PipelinedPeer {
             bytes += b;
         }
         Ok((appended, bytes))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::Request;
+
+    /// A batch's encoded size grows by exactly what its request's
+    /// encoding grows by: 16 B plus payload per tagged entry, 4 B plus
+    /// payload per plain record.
+    #[test]
+    fn encoded_len_is_what_the_request_encoding_adds() {
+        let ingest = |entries: Vec<(u64, Vec<u8>)>| {
+            Request::IngestAppend {
+                set: "s".into(),
+                entries,
+            }
+            .encode()
+            .len()
+        };
+        let repair = |records: Vec<Vec<u8>>| {
+            Request::RecoverAppend {
+                set: "s".into(),
+                records,
+            }
+            .encode()
+            .len()
+        };
+        let entries: Vec<(u64, Vec<u8>)> = vec![(7, b"the".to_vec()), (u64::MAX, vec![])];
+        let records: Vec<Vec<u8>> = vec![b"a|1".to_vec(), vec![], vec![0; 300]];
+        let tagged: usize = entries.iter().map(BatchEntry::encoded_len).sum();
+        let plain: usize = records.iter().map(BatchEntry::encoded_len).sum();
+        assert_eq!(tagged, 2 * 16 + 3);
+        assert_eq!(ingest(entries) - ingest(vec![]), tagged);
+        assert_eq!(repair(records) - repair(vec![]), plain);
+    }
+
+    #[test]
+    fn a_batch_closes_when_its_encoded_size_reaches_the_limit() {
+        // Three 6-byte records encode to 10 B each.
+        let mut batch = PushBatch::new(30);
+        assert!(batch.push(b"rec-01".to_vec()).is_none());
+        assert!(batch.push(b"rec-02".to_vec()).is_none());
+        let full = batch.push(b"rec-03".to_vec()).expect("30 B reached");
+        assert_eq!(full.len(), 3);
+        assert!(batch.take().is_empty(), "a closed batch starts empty");
+        let mut single = PushBatch::new(0);
+        assert_eq!(single.push(vec![]), Some(vec![vec![]]));
     }
 }

@@ -25,7 +25,7 @@
 use crate::client::PangeaClient;
 use crate::frame::{read_frame_corr, write_frame_corr};
 use crate::load::LoadWriters;
-use crate::pipeline::{PipelinedPeer, MAX_PIPELINE_WINDOW};
+use crate::pipeline::{PipelinedPeer, PushBatch, MAX_PIPELINE_WINDOW, PUSH_BATCH_BYTES};
 use crate::proto::{error_response, Request, Response};
 use crate::session::{local_set, Session, SessionTable, Sink, INGEST, REPAIR};
 use crate::wire::{RecordPredicate, RepairFilter, WireMetric, WireSpan};
@@ -720,11 +720,6 @@ fn outcome_of(resp: &Response) -> String {
     out
 }
 
-/// Per-push batching thresholds for the survivor's streaming loop
-/// (mirrors the engine's default `DispatchConfig`).
-pub(crate) const PUSH_BATCH_RECORDS: usize = 256;
-pub(crate) const PUSH_BATCH_BYTES: usize = 128 * 1024;
-
 /// Most distinct peer addresses the outbound pool caches idle
 /// connections for (see [`Pangead::checkin_peer`]).
 const PEER_POOL_CAP: usize = 64;
@@ -807,10 +802,10 @@ impl Pangead {
 
     /// The ack of a session append or end, stamped with this daemon's
     /// credit grant: how many more in-flight push batches its pool
-    /// residency can absorb. Free pool bytes divided by the batch
-    /// ceiling, clamped to `[1, MAX_PIPELINE_WINDOW]` — never 0, because
-    /// a full pool must still admit one batch at a time for the spill
-    /// machinery to make progress against.
+    /// residency can absorb. Free pool bytes divided by the batch size
+    /// ([`PUSH_BATCH_BYTES`]), clamped to `[1, MAX_PIPELINE_WINDOW]` —
+    /// never 0, because a full pool must still admit one batch at a time
+    /// for the spill machinery to make progress against.
     fn session_ack(&self, (appended, bytes): (u64, u64)) -> Response {
         let p = self.node.paging_stats();
         let free = p.pool_capacity.saturating_sub(p.pool_used);
@@ -939,7 +934,8 @@ impl Pangead {
                 })
             }
             Request::Append { set, records } => {
-                let acked = self.loads.append(&self.node, &set, &records, &self.stats)?;
+                let acked = self.loads.append(&self.node, &set, &records)?;
+                self.record_received(records.iter().map(Vec::as_slice));
                 Ok(self.session_ack(acked))
             }
             Request::AppendEnd { set } => {
@@ -1106,9 +1102,8 @@ impl Pangead {
                 let target = self.get_set(&set)?;
                 let pairs = records.iter().map(|rec| (record_key(rec), rec.as_slice()));
                 let reg = self.obs.registry();
-                let acked = self
-                    .repairs
-                    .append(&target, pairs, true, &self.stats, reg)?;
+                let acked = self.repairs.append(&target, pairs, &self.stats, reg)?;
+                self.record_received(records.iter().map(Vec::as_slice));
                 Ok(self.session_ack(acked))
             }
             Request::RecoverEnd { set } => {
@@ -1178,7 +1173,8 @@ impl Pangead {
                 Ok(Response::Ok)
             }
             Request::IngestAppend { set, entries } => {
-                let acked = self.ingest_append(&set, &entries, true)?;
+                let acked = self.ingest_append(&set, &entries)?;
+                self.record_received(entries.iter().map(|(_, rec)| rec.as_slice()));
                 Ok(self.session_ack(acked))
             }
             Request::IngestEnd { set } => {
@@ -1281,18 +1277,25 @@ impl Pangead {
     }
 
     /// Appends one tagged batch, tags as dedup keys, into this daemon's
-    /// ingest session for `set` (`over_wire = false`: a mapper's own share).
+    /// ingest session for `set`.
     pub(crate) fn ingest_append(
         &self,
         set: &str,
         entries: &[(u64, Vec<u8>)],
-        over_wire: bool,
     ) -> Result<(u64, u64)> {
         let target = self.get_set(set)?;
         let pairs = entries.iter().map(|(tag, rec)| (*tag, rec.as_slice()));
-        let reg = self.obs.registry();
         self.ingests
-            .append(&target, pairs, over_wire, &self.stats, reg)
+            .append(&target, pairs, &self.stats, self.obs.registry())
+    }
+
+    /// Charges one appended batch of `payloads` to the inbound net
+    /// counters: one message per record, as the simulation counts its
+    /// transfers, in one update per batch. A refused batch is not
+    /// charged.
+    fn record_received<'r>(&self, payloads: impl Iterator<Item = &'r [u8]>) {
+        let (messages, bytes) = payloads.fold((0, 0), |(n, b), rec| (n + 1, b + rec.len()));
+        self.stats.record_net_batch(messages, bytes);
     }
 
     /// The survivor half of peer repair: scan the local `source_set`,
@@ -1371,19 +1374,17 @@ impl Pangead {
         };
         let (mut scanned, mut pushed, mut pushed_bytes) = (0u64, 0u64, 0u64);
         let (mut appended, mut appended_bytes) = (0u64, 0u64);
-        let mut batch: Vec<Vec<u8>> = Vec::new();
-        let mut batch_bytes = 0usize;
+        let mut batch = PushBatch::default();
         // The windowed pipeline: batches are *submitted* and their acks
         // collected later, so the scan keeps producing while the
         // replacement appends. The replacement's credit grants shrink
         // the window when its pool runs hot — repair streaming is the
         // heaviest sustained push in the system, exactly the traffic a
         // memory-pressured receiver must be able to slow down.
-        let mut flush = |peer: &mut PipelinedPeer, batch: &mut Vec<Vec<u8>>| -> Result<()> {
-            if batch.is_empty() {
+        let mut flush = |peer: &mut PipelinedPeer, records: Vec<Vec<u8>>| -> Result<()> {
+            if records.is_empty() {
                 return Ok(());
             }
-            let records = std::mem::take(batch);
             let (a, b) = peer.submit(self.obs.registry(), |c| {
                 c.recover_append_submit(target_set, records)
             })?;
@@ -1405,15 +1406,12 @@ impl Pangead {
                 }
                 pushed += 1;
                 pushed_bytes += rec.len() as u64;
-                batch_bytes += rec.len();
-                batch.push(rec.to_vec());
-                if batch.len() >= PUSH_BATCH_RECORDS || batch_bytes >= PUSH_BATCH_BYTES {
-                    flush(peer, &mut batch)?;
-                    batch_bytes = 0;
+                if let Some(full) = batch.push(rec.to_vec()) {
+                    flush(peer, full)?;
                 }
             }
         }
-        flush(peer, &mut batch)?;
+        flush(peer, batch.take())?;
         let (a, b) = peer.drain()?;
         appended += a;
         appended_bytes += b;
@@ -2596,6 +2594,132 @@ mod tests {
         assert!(matches!(queued.join().unwrap(), Response::Err { .. }));
         match d.handle(Request::Scan { set: "out".into() }) {
             Response::Records { records } => assert!(records.is_empty(), "{records:?}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A batch dedups its own repeats by the session's key, before any
+    /// of it reaches the ledger: a repair batch carrying one record twice
+    /// restores it once, while an ingest batch keeps equal bytes under
+    /// two tags. The inbound net counters still see every record.
+    #[test]
+    fn a_batch_drops_its_own_repeated_keys_and_keeps_equal_bytes_under_two_tags() {
+        let d = Pangead::new(node("batch-repeats"));
+        for name in ["tgt", "out"] {
+            d.handle(Request::CreateSet {
+                name: name.into(),
+                durability: "write-back".into(),
+                page_size: None,
+            });
+        }
+        d.handle(Request::RecoverBegin {
+            set: "tgt".into(),
+            present_from: vec![],
+        });
+        let net_before = d.stats().snapshot();
+        assert!(matches!(
+            d.handle(Request::RecoverAppend {
+                set: "tgt".into(),
+                records: vec![b"twice".to_vec(), b"once".to_vec(), b"twice".to_vec()],
+            }),
+            Response::SessionAck {
+                appended: 2,
+                bytes: 9,
+                ..
+            }
+        ));
+        let net = d.stats().snapshot().delta_since(&net_before);
+        assert_eq!((net.net_messages, net.net_bytes), (3, 14));
+        d.handle(Request::RecoverEnd { set: "tgt".into() });
+
+        d.handle(Request::IngestBegin {
+            set: "out".into(),
+            reduce: None,
+        });
+        assert!(matches!(
+            d.handle(Request::IngestAppend {
+                set: "out".into(),
+                entries: vec![
+                    (1, b"the".to_vec()),
+                    (2, b"the".to_vec()),
+                    (1, b"the".to_vec())
+                ],
+            }),
+            Response::SessionAck { appended: 2, .. }
+        ));
+        d.handle(Request::IngestEnd { set: "out".into() });
+        for (set, want) in [("tgt", ["twice", "once"]), ("out", ["the", "the"])] {
+            match d.handle(Request::Scan { set: set.into() }) {
+                Response::Records { records } => {
+                    assert_eq!(records, want.map(|r| r.as_bytes().to_vec()), "{set}")
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    /// A store that fails part-way through a batch poisons the ingest
+    /// session after writing the records before the failure; the retry's
+    /// begin truncates them, and the retried batch converges.
+    #[test]
+    fn a_store_failing_mid_batch_poisons_the_session_and_the_retry_converges() {
+        let d = Pangead::new(node("ingest-mid-batch"));
+        d.handle(Request::CreateSet {
+            name: "out".into(),
+            durability: "write-back".into(),
+            page_size: None,
+        });
+        let begin = Request::IngestBegin {
+            set: "out".into(),
+            reduce: None,
+        };
+        assert_eq!(d.handle(begin.clone()), Response::Ok);
+        let oversized = vec![b'x'; d.node.get_set("out").unwrap().page_size()];
+        assert!(matches!(
+            d.handle(Request::IngestAppend {
+                set: "out".into(),
+                entries: vec![
+                    (1, b"first".to_vec()),
+                    (2, oversized),
+                    (3, b"third".to_vec())
+                ],
+            }),
+            Response::Err { .. }
+        ));
+        assert!(d.ingests.get("out").is_err(), "the session ended");
+        assert!(matches!(
+            d.handle(Request::IngestAppend {
+                set: "out".into(),
+                entries: vec![(3, b"third".to_vec())],
+            }),
+            Response::Err { .. }
+        ));
+
+        assert_eq!(d.handle(begin), Response::Ok);
+        let retry = Request::IngestAppend {
+            set: "out".into(),
+            entries: vec![(1, b"first".to_vec()), (3, b"third".to_vec())],
+        };
+        assert!(matches!(
+            d.handle(retry.clone()),
+            Response::SessionAck { appended: 2, .. }
+        ));
+        assert!(matches!(
+            d.handle(retry),
+            Response::SessionAck { appended: 0, .. }
+        ));
+        assert!(matches!(
+            d.handle(Request::IngestEnd { set: "out".into() }),
+            Response::SessionAck {
+                appended: 2,
+                bytes: 10,
+                ..
+            }
+        ));
+        match d.handle(Request::Scan { set: "out".into() }) {
+            Response::Records { records } => {
+                assert_eq!(records, vec![b"first".to_vec(), b"third".to_vec()])
+            }
             other => panic!("{other:?}"),
         }
     }

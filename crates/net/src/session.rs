@@ -9,7 +9,7 @@
 //! other.
 
 use crate::wire::ReduceSpec;
-use pangea_common::{FxHashMap, IoStats, PangeaError, Result};
+use pangea_common::{FxHashMap, FxHashSet, IoStats, PangeaError, Result};
 use pangea_core::{LocalitySet, ReduceBuffer, SeqWriter, SpillLedger, StorageNode};
 use pangea_obs::{names, Registry};
 use parking_lot::Mutex;
@@ -34,15 +34,22 @@ pub(crate) enum Sink {
 }
 
 impl Sink {
-    fn put(&mut self, target: &LocalitySet, rec: &[u8]) -> Result<()> {
+    /// Stores a batch's accepted run, in order: a writer takes each
+    /// page's write guard once per page fill, a fold folds record by
+    /// record.
+    fn put_all<'r>(
+        &mut self,
+        target: &LocalitySet,
+        recs: impl IntoIterator<Item = &'r [u8]>,
+    ) -> Result<()> {
         match self {
             Self::Write(writer) => writer
                 .get_or_insert_with(|| target.writer())
-                .add_object(rec),
-            Self::Fold(spec, acc) => {
+                .add_objects(recs),
+            Self::Fold(spec, acc) => recs.into_iter().try_for_each(|rec| {
                 let (key, value) = spec.decode_record(rec)?;
                 acc.insert_merge(key, value)
-            }
+            }),
         }
     }
 }
@@ -58,6 +65,10 @@ pub(crate) struct Session {
     /// `RepairLedger` RPC serves.
     pub(crate) ledger: SpillLedger,
     sink: Sink,
+    /// The keys of the batch being appended: scratch that drops a
+    /// record repeated within one batch, which the ledger cannot see
+    /// until the batch is stored.
+    batch_keys: FxHashSet<u64>,
     appended: u64,
     bytes: u64,
     /// Set, under the session lock, when a batch failed part-way or a
@@ -74,6 +85,7 @@ impl Session {
         Self {
             ledger,
             sink,
+            batch_keys: FxHashSet::default(),
             appended: 0,
             bytes: 0,
             poisoned: false,
@@ -197,13 +209,15 @@ impl SessionTable {
     }
 
     /// Dedup-appends one batch of `(key, record)` pairs into the open
-    /// session for `target` and returns what it accepted. `over_wire`
-    /// charges each record to the inbound net counters: `false` for a
-    /// mapper's self-destined shortcut, which never touches a socket
-    /// (the simulation's free local delivery).
+    /// session for `target` and returns what it accepted, in three
+    /// phases: drop every record whose key the ledger holds or the batch
+    /// already carried, store the accepted run through one
+    /// [`Sink::put_all`], then enter its keys into the ledger — only
+    /// after their records are stored, so a failed store leaves them
+    /// unseen and the idempotent retry cannot dedup a lost record away.
     ///
     /// The session lock serializes concurrent pushes into one set: the
-    /// key check and the store are atomic per record, and the sink sees
+    /// key check and the store are atomic per batch, and the sink sees
     /// one writer's order. A failure part-way leaves what was stored
     /// unknowable, so the session is poisoned and closed: appends queued
     /// behind this one are refused, and the retry's begin re-seeds or
@@ -212,7 +226,6 @@ impl SessionTable {
         &self,
         target: &LocalitySet,
         pairs: impl IntoIterator<Item = (u64, &'r [u8])>,
-        over_wire: bool,
         stats: &IoStats,
         reg: &Registry,
     ) -> Result<(u64, u64)> {
@@ -222,27 +235,32 @@ impl SessionTable {
         if session.poisoned {
             return Err(self.gone(set));
         }
-        let hits = reg.counter(self.kind.dedup_hits);
         let outcome = (|| -> Result<(u64, u64)> {
-            let Session { ledger, sink, .. } = &mut *session;
-            let (mut appended, mut bytes) = (0u64, 0u64);
+            let Session {
+                ledger,
+                sink,
+                batch_keys,
+                ..
+            } = &mut *session;
+            let pairs = pairs.into_iter();
+            let mut accepted = Vec::with_capacity(pairs.size_hint().0);
+            let mut hits = 0u64;
+            batch_keys.clear();
             for (key, rec) in pairs {
-                if over_wire {
-                    stats.record_net(rec.len());
+                if ledger.contains(key)? || !batch_keys.insert(key) {
+                    hits += 1;
+                } else {
+                    accepted.push((key, rec));
                 }
-                if ledger.contains(key)? {
-                    hits.inc();
-                    continue;
-                }
-                // Ledger only after the record is stored: a failed store
-                // must leave the key unseen, or the idempotent retry
-                // would dedup the record away and lose it forever.
-                sink.put(target, rec)?;
+            }
+            reg.counter(self.kind.dedup_hits).add(hits);
+            sink.put_all(target, accepted.iter().map(|&(_, rec)| rec))?;
+            let mut bytes = 0u64;
+            for &(key, rec) in &accepted {
                 ledger.insert(key)?;
-                appended += 1;
                 bytes += rec.len() as u64;
             }
-            Ok((appended, bytes))
+            Ok((accepted.len() as u64, bytes))
         })();
         match outcome {
             Ok((appended, bytes)) => {

@@ -5,18 +5,14 @@
 //! pipelined connection per destination.
 
 use crate::client::PangeaClient;
-use crate::pipeline::PipelinedPeer;
+use crate::pipeline::{PipelinedPeer, PushBatch};
 use crate::proto::Response;
-use crate::server::{Pangead, ACC_ROOT_PARTITIONS, PUSH_BATCH_BYTES, PUSH_BATCH_RECORDS};
+use crate::server::{Pangead, ACC_ROOT_PARTITIONS};
 use crate::wire::{ingest_tag, SchemeSpec, TaskReport, TaskSpec};
 use pangea_common::{fx_hash64, FxHashMap, PangeaError, Result};
 use pangea_core::{HashConfig, ObjectIter, ReduceBuffer};
 use pangea_obs::TraceCtx;
 use std::collections::hash_map::Entry;
-
-/// A destination's pending batch: `(tag, record)` pairs and their
-/// payload bytes.
-type Batch = (Vec<(u64, Vec<u8>)>, usize);
 
 /// One task's fan-out state: the daemon running it, the task, where
 /// each destination slot lives, one pipelined connection per remote
@@ -26,7 +22,7 @@ struct Router<'t> {
     spec: &'t TaskSpec,
     addr_of: FxHashMap<u32, &'t str>,
     conns: FxHashMap<String, PipelinedPeer>,
-    batches: FxHashMap<u32, Batch>,
+    batches: FxHashMap<u32, PushBatch<(u64, Vec<u8>)>>,
     /// `(job, the TaskRun's span)`, carried by every ingest RPC so the
     /// destinations' spans stitch under the task that produced them.
     ctx: Option<TraceCtx>,
@@ -136,7 +132,8 @@ impl Pangead {
                     }
                 }
             }
-            for (dest, (entries, _)) in std::mem::take(&mut route.batches) {
+            for (dest, mut batch) in std::mem::take(&mut route.batches) {
+                let entries = batch.take();
                 if entries.is_empty() {
                     continue;
                 }
@@ -191,7 +188,7 @@ impl Pangead {
 
 impl Router<'_> {
     /// Queues one routed output record for its destination, flushing
-    /// the destination's batch once a size threshold trips.
+    /// the destination's batch once it is full.
     fn route_output(
         &mut self,
         report: &mut TaskReport,
@@ -201,12 +198,7 @@ impl Router<'_> {
     ) -> Result<()> {
         report.emitted += 1;
         report.emitted_bytes += out.len() as u64;
-        let (batch, batch_bytes) = self.batches.entry(dest).or_default();
-        *batch_bytes += out.len();
-        batch.push((tag, out));
-        if batch.len() >= PUSH_BATCH_RECORDS || *batch_bytes >= PUSH_BATCH_BYTES {
-            let entries = std::mem::take(batch);
-            *batch_bytes = 0;
+        if let Some(entries) = self.batches.entry(dest).or_default().push((tag, out)) {
             let (a, b) = self.deliver_entries(dest, entries)?;
             report.appended += a;
             report.appended_bytes += b;
@@ -226,8 +218,7 @@ impl Router<'_> {
     /// the task-level sums come out identical to the serial protocol.
     fn deliver_entries(&mut self, dest: u32, entries: Vec<(u64, Vec<u8>)>) -> Result<(u64, u64)> {
         if dest == self.spec.source {
-            self.daemon
-                .ingest_append(&self.spec.job.output, &entries, false)
+            self.daemon.ingest_append(&self.spec.job.output, &entries)
         } else {
             let addr = *self.addr_of.get(&dest).ok_or_else(|| {
                 PangeaError::usage(format!("task has no destination address for slot {dest}"))

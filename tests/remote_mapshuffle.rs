@@ -20,6 +20,7 @@ use pangea::coord::{MgrServer, RemoteCluster, WorkerAgent};
 use pangea::core::{NodeConfig, StorageNode};
 use pangea::net::{
     FilterSpec, KeySpec, MapSpec, PangeaClient, PangeadServer, ReduceSpec, WireMetric,
+    PUSH_BATCH_BYTES,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -252,6 +253,61 @@ fn counter_value(metrics: &[WireMetric], name: &str) -> u64 {
             _ => None,
         })
         .unwrap_or(0)
+}
+
+/// Push batches close by bytes, not by record count: a map-only shuffle
+/// of 4-byte tokens sends each worker at most one `IngestAppend` per
+/// full `PUSH_BATCH_BYTES` it receives, plus one partial batch per peer
+/// mapper. A record cap would multiply the batches of short records.
+#[test]
+fn short_records_ship_in_byte_sized_push_batches() {
+    let (_mgr, mgr_addr) = mgr_server();
+    let fleet: Vec<_> = (0..3)
+        .map(|i| worker(&format!("bb{i}"), &mgr_addr, i))
+        .collect();
+    let cluster = RemoteCluster::connect(&mgr_addr, Some(SECRET)).unwrap();
+    let rows: Vec<String> = (0..30_000)
+        .map(|i| {
+            format!(
+                "w{:03} t{:03} u{:02} v{:02}",
+                i % 199,
+                i % 151,
+                i % 17,
+                i % 23
+            )
+        })
+        .collect();
+    let set = cluster
+        .create_dist_set("lines", PartitionScheme::round_robin(8))
+        .unwrap();
+    let mut d = set.loader().unwrap();
+    for row in &rows {
+        d.dispatch(row.as_bytes()).unwrap();
+    }
+    d.finish().unwrap();
+    let report = cluster
+        .map_shuffle(
+            "lines",
+            "tokens",
+            &MapSpec::tokenize(b' '),
+            PartitionScheme::hash_whole("word", 8),
+        )
+        .unwrap();
+    assert_eq!(report.records_out, rows.len() as u64 * 4);
+
+    let peer_mappers = fleet.len() as u64 - 1;
+    for (i, (server, _)) in fleet.iter().enumerate() {
+        let mut c = PangeaClient::connect_with_secret(server.local_addr(), Some(SECRET)).unwrap();
+        let (metrics, _) = c.metrics_dump().unwrap();
+        let count = counter_value(&metrics, "rpc.count.IngestAppend");
+        let bytes = counter_value(&metrics, "rpc.bytes.IngestAppend");
+        let bound = bytes.div_ceil(PUSH_BATCH_BYTES as u64) + peer_mappers;
+        assert!(count > 0, "worker {i} received no pushes");
+        assert!(
+            count <= bound,
+            "worker {i}: {count} IngestAppends for {bytes} B; byte-sized batches allow {bound}"
+        );
+    }
 }
 
 /// The observability tentpole, end to end: one distributed wordcount,

@@ -84,8 +84,10 @@ fn mgr_server() -> (MgrServer, String) {
 }
 
 /// Four-token lines: every scanned record flat-maps into four shuffled
-/// emissions, so each mapper pushes enough batches per destination for
-/// an 8-deep pipeline to actually fill.
+/// emissions. A push batch closes at `PUSH_BATCH_BYTES` of encoded
+/// entries (a 4-byte token and 16 B of framing each), so the tests size
+/// their inputs for every (mapper, destination) pair to fill at least
+/// three batches: 100 000 lines over four workers, 130 000 over three.
 fn lines(n: u32) -> Vec<String> {
     (0..n)
         .map(|i| {
@@ -188,7 +190,7 @@ fn pipelined_shuffle_matches_serial_and_sim_with_zero_driver_payload() {
         .collect();
     let cluster = RemoteCluster::connect(&mgr_addr, Some(SECRET)).unwrap();
 
-    let rows = lines(4000);
+    let rows = lines(100_000);
     load(&cluster, &rows);
     let map = MapSpec::tokenize(b' ');
     let scheme = || PartitionScheme::hash_whole("word", 8);
@@ -268,7 +270,7 @@ fn tight_pool_receivers_throttle_pipelined_senders_via_credit() {
         .collect();
     let cluster = RemoteCluster::connect(&mgr_addr, Some(SECRET)).unwrap();
 
-    let rows = lines(3000);
+    let rows = lines(130_000);
     load(&cluster, &rows);
     let report = cluster
         .map_shuffle(

@@ -548,8 +548,10 @@ fn dispatch_flush_into_freshly_dead_worker_is_a_typed_error() {
         .unwrap();
     let mut d = set
         .loader_with(DispatchConfig {
-            max_batch_records: 8,
-            max_batch_bytes: 64 * KB,
+            // Eight records a batch: the warm-up encodes to 13 B and
+            // the 13-14 B `after-death` records to 17-18 B, so seven
+            // records come to at most 126 B and eight to at least 132 B.
+            max_batch_bytes: 132,
         })
         .unwrap();
     d.dispatch(b"0|warm-up").unwrap();
@@ -600,8 +602,10 @@ fn kill_with_a_full_append_window_fails_typed_and_leaks_no_writer() {
         .unwrap();
     let mut d = set
         .loader_with(DispatchConfig {
-            max_batch_records: 8,
-            max_batch_bytes: 64 * KB,
+            // Eight records a batch: the 14-16 B `before-death`
+            // records encode to 18-20 B, seven of them to at most 140 B
+            // and eight to at least 144 B.
+            max_batch_bytes: 144,
         })
         .unwrap();
     // Round-robin: eight batches of eight per worker, none acked yet —

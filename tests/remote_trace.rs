@@ -158,10 +158,22 @@ fn map_reduce_leaves_one_connected_cross_node_tree() {
 
     // The scrape loop needs a tick or two to pull every worker's spans;
     // converged means: one root, nothing orphaned, and the job's full
-    // fan-out present.
+    // fan-out present. A fetch can land between the scrapes of two
+    // workers, so the job is complete only once every worker's last
+    // span, its `IngestEnd`, is in: each worker recorded all its other
+    // spans of the job before serving that one.
     let has = |tree: &SpanTree, op: &str| tree.spans.iter().any(|s| s.record.op == op);
+    let ended = |tree: &SpanTree, w: u32| {
+        let name = format!("worker{w}");
+        tree.spans
+            .iter()
+            .any(|s| s.node == name && s.record.op == "IngestEnd")
+    };
     let (tree, dropped) = wait_for_tree(&mgr_addr, job, |tree| {
-        tree.is_connected() && has(tree, "TaskRun") && has(tree, "IngestAppend")
+        tree.is_connected()
+            && has(tree, "TaskRun")
+            && has(tree, "IngestAppend")
+            && (0..4).all(|w| ended(tree, w))
     });
     assert_eq!(dropped, 0, "no ring wrapped in this quiet fleet");
 
