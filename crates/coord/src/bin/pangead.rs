@@ -7,7 +7,7 @@
 //!         [--secret S | --secret-file PATH] \
 //!         [--manager <addr:port>] [--advertise <addr:port>] \
 //!         [--slot N] [--heartbeat-ms 500] [--trace-log PATH] \
-//!         [--io-threads 4] [--max-conns 256]
+//!         [--max-conns 256]
 //! ```
 //!
 //! With `--manager`, the daemon registers itself with a `pangea-mgr`
@@ -41,7 +41,6 @@ struct Args {
     slot: Option<u32>,
     heartbeat_ms: u64,
     trace_log: Option<String>,
-    io_threads: usize,
     max_conns: usize,
 }
 
@@ -49,7 +48,7 @@ const USAGE: &str = "usage: pangead --listen <addr:port> --data <dir> \
     [--pool-mb N] [--page-kb N] [--disks N] [--strategy NAME] [--disk-bw-mb N] \
     [--secret S | --secret-file PATH] \
     [--manager <addr:port>] [--advertise <addr:port>] [--slot N] [--heartbeat-ms N] \
-    [--trace-log PATH] [--io-threads N] [--max-conns N]";
+    [--trace-log PATH] [--max-conns N]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -66,7 +65,6 @@ fn parse_args() -> Result<Args, String> {
         slot: None,
         heartbeat_ms: 500,
         trace_log: None,
-        io_threads: 0,
         max_conns: 0,
     };
     let mut it = std::env::args().skip(1);
@@ -117,11 +115,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--heartbeat-ms: {e}"))?;
             }
             "--trace-log" => args.trace_log = Some(value("--trace-log")?),
-            "--io-threads" => {
-                args.io_threads = value("--io-threads")?
-                    .parse()
-                    .map_err(|e| format!("--io-threads: {e}"))?;
-            }
             "--max-conns" => {
                 args.max_conns = value("--max-conns")?
                     .parse()
@@ -163,10 +156,8 @@ fn main() {
             exit(1);
         }
     };
-    // 0 for either tuning flag keeps the library default (io threads,
-    // connection cap).
+    // --max-conns 0 keeps the library's default connection cap.
     let server_config = ServerConfig {
-        io_threads: args.io_threads,
         max_conns: args.max_conns,
         registry: None,
     };

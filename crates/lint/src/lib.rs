@@ -64,6 +64,7 @@ pub fn lint_project(files: &[LintedFile]) -> Vec<Diagnostic> {
     let find = |rel: &str| files.iter().find(|f| f.rel == rel);
     if let Some(proto) = find("crates/net/src/proto.rs") {
         let handlers: Vec<&LintedFile> = [
+            "crates/net/src/framed.rs",
             "crates/net/src/server.rs",
             "crates/net/src/client.rs",
             "crates/coord/src/daemon.rs",

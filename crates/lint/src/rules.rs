@@ -719,9 +719,10 @@ pub fn metric_name_registry(f: &LintedFile, out: &mut Vec<Diagnostic>) {
 // ---------------------------------------------------------------------
 
 /// Daemon request paths must degrade to typed errors, not panics: a
-/// panicking worker thread takes its whole connection (and any queued
-/// requests) with it.
+/// panicking connection thread takes its whole connection (and any
+/// pipelined requests) with it.
 const DAEMON_PATHS: &[&str] = &[
+    "crates/net/src/framed.rs",
     "crates/net/src/server.rs",
     "crates/net/src/session.rs",
     "crates/coord/src/daemon.rs",
@@ -755,7 +756,7 @@ pub fn no_unwrap_in_daemon(f: &LintedFile, out: &mut Vec<Diagnostic>) {
             "no-unwrap-in-daemon",
             format!(
                 "`.{name}()` in a daemon request path: return a typed error instead \
-                 (a panic here kills the worker thread and its queued requests)"
+                 (a panic here kills the connection thread and its pipelined requests)"
             ),
             out,
         );

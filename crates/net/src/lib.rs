@@ -21,10 +21,11 @@
 //!   distributed map-shuffle ships these *to* the data), catalog
 //!   entries, and membership records served by the `pangea-coord`
 //!   manager daemon.
-//! * [`FramedServer`] — a reusable accept loop (handshake enforcement,
-//!   graceful drain) shared by `pangead` and `pangea-mgr`, and
-//!   [`serve_instrumented`], the per-opcode metrics and span recording
-//!   both daemons wrap around their dispatch.
+//! * [`framed`] — [`FramedServer`], the server core shared by `pangead`
+//!   and `pangea-mgr`: one thread per connection runs that connection's
+//!   requests in order, behind a connection cap, an optional handshake
+//!   and a graceful drain; and [`serve_instrumented`], the per-opcode
+//!   metrics and span recording both daemons wrap around their dispatch.
 //! * [`Pangead`] / [`PangeadServer`] — the node daemon: a [`StorageNode`]
 //!   served behind the protocol (the `pangead` binary lives in
 //!   `pangea-coord`, next to `pangea-mgr`).
@@ -48,6 +49,7 @@
 
 pub mod client;
 pub mod frame;
+pub mod framed;
 mod load;
 pub mod pipeline;
 pub mod proto;
@@ -58,15 +60,16 @@ pub mod wire;
 
 pub use client::{PangeaClient, RemoteStats};
 pub use frame::{FRAME_OVERHEAD, MAX_FRAME};
+pub use framed::{
+    metrics_dump_response, serve_instrumented, FramedServer, FramedService, ServerConfig,
+    DEFAULT_DRAIN, DEFAULT_MAX_CONNS, METRICS_CHUNK, SPANS_CHUNK,
+};
 pub use pangea_obs::TraceCtx;
 pub use pipeline::{
     BatchEntry, PipelinedPeer, PushBatch, MAX_PIPELINE_WINDOW, PIPELINE_WINDOW, PUSH_BATCH_BYTES,
 };
 pub use proto::{error_response, Request, Response};
-pub use server::{
-    metrics_dump_response, serve_instrumented, FramedServer, FramedService, Pangead, PangeadServer,
-    ServerConfig, DEFAULT_DRAIN, DEFAULT_IO_THREADS, DEFAULT_MAX_CONNS, METRICS_CHUNK, SPANS_CHUNK,
-};
+pub use server::{Pangead, PangeadServer};
 pub use wire::{
     ingest_tag, CmpOp, EmitSpec, FilterSpec, Job, KeySpec, MapSpec, ReduceOp, ReduceSpec,
     RepairFilter, RepairPushReport, SchemeSpec, TaskReport, TaskSpec, WireCatalogEntry, WireMetric,

@@ -1,724 +1,31 @@
-//! Framed TCP serving, and `pangead` — the Pangea node daemon.
+//! `pangead` — the Pangea node daemon.
 //!
-//! Two layers:
-//!
-//! * [`FramedServer`] — a reusable io-pool server core for any
-//!   [`FramedService`]: one reader thread per accepted connection demuxes
-//!   correlated frames into a per-connection FIFO queue, a bounded worker
-//!   pool ([`ServerConfig::io_threads`]) executes handlers, and responses
-//!   are re-serialized per connection under a write lock — so one
-//!   connection can carry many in-flight requests while execution stays
-//!   strictly in submission order per connection (which is what the
-//!   begin/append/end session protocols require). Connections beyond
-//!   [`ServerConfig::max_conns`] are refused with a typed
-//!   [`Response::Busy`] instead of an unbounded thread spawn; an optional
-//!   shared-secret handshake rejects unauthenticated peers with a typed
-//!   [`Response::Denied`]; graceful shutdown stops accepting, drains
-//!   in-flight requests, closes the remaining connections, and joins
-//!   every thread. `pangead` and `pangea-mgr` (the `pangea-coord`
-//!   manager daemon) both serve through it.
 //! * [`Pangead`] — the protocol brain of a node daemon: wraps one
 //!   [`StorageNode`] and dispatches decoded requests against it. The
 //!   dispatch is pure request → response and does not know about sockets,
 //!   so it is testable (and reusable) without any networking.
+//! * [`PangeadServer`] — one [`Pangead`] served behind the
+//!   [`FramedServer`] core (`framed.rs`), which runs each connection's
+//!   requests on that connection's own thread.
 
 use crate::client::PangeaClient;
-use crate::frame::{read_frame_corr, write_frame_corr};
+use crate::framed::{
+    metrics_dump_response, serve_instrumented, FramedServer, FramedService, ServerConfig,
+    DEFAULT_DRAIN,
+};
 use crate::load::LoadWriters;
 use crate::pipeline::{PipelinedPeer, PushBatch, MAX_PIPELINE_WINDOW, PUSH_BATCH_BYTES};
-use crate::proto::{error_response, Request, Response};
+use crate::proto::{Request, Response};
 use crate::session::{local_set, Session, SessionTable, Sink, INGEST, REPAIR};
-use crate::wire::{RecordPredicate, RepairFilter, WireMetric, WireSpan};
+use crate::wire::{RecordPredicate, RepairFilter};
 use pangea_common::{record_key, FxHashMap, IoStats, PangeaError, Result, WriteCause};
 use pangea_core::{HashConfig, ObjectIter, ReduceBuffer, SetOptions, SpillLedger, StorageNode};
-use pangea_obs::{names, Counter, Gauge, MetricValue, Obs, Registry, SpanRecord, TraceCtx};
+use pangea_obs::{names, Obs, TraceCtx};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// How long [`FramedServer::shutdown`] waits for in-flight requests
-/// before closing their connections anyway.
-pub const DEFAULT_DRAIN: Duration = Duration::from_secs(5);
-
-/// Worker threads in the io pool when [`ServerConfig`] does not say.
-pub const DEFAULT_IO_THREADS: usize = 4;
-
-/// Live-connection cap when [`ServerConfig`] does not say.
-pub const DEFAULT_MAX_CONNS: usize = 256;
-
-/// Tuning for the [`FramedServer`] io-pool core.
-#[derive(Debug, Clone, Default)]
-pub struct ServerConfig {
-    /// Worker threads executing handlers (`0` = [`DEFAULT_IO_THREADS`]).
-    /// Heavyweight requests that themselves fan out over the wire
-    /// (task runs, repair pushes) are offloaded to dedicated threads so
-    /// they can never occupy the whole pool and deadlock a fleet of
-    /// daemons all waiting on each other.
-    pub io_threads: usize,
-    /// Live-connection cap (`0` = [`DEFAULT_MAX_CONNS`]). Connections
-    /// beyond it are refused with a typed [`Response::Busy`].
-    pub max_conns: usize,
-    /// When set, the server publishes `net.conns_open` (gauge) and
-    /// `net.busy_rejects` (counter) here.
-    pub registry: Option<Arc<Registry>>,
-}
-
-/// Anything that can answer one decoded request. Implementations must
-/// not block indefinitely: a pool worker (or offload thread) holds its
-/// connection's execution slot for the duration of a call.
-pub trait FramedService: std::fmt::Debug + Send + Sync + 'static {
-    /// Handles one request with the [`TraceCtx`] its header carried and
-    /// its payload size in bytes, mapping internal errors to error
-    /// responses.
-    fn handle(&self, req: Request, ctx: Option<TraceCtx>, req_bytes: usize) -> Response;
-}
-
-/// Serves one request under the daemons' shared instrumentation:
-/// per-opcode `rpc.count`/`rpc.bytes`/`rpc.latency_ns` always, and a
-/// [`SpanRecord`] when the header carried a [`TraceCtx`]. The child span
-/// id is minted *before* `dispatch` runs and handed to it, so any
-/// fan-out the request performs (a `TaskRun`'s ingest pushes, a
-/// `RecoverPush`'s appends) propagates `(job, this span)` and the job's
-/// span tree stitches together across nodes. Errors become error
-/// responses.
-pub fn serve_instrumented(
-    obs: &Obs,
-    req: Request,
-    ctx: Option<TraceCtx>,
-    req_bytes: usize,
-    dispatch: impl FnOnce(Request, Option<TraceCtx>) -> Result<Response>,
-) -> Response {
-    let op = req.name();
-    let reg = obs.registry();
-    reg.counter(&names::rpc_count(op)).inc();
-    reg.counter(&names::rpc_bytes(op)).add(req_bytes as u64);
-    let child = ctx.map(|c| TraceCtx {
-        job: c.job,
-        span: pangea_obs::next_span_id(),
-    });
-    let start = obs.now_ns();
-    let resp = dispatch(req, child).unwrap_or_else(|e| error_response(&e));
-    let end = obs.now_ns();
-    reg.histogram(&names::rpc_latency_ns(op))
-        .observe(end.saturating_sub(start));
-    if let (Some(ctx), Some(child)) = (ctx, child) {
-        obs.ring().record(SpanRecord {
-            job: ctx.job,
-            span: child.span,
-            parent: ctx.span,
-            op: op.to_string(),
-            peer: String::new(),
-            start_ns: start,
-            end_ns: end,
-            bytes: req_bytes as u64,
-            outcome: outcome_of(&resp),
-        });
-    }
-    resp
-}
-
-/// One accepted connection as the io pool sees it: its demuxed request
-/// queue, the write half responses are serialized onto, and the claim
-/// flag that guarantees at most one executor drains the queue at a time
-/// (per-connection FIFO ⇒ per-(connection, session) ordering).
-#[derive(Debug)]
-struct ConnState {
-    id: u64,
-    /// Clone of the socket used only to `shutdown(2)` it — unblocking
-    /// the reader — at server shutdown or on a fatal write error.
-    stream: TcpStream,
-    /// The write half. Responses are one `write_frame_corr` under this
-    /// lock, so frames from pool workers and offload threads never
-    /// interleave.
-    writer: Mutex<TcpStream>,
-    /// Demuxed `(correlation, payload)` requests, submission order.
-    queue: Mutex<VecDeque<(u64, Vec<u8>)>>,
-    /// True while an executor owns the queue (it is either on the run
-    /// queue or being drained). The claim moves with the work: a worker
-    /// that offloads a heavyweight request keeps the connection claimed
-    /// until the offload thread releases it.
-    claimed: AtomicBool,
-    /// Flipped by a successful `Hello`; checked at execution time (the
-    /// per-connection FIFO makes a pipelined Hello-then-requests safe).
-    authenticated: AtomicBool,
-    /// Poisoned: drop queued work and stop executing (auth rejection or
-    /// a failed response write).
-    close: AtomicBool,
-}
-
-/// State shared by the accept loop, readers, and the worker pool.
-#[derive(Debug)]
-struct ServerShared {
-    conns: Mutex<FxHashMap<u64, Arc<ConnState>>>,
-    /// Connections with queued work, awaiting a pool worker. A
-    /// connection appears at most once (the `claimed` flag gates entry).
-    /// `std::sync` rather than the parking_lot shim: the condvar must
-    /// pair with its own mutex's guard type.
-    run_queue: std::sync::Mutex<VecDeque<Arc<ConnState>>>,
-    work_ready: std::sync::Condvar,
-    readers: Mutex<Vec<JoinHandle<()>>>,
-    offloads: Mutex<Vec<JoinHandle<()>>>,
-    next_conn: AtomicU64,
-    in_flight: AtomicUsize,
-    stop_workers: AtomicBool,
-    secret: Option<String>,
-    max_conns: usize,
-    conns_open: Gauge,
-    busy_rejects: Counter,
-}
-
-impl ServerShared {
-    fn deregister(&self, id: u64) {
-        let mut conns = self.conns.lock();
-        conns.remove(&id);
-        self.conns_open.set(conns.len() as u64);
-    }
-}
-
-/// Puts `conn` on the run queue if no executor owns it yet. Called by
-/// readers after enqueueing work and by executors when they release a
-/// non-empty connection.
-fn schedule_conn(shared: &ServerShared, conn: &Arc<ConnState>) {
-    if conn
-        .claimed
-        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-        .is_ok()
-    {
-        shared
-            .run_queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(Arc::clone(conn));
-        shared.work_ready.notify_one();
-    }
-}
-
-/// Releases an executor's claim, re-scheduling the connection if work
-/// arrived between the last queue pop and the release (the standard
-/// lost-wakeup handoff: release first, then re-check).
-fn release_conn(shared: &ServerShared, conn: &Arc<ConnState>) {
-    conn.claimed.store(false, Ordering::SeqCst);
-    if !conn.queue.lock().is_empty() {
-        schedule_conn(shared, conn);
-    }
-}
-
-/// A running framed server: accept loop, per-connection readers, and a
-/// bounded worker pool over one [`FramedService`]. Dropping the server
-/// shuts it down gracefully.
-#[derive(Debug)]
-pub struct FramedServer {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    /// Clone of the accept socket, used to unblock the accept loop at
-    /// shutdown (switching it to non-blocking) without relying on a
-    /// self-connect that may be firewalled on wildcard binds. Dropped
-    /// (closing the listening socket) once the accept loop is joined:
-    /// while any clone lives, the kernel keeps completing handshakes
-    /// into the dead server's backlog, and a client that "connects"
-    /// there would block forever awaiting a response no one serves.
-    listener: Option<TcpListener>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    shared: Arc<ServerShared>,
-}
-
-impl FramedServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and serves
-    /// `service` with default [`ServerConfig`]. When `secret` is set,
-    /// every connection must open with a matching [`Request::Hello`]
-    /// before any other request.
-    pub fn bind(
-        service: Arc<dyn FramedService>,
-        addr: impl ToSocketAddrs,
-        secret: Option<String>,
-    ) -> Result<Self> {
-        Self::bind_with_config(service, addr, secret, ServerConfig::default())
-    }
-
-    /// [`FramedServer::bind`] with explicit io-pool tuning.
-    pub fn bind_with_config(
-        service: Arc<dyn FramedService>,
-        addr: impl ToSocketAddrs,
-        secret: Option<String>,
-        config: ServerConfig,
-    ) -> Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let wake_handle = listener.try_clone()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let io_threads = match config.io_threads {
-            0 => DEFAULT_IO_THREADS,
-            n => n,
-        };
-        let max_conns = match config.max_conns {
-            0 => DEFAULT_MAX_CONNS,
-            n => n,
-        };
-        let (conns_open, busy_rejects) = match &config.registry {
-            Some(reg) => (
-                reg.gauge(names::NET_CONNS_OPEN),
-                reg.counter(names::NET_BUSY_REJECTS),
-            ),
-            None => (Gauge::new(), Counter::new()),
-        };
-        let shared = Arc::new(ServerShared {
-            conns: Mutex::new(FxHashMap::default()),
-            run_queue: std::sync::Mutex::new(VecDeque::new()),
-            work_ready: std::sync::Condvar::new(),
-            readers: Mutex::new(Vec::new()),
-            offloads: Mutex::new(Vec::new()),
-            next_conn: AtomicU64::new(0),
-            in_flight: AtomicUsize::new(0),
-            stop_workers: AtomicBool::new(false),
-            secret,
-            max_conns,
-            conns_open,
-            busy_rejects,
-        });
-        let mut workers = Vec::with_capacity(io_threads);
-        for i in 0..io_threads {
-            let service = Arc::clone(&service);
-            let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("framed-io-{i}"))
-                    .spawn(move || worker_loop(service, shared))?,
-            );
-        }
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("framed-accept-{local_addr}"))
-                .spawn(move || accept_loop(listener, shutdown, shared))?
-        };
-        Ok(Self {
-            local_addr,
-            shutdown,
-            listener: Some(wake_handle),
-            accept: Some(accept),
-            workers,
-            shared,
-        })
-    }
-
-    /// The bound address (with the resolved ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Connections currently registered (diagnostics).
-    pub fn open_connections(&self) -> usize {
-        self.shared.conns.lock().len()
-    }
-
-    /// Gracefully stops the server: no new connections are accepted,
-    /// in-flight requests (queued or executing) get up to `drain` to
-    /// finish (their responses are written), remaining connections are
-    /// closed, and every reader, pool worker, and offload thread is
-    /// joined. Idempotent.
-    pub fn shutdown(&mut self, drain: Duration) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the accept loop: flip the shared socket non-blocking so
-        // the pending accept returns WouldBlock and the loop sees the
-        // flag. The throwaway self-connect is a second wake-up path for
-        // platforms where the mode switch does not interrupt an accept
-        // already in progress.
-        if let Some(listener) = &self.listener {
-            let _ = listener.set_nonblocking(true);
-        }
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        // Close the listening socket for real: new connection attempts
-        // must be refused (a typed, prompt failure at the client), not
-        // parked in the backlog of a server that will never answer.
-        drop(self.listener.take());
-        // Drain: wait for requests already demuxed (queued or being
-        // handled). Connections idle between requests are not in flight
-        // and close immediately.
-        let deadline = Instant::now() + drain;
-        while self.shared.in_flight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Unblock readers waiting for their peer's next request, then
-        // join them.
-        for (_, conn) in self.shared.conns.lock().drain() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-        self.shared.conns_open.set(0);
-        for handle in self.shared.readers.lock().drain(..) {
-            let _ = handle.join();
-        }
-        // Stop the pool (workers re-check the flag on a short wait
-        // timeout, so a missed notify cannot hang the join).
-        self.shared.stop_workers.store(true, Ordering::SeqCst);
-        self.shared.work_ready.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        for handle in self.shared.offloads.lock().drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for FramedServer {
-    fn drop(&mut self) {
-        self.shutdown(DEFAULT_DRAIN);
-    }
-}
-
-fn accept_loop(listener: TcpListener, shutdown: Arc<AtomicBool>, shared: Arc<ServerShared>) {
-    for conn in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match conn {
-            Ok(s) => s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Only reachable once shutdown() flips the socket
-                // non-blocking; re-check the flag at the top of the loop.
-                std::thread::yield_now();
-                continue;
-            }
-            Err(_) => {
-                // Persistent accept errors (e.g. fd exhaustion) must not
-                // busy-spin a core; back off briefly before retrying.
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        stream.set_nodelay(true).ok();
-        // The connection cap replaces the old unbounded handler spawn:
-        // beyond it, refuse with a typed Busy the client can dispatch on
-        // (back off, redial) instead of parking in a thread pile-up.
-        if shared.conns.lock().len() >= shared.max_conns {
-            shared.busy_rejects.inc();
-            let mut stream = stream;
-            let busy = error_response(&PangeaError::Busy(format!(
-                "at the {}-connection cap",
-                shared.max_conns
-            )));
-            let _ = write_frame_corr(&mut stream, 0, &busy.encode());
-            let _ = stream.shutdown(Shutdown::Both);
-            continue;
-        }
-        let (writer, shutdown_handle) = match (stream.try_clone(), stream.try_clone()) {
-            (Ok(w), Ok(s)) => (w, s),
-            _ => continue,
-        };
-        let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        let conn = Arc::new(ConnState {
-            id: conn_id,
-            stream: shutdown_handle,
-            writer: Mutex::new(writer),
-            queue: Mutex::new(VecDeque::new()),
-            claimed: AtomicBool::new(false),
-            authenticated: AtomicBool::new(shared.secret.is_none()),
-            close: AtomicBool::new(false),
-        });
-        {
-            let mut conns = shared.conns.lock();
-            conns.insert(conn_id, Arc::clone(&conn));
-            shared.conns_open.set(conns.len() as u64);
-        }
-        let reader_shared = Arc::clone(&shared);
-        let spawned = std::thread::Builder::new()
-            .name("framed-read".into())
-            .spawn(move || reader_loop(stream, conn, reader_shared));
-        match spawned {
-            Ok(handle) => {
-                let mut readers = shared.readers.lock();
-                readers.retain(|h| !h.is_finished());
-                readers.push(handle);
-            }
-            Err(_) => shared.deregister(conn_id),
-        }
-    }
-}
-
-/// Reads frames off one connection until EOF or a fatal stream error,
-/// demuxing each into the connection's work queue.
-fn reader_loop(mut stream: TcpStream, conn: Arc<ConnState>, shared: Arc<ServerShared>) {
-    loop {
-        match read_frame_corr(&mut stream) {
-            Ok(Some((corr, payload))) => {
-                shared.in_flight.fetch_add(1, Ordering::SeqCst);
-                conn.queue.lock().push_back((corr, payload));
-                schedule_conn(&shared, &conn);
-            }
-            Ok(None) => break, // peer hung up cleanly
-            Err(e) => {
-                // Desynchronized stream: report once on correlation 0
-                // (the reader no longer knows which request is which),
-                // then give up.
-                let mut w = conn.writer.lock();
-                let _ = write_frame_corr(&mut *w, 0, &error_response(&e).encode());
-                break;
-            }
-        }
-    }
-    // Queued requests keep executing; their responses land in the OS
-    // buffer of a half-closed socket (or fail, poisoning the conn).
-    shared.deregister(conn.id);
-}
-
-/// One io-pool worker: pop a runnable connection, drain its queue.
-fn worker_loop(service: Arc<dyn FramedService>, shared: Arc<ServerShared>) {
-    loop {
-        let conn = {
-            let mut rq = shared.run_queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if shared.stop_workers.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(c) = rq.pop_front() {
-                    break c;
-                }
-                // The timeout re-checks `stop_workers`, so a notify lost
-                // to a race can never hang the shutdown join.
-                rq = shared
-                    .work_ready
-                    .wait_timeout(rq, Duration::from_millis(100))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
-            }
-        };
-        drain_conn(&service, &shared, conn);
-    }
-}
-
-/// True for requests that themselves issue nested outbound RPCs (mapper
-/// fan-out, repair pushes, peer ledger seeding). These run on dedicated
-/// offload threads: if they could occupy every pool worker, a ring of
-/// daemons pushing to each other would deadlock — every pool full of
-/// senders, no worker left to serve the matching appends.
-fn is_heavyweight(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::TaskRun { .. } | Request::RecoverPush { .. } | Request::RecoverBegin { .. }
-    )
-}
-
-/// Executes one connection's queued requests in FIFO order until the
-/// queue is empty (release), a heavyweight request is offloaded (the
-/// claim moves with it), or the connection is poisoned.
-fn drain_conn(service: &Arc<dyn FramedService>, shared: &Arc<ServerShared>, conn: Arc<ConnState>) {
-    loop {
-        if conn.close.load(Ordering::SeqCst) {
-            let dropped = {
-                let mut q = conn.queue.lock();
-                let n = q.len();
-                q.clear();
-                n
-            };
-            if dropped > 0 {
-                shared.in_flight.fetch_sub(dropped, Ordering::SeqCst);
-            }
-            release_conn(shared, &conn);
-            return;
-        }
-        let Some((corr, payload)) = conn.queue.lock().pop_front() else {
-            release_conn(shared, &conn);
-            return;
-        };
-        match Request::decode_traced(&payload) {
-            Ok((Request::Hello { secret }, _)) => {
-                let response = match &shared.secret {
-                    Some(expected) if *expected == secret => {
-                        conn.authenticated.store(true, Ordering::SeqCst);
-                        Response::Ok
-                    }
-                    Some(_) => {
-                        conn.close.store(true, Ordering::SeqCst);
-                        error_response(&PangeaError::Unauthenticated(
-                            "handshake secret does not match".into(),
-                        ))
-                    }
-                    // No secret configured: a Hello is a harmless no-op.
-                    None => Response::Ok,
-                };
-                let rejected = conn.close.load(Ordering::SeqCst);
-                finish_request(shared, &conn, corr, response);
-                if rejected {
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                }
-            }
-            Ok((req, _)) if !conn.authenticated.load(Ordering::SeqCst) => {
-                conn.close.store(true, Ordering::SeqCst);
-                finish_request(
-                    shared,
-                    &conn,
-                    corr,
-                    error_response(&PangeaError::Unauthenticated(format!(
-                        "this daemon requires a Hello handshake before {req:?}"
-                    ))),
-                );
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-            Ok((req, ctx)) if is_heavyweight(&req) => {
-                let service2 = Arc::clone(service);
-                let shared2 = Arc::clone(shared);
-                let conn2 = Arc::clone(&conn);
-                let bytes = payload.len();
-                let spawned = std::thread::Builder::new()
-                    .name("framed-offload".into())
-                    .spawn(move || {
-                        let response = service2.handle(req, ctx, bytes);
-                        finish_request(&shared2, &conn2, corr, response);
-                        // Hand the still-claimed connection back to the
-                        // pool (later queued requests stayed parked, so
-                        // FIFO order held across the offload).
-                        release_conn(&shared2, &conn2);
-                    });
-                match spawned {
-                    Ok(handle) => {
-                        let mut offloads = shared.offloads.lock();
-                        offloads.retain(|h| !h.is_finished());
-                        offloads.push(handle);
-                        return;
-                    }
-                    Err(_) => {
-                        // Could not spawn (the request moved into the
-                        // failed closure): answer typed-Busy so the
-                        // caller retries instead of hanging.
-                        finish_request(
-                            shared,
-                            &conn,
-                            corr,
-                            error_response(&PangeaError::Busy(
-                                "no thread available for a task/push request".into(),
-                            )),
-                        );
-                    }
-                }
-            }
-            Ok((req, ctx)) => {
-                let response = service.handle(req, ctx, payload.len());
-                finish_request(shared, &conn, corr, response);
-            }
-            Err(e) => finish_request(shared, &conn, corr, error_response(&e)),
-        }
-    }
-}
-
-/// Writes one response frame (mirroring the request's correlation) and
-/// retires its in-flight slot. A failed write poisons the connection.
-fn finish_request(shared: &ServerShared, conn: &ConnState, corr: u64, response: Response) {
-    let write_ok = {
-        let mut w = conn.writer.lock();
-        write_frame_corr(&mut *w, corr, &response.encode()).is_ok()
-    };
-    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-    if !write_ok {
-        conn.close.store(true, Ordering::SeqCst);
-        let _ = conn.stream.shutdown(Shutdown::Both);
-    }
-}
-
-/// Maximum metrics in one [`Response::Metrics`] chunk.
-pub const METRICS_CHUNK: usize = 512;
-/// Maximum spans in one [`Response::Metrics`] chunk.
-pub const SPANS_CHUNK: usize = 1024;
-
-/// Builds one [`Response::Metrics`] chunk from an [`Obs`] bundle: the
-/// registry snapshot paged by metric index, the span ring paged by ring
-/// sequence number, and a resume cursor while either list has more.
-/// Shared by `pangead` and `pangea-mgr` — both daemons serve the
-/// identical `MetricsDump` wire shape.
-pub fn metrics_dump_response(obs: &Obs, metrics_start: u64, spans_start: u64) -> Response {
-    // Freshen the span-loss ledger BEFORE snapshotting so the very dump
-    // that lost history also reports it: a ring that wrapped past a
-    // reader's cursor must never present a complete-looking trace.
-    obs.registry()
-        .counter(names::TRACE_DROPPED_SPANS)
-        .set(obs.ring().dropped_total());
-    let snapshot = obs.registry().snapshot();
-    let total_metrics = snapshot.len() as u64;
-    let metrics: Vec<WireMetric> = snapshot
-        .into_iter()
-        .skip(metrics_start as usize)
-        .take(METRICS_CHUNK)
-        .map(|m| match m.value {
-            MetricValue::Counter(value) => WireMetric::Counter {
-                name: m.name,
-                value,
-            },
-            MetricValue::Gauge(value) => WireMetric::Gauge {
-                name: m.name,
-                value,
-            },
-            MetricValue::Histogram {
-                count,
-                sum,
-                buckets,
-            } => WireMetric::Histogram {
-                name: m.name,
-                count,
-                sum,
-                buckets,
-            },
-        })
-        .collect();
-    let metrics_next = metrics_start.saturating_add(metrics.len() as u64);
-    let retained = obs.ring().since(spans_start);
-    let more_spans = retained.len() > SPANS_CHUNK;
-    let spans: Vec<WireSpan> = retained
-        .into_iter()
-        .take(SPANS_CHUNK)
-        .map(|(seq, s)| WireSpan {
-            seq,
-            job: s.job,
-            span: s.span,
-            parent: s.parent,
-            op: s.op,
-            peer: s.peer,
-            start_ns: s.start_ns,
-            end_ns: s.end_ns,
-            bytes: s.bytes,
-            outcome: s.outcome,
-        })
-        .collect();
-    // Advance the span cursor past what this chunk shipped; when the
-    // ring was drained, park it at the ring's next sequence number so a
-    // resumed dump does not re-fetch these spans.
-    let spans_next = spans
-        .last()
-        .map(|s| s.seq + 1)
-        .unwrap_or_else(|| obs.ring().next_seq().max(spans_start));
-    let next = (metrics_next < total_metrics || more_spans).then_some((metrics_next, spans_next));
-    Response::Metrics {
-        metrics,
-        spans,
-        next,
-    }
-}
-
-/// A span outcome label for one response: `"ok"`, or the error's wire
-/// message truncated to keep ring records bounded.
-fn outcome_of(resp: &Response) -> String {
-    let text = match resp {
-        Response::Err { message } => message.as_str(),
-        Response::Denied { message } => message.as_str(),
-        Response::Stale { .. } => "stale epoch",
-        Response::ScanTooLarge { .. } => "scan too large",
-        _ => return "ok".to_string(),
-    };
-    let mut out = String::with_capacity(96);
-    for c in text.chars().take(96) {
-        out.push(c);
-    }
-    out
-}
+use std::time::Duration;
 
 /// Most distinct peer addresses the outbound pool caches idle
 /// connections for (see [`Pangead::checkin_peer`]).
@@ -1464,8 +771,8 @@ impl PangeadServer {
         Self::bind_with_config(node, addr, secret, ServerConfig::default())
     }
 
-    /// [`PangeadServer::bind_with_secret`] with explicit io-pool tuning
-    /// (`--io-threads` / connection cap). The server's `net.conns_open`
+    /// [`PangeadServer::bind_with_secret`] with an explicit
+    /// [`ServerConfig`] (the connection cap). The server's `net.conns_open`
     /// and `net.busy_rejects` land in the daemon's own registry, so one
     /// `MetricsDump` serves storage, session, and wire-core health.
     pub fn bind_with_config(
@@ -1517,7 +824,11 @@ impl PangeadServer {
 mod tests {
     use super::*;
     use crate::client::PangeaClient;
+    use crate::frame::read_frame_corr;
+    use crate::wire::WireMetric;
     use pangea_core::NodeConfig;
+    use std::net::TcpStream;
+    use std::time::Instant;
 
     fn node(tag: &str) -> StorageNode {
         node_with_pool(tag, 256 * pangea_common::KB)

@@ -176,7 +176,7 @@ fn fleet_inflight(fleet: &[(PangeadServer, WorkerAgent)]) -> Vec<u64> {
         }
         assert!(
             gauge_value(&metrics, "net.conns_open").is_some(),
-            "worker {i}: the io-pool core must gauge its live connections"
+            "worker {i}: the server core must gauge its live connections"
         );
     }
     agg
