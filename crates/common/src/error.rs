@@ -75,18 +75,9 @@ pub enum PangeaError {
     /// A remote node reported a failure over the wire protocol. The
     /// original error kind does not survive the trip; the message does.
     /// (Kinds clients dispatch on — [`PangeaError::Unauthenticated`],
-    /// [`PangeaError::StaleEpoch`], [`PangeaError::ScanTooLarge`] —
-    /// travel typed instead.)
+    /// [`PangeaError::Busy`], [`PangeaError::StaleEpoch`] — travel
+    /// typed instead.)
     Remote(String),
-    /// A one-shot scan reply would exceed the wire frame budget; read
-    /// the set page-by-page through `FetchPage` instead. Typed so
-    /// remote readers can fall back without parsing error prose.
-    ScanTooLarge {
-        /// The set whose scan was refused.
-        set: String,
-        /// The per-reply byte budget that would have been exceeded.
-        budget: u64,
-    },
     /// A declarative wire form was required but the value is backed by
     /// an in-process closure (a UDF) that cannot cross the wire — e.g. a
     /// `PartitionScheme::hash` scheme handed to a distributed
@@ -160,11 +151,6 @@ impl fmt::Display for PangeaError {
             Self::UnrecoverableFailure(m) => write!(f, "unrecoverable failure: {m}"),
             Self::Corruption(m) => write!(f, "data corruption: {m}"),
             Self::Remote(m) => write!(f, "remote node error: {m}"),
-            Self::ScanTooLarge { set, budget } => write!(
-                f,
-                "scan of '{set}' exceeds {budget} B in one reply; \
-                 page through FetchPage instead"
-            ),
             Self::NotWireSafe(m) => write!(f, "not wire-safe: {m}"),
             Self::InvalidUsage(m) => write!(f, "invalid usage: {m}"),
             Self::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),

@@ -527,17 +527,19 @@ mod tests {
     #[test]
     fn storage_requests_are_rejected_by_the_manager() {
         let d = daemon();
-        match d.handle(Request::Scan { set: "s".into() }) {
+        let scan = |set: String| Request::Scan {
+            set,
+            start_page: 0,
+            start_record: 0,
+        };
+        match d.handle(scan("s".into())) {
             Response::Err { message } => assert!(message.contains("pangead")),
             other => panic!("{other:?}"),
         }
         // Traced, the rejection lands in the ring as a span whose
         // outcome is bounded like a worker's, not the whole message.
         let ctx = TraceCtx { job: 1, span: 2 };
-        let req = Request::Scan {
-            set: "s".repeat(200),
-        };
-        let resp = FramedService::handle(&d, req, Some(ctx), 0);
+        let resp = FramedService::handle(&d, scan("s".repeat(200)), Some(ctx), 0);
         assert!(matches!(resp, Response::Err { .. }));
         let spans = d.obs().ring().since(0);
         let (_, span) = spans.last().expect("the traced request left a span");

@@ -24,8 +24,8 @@ use pangea_cluster::{PartitionKind, PartitionScheme};
 use pangea_common::ReplicaGroupId;
 use pangea_common::{Epoch, FxHashMap, IoStats, NodeId, PangeaError, Result};
 use pangea_net::{
-    Job, MapSpec, PangeaClient, PipelinedPeer, ReduceSpec, RepairFilter, RepairPushReport,
-    TaskReport, TaskSpec, WireSpan, WireWorker, WorkerState,
+    for_each_chunk, Job, MapSpec, PangeaClient, PipelinedPeer, ReduceSpec, RepairFilter,
+    RepairPushReport, TaskReport, TaskSpec, WireSpan, WireWorker, WorkerState,
 };
 use pangea_obs::{Obs, SpanRecord, TraceCtx};
 use parking_lot::{Mutex, RwLock};
@@ -432,20 +432,15 @@ impl WorkerBackend for RemoteWorkers {
     }
 
     fn scan(&self, n: NodeId, set: &str, f: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
-        // Prefer the one-shot scan RPC (exact record-byte accounting);
-        // fall back to the page-by-page recovery read path when the set
-        // no longer fits one reply frame.
-        let records = match self.with_client(n, |c| c.scan(set)) {
-            Ok(records) => records,
-            Err(PangeaError::ScanTooLarge { .. }) => {
-                return self.scan_pages(n, set, f);
-            }
-            Err(e) => return Err(e),
-        };
-        for rec in &records {
-            f(rec)?;
-        }
-        Ok(())
+        // One pooled RPC per reply: `with_client` may retry a call on a
+        // stale connection, and a retried reply is the same cursor asked
+        // again — `f` never sees a record twice, and each reply's
+        // payload is charged to the ledger once, when it arrives.
+        for_each_chunk(
+            "scan",
+            |cursor| self.with_client(n, |c| c.scan_chunk(set, cursor)),
+            |records| records.iter().try_for_each(|rec| f(rec)),
+        )
     }
 
     fn count(&self, n: NodeId, set: &str) -> Result<u64> {
@@ -536,26 +531,6 @@ impl PeerRepair for RemoteWorkers {
 
     fn repair_end(&self, target: NodeId, target_set: &str) -> Result<(u64, u64)> {
         self.with_client(target, |c| c.recover_end(target_set))
-    }
-}
-
-impl RemoteWorkers {
-    /// The page-level scan: fetch raw pages and parse them with the page
-    /// codec, as a recovering node would (the `FetchPage` read path).
-    fn scan_pages(
-        &self,
-        n: NodeId,
-        set: &str,
-        f: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<()> {
-        let nums = self.with_client(n, |c| c.page_numbers(set))?;
-        for num in nums {
-            let bytes = self.with_client(n, |c| c.fetch_page(set, num))?;
-            for rec in pangea_core::RecordSlices::new(&bytes) {
-                f(rec)?;
-            }
-        }
-        Ok(())
     }
 }
 

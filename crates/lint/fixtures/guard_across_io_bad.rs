@@ -27,4 +27,9 @@ impl Node {
         let table = self.routes.lock().unwrap();
         self.transport.send_bytes(&table[0]);
     }
+
+    fn paged_scan_across_io(&self) {
+        let seen = self.cursors.lock();
+        self.workers.scan_chunk("events", *seen);
+    }
 }

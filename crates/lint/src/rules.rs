@@ -94,11 +94,12 @@ const IO_METHODS: &[&str] = &[
     "connect",
     "connect_with",
     "connect_with_secret",
-    "transfer",
     "checkout_peer",
     "dial_peer",
     "ping",
     "hash_list_for_each",
+    "repair_ledger_for_each",
+    "scan_chunk",
     "metrics_dump",
     "metrics_dump_since",
     "trace_push",

@@ -5,19 +5,23 @@
 //! reads its answer, parking answers to other outstanding submits, so a
 //! pipelined sender keeps a window of batches in flight. A plain
 //! [`PangeaClient::call`] is the same path with a window of one. Typed
-//! methods mirror the paper's node API (`createSet`, `addObject`, page
-//! iteration) so an application can talk to a remote node with the same
-//! vocabulary it uses in-process.
+//! methods mirror the paper's node API (`createSet`, `addObject`, the
+//! sequential scan) so an application can talk to a remote node with the
+//! same vocabulary it uses in-process.
 
 use crate::frame::{read_frame_corr, write_frame_corr, FRAME_OVERHEAD};
 use crate::proto::{Request, Response};
 use crate::wire::{
     ReduceSpec, RepairFilter, RepairPushReport, TaskReport, TaskSpec, WireMetric, WireSpan,
 };
-use pangea_common::{FxHashMap, IoStats, PageNum, PangeaError, Result};
+use pangea_common::{FxHashMap, IoStats, PangeaError, Result};
 use pangea_obs::TraceCtx;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
+
+/// One reply of a cursor-paged read: its items, and the `(page,
+/// record)` cursor to resume at when more follow.
+pub type Chunk<T> = (Vec<T>, Option<(u64, u64)>);
 
 /// Counter snapshot reported by a remote node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -261,42 +265,41 @@ impl PangeaClient {
         }
     }
 
-    /// The remote set's dense page ordinals.
-    pub fn page_numbers(&mut self, set: &str) -> Result<Vec<PageNum>> {
-        let req = Request::PageNumbers {
-            set: set.to_string(),
-        };
-        match self.call(&req)? {
-            Response::Pages { nums } => Ok(nums),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Fetches one remote page's raw bytes (the recovery read path).
-    pub fn fetch_page(&mut self, set: &str, num: PageNum) -> Result<Vec<u8>> {
-        let req = Request::FetchPage {
-            set: set.to_string(),
-            num,
-        };
-        match self.call(&req)? {
-            Response::Page { bytes } => {
-                self.stats.record_net(bytes.len());
-                Ok(bytes)
-            }
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Reads every record of a remote set, in storage order.
+    /// Reads every record of a remote set, in storage order, collected
+    /// from the replies of [`PangeaClient::scan_chunk`].
     pub fn scan(&mut self, set: &str) -> Result<Vec<Vec<u8>>> {
+        let mut all = Vec::new();
+        for_each_chunk(
+            "scan",
+            |cursor| self.scan_chunk(set, cursor),
+            |records| {
+                all.extend(records);
+                Ok(())
+            },
+        )?;
+        Ok(all)
+    }
+
+    /// One reply of a paged scan: the remote set's records from the
+    /// `(page, record)` cursor on, closed at [`crate::PUSH_BATCH_BYTES`],
+    /// plus the cursor to resume at when more follow. Charges the
+    /// records' payload bytes to this client's ledger. A cursor names a
+    /// reply, so asking again for the same cursor is idempotent.
+    pub fn scan_chunk(
+        &mut self,
+        set: &str,
+        (start_page, start_record): (u64, u64),
+    ) -> Result<Chunk<Vec<u8>>> {
         let req = Request::Scan {
             set: set.to_string(),
+            start_page,
+            start_record,
         };
         match self.call(&req)? {
-            Response::Records { records } => {
+            Response::Records { records, next } => {
                 let bytes: usize = records.iter().map(Vec::len).sum();
                 self.stats.record_net(bytes);
-                Ok(records)
+                Ok((records, next))
             }
             other => Err(Self::unexpected(other)),
         }
@@ -328,38 +331,14 @@ impl PangeaClient {
             start_page,
             start_record,
         };
-        self.hashes_for_each("hash-list", request, f)
+        for_each_chunk("hash-list", |cursor| self.hashes(&request(cursor)), f)
     }
 
-    /// The paging loop behind [`PangeaClient::hash_list_for_each`] and
-    /// [`PangeaClient::repair_ledger_for_each`]: asks `request(cursor)`
-    /// from `(0, 0)` on and hands every chunk of hashes to `f` as it
-    /// arrives, until a reply names no continuation.
-    fn hashes_for_each(
-        &mut self,
-        what: &str,
-        request: impl Fn((u64, u64)) -> Request,
-        mut f: impl FnMut(Vec<u64>) -> Result<()>,
-    ) -> Result<()> {
-        let mut cursor = (0u64, 0u64);
-        loop {
-            match self.call(&request(cursor))? {
-                Response::Hashes { hashes, next } => {
-                    // A continuation must make progress, or a confused
-                    // server would loop us forever.
-                    if matches!(next, Some(n) if hashes.is_empty() || n <= cursor) {
-                        return Err(PangeaError::Corruption(format!(
-                            "{what} cursor did not advance past {cursor:?}"
-                        )));
-                    }
-                    f(hashes)?;
-                    match next {
-                        Some(n) => cursor = n,
-                        None => return Ok(()),
-                    }
-                }
-                other => return Err(Self::unexpected(other)),
-            }
+    /// One [`Response::Hashes`] chunk and its resume cursor.
+    fn hashes(&mut self, req: &Request) -> Result<Chunk<u64>> {
+        match self.call(req)? {
+            Response::Hashes { hashes, next } => Ok((hashes, next)),
+            other => Err(Self::unexpected(other)),
         }
     }
 
@@ -484,23 +463,6 @@ impl PangeaClient {
         }
     }
 
-    /// The present-hash ledger of an open repair session on the remote
-    /// node, paged like [`PangeaClient::hash_list_for_each`] (no payload
-    /// crosses the wire) — what an `Absent`-filtered survivor diffs
-    /// against.
-    ///
-    /// Materializes the whole ledger; prefer
-    /// [`PangeaClient::repair_ledger_for_each`] when the caller can
-    /// consume it chunk by chunk.
-    pub fn repair_ledger(&mut self, set: &str) -> Result<Vec<u64>> {
-        let mut all = Vec::new();
-        self.repair_ledger_for_each(set, |hashes| {
-            all.extend(hashes);
-            Ok(())
-        })?;
-        Ok(all)
-    }
-
     /// Streams the remote repair-session ledger one wire chunk at a
     /// time, handing each chunk to `f` as it arrives. The client never
     /// holds more than one chunk in memory, so a survivor can diff
@@ -517,14 +479,14 @@ impl PangeaClient {
             set: set.to_string(),
             start,
         };
-        self.hashes_for_each("repair-ledger", request, f)
+        for_each_chunk("repair-ledger", |cursor| self.hashes(&request(cursor)), f)
     }
 
     /// Pulls the remote daemon's full observability dump: every
     /// registered metric plus all retained span records, following the
     /// `(metrics, spans)` cursor pair until the server reports no more
-    /// (mirroring the [`PangeaClient::repair_ledger`] pagination, with
-    /// the same no-progress corruption check).
+    /// (mirroring [`for_each_chunk`]'s pagination, with the same
+    /// no-progress corruption check).
     pub fn metrics_dump(&mut self) -> Result<(Vec<WireMetric>, Vec<WireSpan>)> {
         let (metrics, spans, _) = self.metrics_dump_since(0)?;
         Ok((metrics, spans))
@@ -685,6 +647,35 @@ impl PangeaClient {
                 pool_capacity_bytes,
             }),
             other => Err(Self::unexpected(other)),
+        }
+    }
+}
+
+/// The one loop behind every cursor-paged read — `Scan`, `HashList` and
+/// `RepairLedger`: asks `fetch(cursor)` from `(0, 0)` on and hands every
+/// chunk to `f` as it arrives, until a reply names no continuation.
+/// Each `fetch` is one request for one chunk, so a caller that retries
+/// a failed request (a stale pooled connection) retries only that
+/// chunk: the cursor names it, and asking again is idempotent.
+pub fn for_each_chunk<T>(
+    what: &str,
+    mut fetch: impl FnMut((u64, u64)) -> Result<Chunk<T>>,
+    mut f: impl FnMut(Vec<T>) -> Result<()>,
+) -> Result<()> {
+    let mut cursor = (0u64, 0u64);
+    loop {
+        let (chunk, next) = fetch(cursor)?;
+        // A continuation must make progress, or a confused server would
+        // loop us forever.
+        if matches!(next, Some(n) if chunk.is_empty() || n <= cursor) {
+            return Err(PangeaError::Corruption(format!(
+                "{what} cursor did not advance past {cursor:?}"
+            )));
+        }
+        f(chunk)?;
+        match next {
+            Some(n) => cursor = n,
+            None => return Ok(()),
         }
     }
 }

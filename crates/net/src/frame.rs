@@ -19,7 +19,8 @@ use pangea_common::{PangeaError, Result};
 use std::io::{Read, Write};
 
 /// Upper bound on one frame's payload. Generous relative to page sizes
-/// (the largest legitimate message is a page fetch or an append batch).
+/// (the largest legitimate messages are append batches and scan
+/// replies).
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 
 /// Bytes of framing overhead per frame: the length prefix and the

@@ -468,7 +468,6 @@ fn outcome_of(resp: &Response) -> String {
         Response::Err { message } => message.as_str(),
         Response::Denied { message } => message.as_str(),
         Response::Stale { .. } => "stale epoch",
-        Response::ScanTooLarge { .. } => "scan too large",
         _ => return "ok".to_string(),
     };
     let mut out = String::with_capacity(96);

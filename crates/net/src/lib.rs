@@ -10,7 +10,7 @@
 //!   on both sides.
 //! * [`proto`] — the request/response protocol, declared once in a
 //!   message table that generates its codec, opcodes and names: set
-//!   creation, append, page enumeration/fetch, scan, shipped map tasks
+//!   creation, append, cursor-paged scan, shipped map tasks
 //!   and their ingest sessions, worker-to-worker repair, the control
 //!   plane, and stats and trace probes. A request's header carries its
 //!   trace context.
@@ -37,7 +37,9 @@
 //!   pipelined push runs: mapper ingest, repair streaming and a
 //!   driver's load; and [`PushBatch`], the one batch rule they fill
 //!   their batches by ([`PUSH_BATCH_BYTES`] encoded bytes).
-//! * [`PangeaClient`] — a thin typed client over one connection.
+//! * [`PangeaClient`] — a thin typed client over one connection, and
+//!   [`for_each_chunk`], the one loop behind every cursor-paged read
+//!   (`Scan`, `HashList`, `RepairLedger`).
 //!
 //! Byte accounting matches the in-process `SimNetwork` of
 //! `pangea-cluster`: *payload* bytes go to `IoStats::record_net`, and
@@ -58,7 +60,7 @@ mod session;
 mod task;
 pub mod wire;
 
-pub use client::{PangeaClient, RemoteStats};
+pub use client::{for_each_chunk, PangeaClient, RemoteStats};
 pub use frame::{FRAME_OVERHEAD, MAX_FRAME};
 pub use framed::{
     metrics_dump_response, serve_instrumented, FramedServer, FramedService, ServerConfig,

@@ -1,10 +1,9 @@
 //! The pangead request/response protocol.
 //!
 //! Messages cover the core node operations the cluster layer needs from a
-//! remote peer: set creation, sequential append, page enumeration and
-//! fetch (the recovery read path), full scans, shipped map tasks and
-//! their ingest sessions, worker-to-worker repair, the control plane,
-//! and statistics and trace probes.
+//! remote peer: set creation, sequential append, cursor-paged scans,
+//! shipped map tasks and their ingest sessions, worker-to-worker repair,
+//! the control plane, and statistics and trace probes.
 //!
 //! Both message families are declared once, in the `messages!` table
 //! below: each variant's docs, fields and opcode. The table generates the
@@ -30,8 +29,8 @@ use pangea_obs::TraceCtx;
 
 /// Declares the message enums from one table. Each variant names its
 /// fields and its opcode; opcodes are stable over the protocol's life
-/// (add, never renumber — requests 7–10 and responses 3, 7 and 22 are
-/// retired). Fields travel in declaration order, each through [`Wire`].
+/// (add, never renumber — requests 4, 5 and 7–10 and responses 3, 4,
+/// 5, 7, 19 and 22 are retired). Fields travel in declaration order, each through [`Wire`].
 /// For every enum this generates the enum itself, `OPCODES`, `name()`,
 /// and `encode_with`/`decode_with`, which put a caller-chosen header
 /// between the opcode and the fields.
@@ -153,22 +152,18 @@ messages! {
             /// Target locality set.
             set: String,
         } = 41,
-        /// Enumerates a set's page ordinals (dense).
-        PageNumbers {
-            /// Target locality set.
-            set: String,
-        } = 4,
-        /// Fetches one page's raw bytes — the recovery read path.
-        FetchPage {
-            /// Target locality set.
-            set: String,
-            /// Page ordinal.
-            num: u64,
-        } = 5,
-        /// Reads every record of a set through the sequential read service.
+        /// Reads a set's records through the sequential read service, one
+        /// reply at a time: paged by a `(page, record)` cursor like
+        /// [`Request::HashList`], so a share of any size streams in
+        /// replies that close at [`crate::PUSH_BATCH_BYTES`], with
+        /// [`Response::Records::next`] carrying the resume point.
         Scan {
             /// Target locality set.
             set: String,
+            /// Page ordinal to start at (0 for the first reply).
+            start_page: u64,
+            /// Records to skip within the starting page.
+            start_record: u64,
         } = 6,
         /// Reads the serving node's I/O counters.
         Stats = 11,
@@ -418,18 +413,13 @@ messages! {
             /// Raw `SetId` on the serving node.
             set: u64,
         } = 2,
-        /// Page enumeration.
-        Pages {
-            /// Dense page ordinals.
-            nums: Vec<u64>,
-        } = 4,
-        /// One page's raw bytes.
-        Page {
-            /// The page image.
-            bytes: Vec<u8>,
-        } = 5,
-        /// Scanned records, in storage order.
+        /// One [`Request::Scan`] reply: records in storage order, at
+        /// least one whenever `next` is set, closed once their encoded
+        /// size reaches [`crate::PUSH_BATCH_BYTES`].
         Records {
+            /// When more records follow, the `(page, record)` cursor to
+            /// resume the next reply at.
+            next: Option<(u64, u64)>,
             /// Record payloads.
             records: Vec<Vec<u8>>,
         } = 6,
@@ -532,15 +522,6 @@ messages! {
             /// The slot's current epoch at the manager.
             current: u64,
         } = 18,
-        /// A one-shot scan reply would exceed the frame budget; decodes to
-        /// [`PangeaError::ScanTooLarge`] so readers can fall back to the
-        /// page-by-page `FetchPage` path without parsing error prose.
-        ScanTooLarge {
-            /// The set whose scan was refused.
-            set: String,
-            /// The per-reply byte budget.
-            budget: u64,
-        } = 19,
         /// A server-side record count.
         Count {
             /// Records in the set.
@@ -681,14 +662,13 @@ impl Response {
                 held: pangea_common::Epoch(held),
                 current: pangea_common::Epoch(current),
             }),
-            Self::ScanTooLarge { set, budget } => Err(PangeaError::ScanTooLarge { set, budget }),
             other => Ok(other),
         }
     }
 }
 
 /// Encodes a [`PangeaError`] as the wire error response. Kinds clients
-/// dispatch on (authentication, epoch staleness, scan overflow) keep
+/// dispatch on (authentication, connection cap, epoch staleness) keep
 /// their own opcodes so the client-side error stays typed.
 pub fn error_response(e: &PangeaError) -> Response {
     match e {
@@ -702,10 +682,6 @@ pub fn error_response(e: &PangeaError) -> Response {
             node: node.raw(),
             held: held.raw(),
             current: current.raw(),
-        },
-        PangeaError::ScanTooLarge { set, budget } => Response::ScanTooLarge {
-            set: set.clone(),
-            budget: *budget,
         },
         other => Response::Err {
             message: other.to_string(),
@@ -797,12 +773,16 @@ mod tests {
             Request::AppendEnd {
                 set: "events".into(),
             },
-            Request::PageNumbers { set: "s".into() },
-            Request::FetchPage {
+            Request::Scan {
                 set: "s".into(),
-                num: 17,
+                start_page: 0,
+                start_record: 0,
             },
-            Request::Scan { set: "s".into() },
+            Request::Scan {
+                set: "s".into(),
+                start_page: 17,
+                start_record: 1 << 20,
+            },
             Request::Stats,
             Request::DropSet { set: "gone".into() },
             Request::Count { set: "s".into() },
@@ -916,14 +896,13 @@ mod tests {
         vec![
             Response::Ok,
             Response::Created { set: 9 },
-            Response::Pages {
-                nums: vec![0, 1, 2, 9],
-            },
-            Response::Page {
-                bytes: vec![7; 4096],
+            Response::Records {
+                next: None,
+                records: vec![],
             },
             Response::Records {
-                records: vec![b"x".to_vec(), b"yy".to_vec()],
+                next: Some((9, 123)),
+                records: vec![b"x".to_vec(), vec![], b"yy".to_vec()],
             },
             Response::Stats {
                 net_bytes: 1,
@@ -980,10 +959,6 @@ mod tests {
                 node: 1,
                 held: 3,
                 current: 7,
-            },
-            Response::ScanTooLarge {
-                set: "big".into(),
-                budget: 1 << 25,
             },
             Response::Count { records: 12345 },
             Response::Hashes {
@@ -1090,7 +1065,7 @@ mod tests {
             ops.dedup();
             assert_eq!(ops.len(), opcodes.len(), "opcodes must be unique");
         }
-        assert_eq!((Request::OPCODES.len(), Response::OPCODES.len()), (37, 25));
+        assert_eq!((Request::OPCODES.len(), Response::OPCODES.len()), (35, 22));
     }
 
     #[test]
@@ -1226,16 +1201,6 @@ mod tests {
                 held,
                 current,
             }) => assert_eq!((node, held, current), (NodeId(2), Epoch(4), Epoch(9))),
-            other => panic!("{other:?}"),
-        }
-        let too_large = PangeaError::ScanTooLarge {
-            set: "events".into(),
-            budget: 42,
-        };
-        match error_response(&too_large).into_result() {
-            Err(PangeaError::ScanTooLarge { set, budget }) => {
-                assert_eq!((set.as_str(), budget), ("events", 42));
-            }
             other => panic!("{other:?}"),
         }
     }

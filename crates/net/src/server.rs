@@ -249,38 +249,23 @@ impl Pangead {
                 self.loads.end(&set)?;
                 Ok(Response::Ok)
             }
-            Request::PageNumbers { set } => Ok(Response::Pages {
-                nums: self.get_set(&set)?.page_numbers(),
-            }),
-            Request::FetchPage { set, num } => {
-                let set = self.get_set(&set)?;
-                let pin = set.pin_page(num)?;
-                let bytes = pin.read().to_vec();
-                Ok(Response::Page { bytes })
-            }
-            Request::Scan { set } => {
-                let set = self.get_set(&set)?;
-                let mut records = Vec::new();
-                // Refuse (with a protocol error, not a dead socket) once
-                // the reply could no longer fit one frame; large sets are
-                // read page-by-page through FetchPage instead.
-                let budget = crate::frame::MAX_FRAME / 2;
-                let mut bytes = 0usize;
-                for num in set.page_numbers() {
-                    let pin = set.pin_page(num)?;
-                    let mut it = ObjectIter::new(&pin);
-                    while let Some(rec) = it.next() {
-                        bytes += rec.len() + 4;
-                        if bytes > budget {
-                            return Err(PangeaError::ScanTooLarge {
-                                set: set.name().to_string(),
-                                budget: budget as u64,
-                            });
-                        }
-                        records.push(rec.to_vec());
-                    }
-                }
-                Ok(Response::Records { records })
+            Request::Scan {
+                set,
+                start_page,
+                start_record,
+            } => {
+                // A reply closes by the push batch rule, so a share of
+                // any size streams in bounded replies; the record that
+                // fills one still rides in it, so every reply makes
+                // progress whatever a record's size.
+                let mut batch = PushBatch::default();
+                let mut full = None;
+                let next = walk_share(&self.get_set(&set)?, (start_page, start_record), |rec| {
+                    full = batch.push(rec.to_vec());
+                    full.is_some()
+                })?;
+                let records = full.unwrap_or_else(|| batch.take());
+                Ok(Response::Records { next, records })
             }
             Request::Count { set } => {
                 let set = self.get_set(&set)?;
@@ -328,31 +313,11 @@ impl Pangead {
                 start_page,
                 start_record,
             } => {
-                let set = self.get_set(&set)?;
                 let mut hashes = Vec::new();
-                let mut next = None;
-                // The cursor names the page to resume at, so a chunk
-                // costs only its own scan — pages before it are never
-                // pinned again, whatever the set's size.
-                'pages: for num in set.page_numbers() {
-                    if num < start_page {
-                        continue;
-                    }
-                    let pin = set.pin_page(num)?;
-                    let mut it = ObjectIter::new(&pin);
-                    let mut idx = 0u64;
-                    while let Some(rec) = it.next() {
-                        let skip = num == start_page && idx < start_record;
-                        if !skip {
-                            if hashes.len() >= crate::proto::HASH_CHUNK {
-                                next = Some((num, idx));
-                                break 'pages;
-                            }
-                            hashes.push(record_key(rec));
-                        }
-                        idx += 1;
-                    }
-                }
+                let next = walk_share(&self.get_set(&set)?, (start_page, start_record), |rec| {
+                    hashes.push(record_key(rec));
+                    hashes.len() >= crate::proto::HASH_CHUNK
+                })?;
                 Ok(Response::Hashes { hashes, next })
             }
             Request::RecoverBegin { set, present_from } => {
@@ -739,6 +704,39 @@ impl Pangead {
     }
 }
 
+/// The one walker behind the cursor-paged reads of a share (`Scan`,
+/// `HashList`): hands `set`'s records to `take` in storage order from
+/// the `(start_page, start_record)` cursor on, until `take` says its
+/// reply is full. Returns the cursor of the first record not taken, or `None`
+/// once the share is exhausted. The cursor names the page to resume at,
+/// so a reply costs only its own pins — pages before it are never
+/// pinned again, whatever the share's size.
+fn walk_share(
+    set: &pangea_core::LocalitySet,
+    (start_page, start_record): (u64, u64),
+    mut take: impl FnMut(&[u8]) -> bool,
+) -> Result<Option<(u64, u64)>> {
+    let mut full = false;
+    for num in set.page_numbers() {
+        if num < start_page {
+            continue;
+        }
+        let pin = set.pin_page(num)?;
+        let mut it = ObjectIter::new(&pin);
+        let mut idx = 0u64;
+        while let Some(rec) = it.next() {
+            if num > start_page || idx >= start_record {
+                if full {
+                    return Ok(Some((num, idx)));
+                }
+                full = take(rec);
+            }
+            idx += 1;
+        }
+    }
+    Ok(None)
+}
+
 impl FramedService for Pangead {
     fn handle(&self, req: Request, ctx: Option<TraceCtx>, req_bytes: usize) -> Response {
         serve_instrumented(&self.obs, req, ctx, req_bytes, |req, child| {
@@ -865,6 +863,15 @@ mod tests {
         s.hits + s.misses
     }
 
+    /// A scan of `set` from its first record.
+    fn scan_req(set: &str) -> Request {
+        Request::Scan {
+            set: set.into(),
+            start_page: 0,
+            start_record: 0,
+        }
+    }
+
     /// Record `i` of a large synthetic share: the zero-padded number,
     /// then fixed padding.
     fn row(i: u64) -> Vec<u8> {
@@ -899,25 +906,13 @@ mod tests {
             set: "events".into(),
         };
         assert_eq!(d.handle(end), Response::Ok);
-        match d.handle(Request::Scan {
-            set: "events".into(),
-        }) {
-            Response::Records { records } => {
+        match d.handle(scan_req("events")) {
+            Response::Records {
+                records,
+                next: None,
+            } => {
                 assert_eq!(records, vec![b"a".to_vec(), b"bb".to_vec()]);
             }
-            other => panic!("{other:?}"),
-        }
-        match d.handle(Request::PageNumbers {
-            set: "events".into(),
-        }) {
-            Response::Pages { nums } => assert_eq!(nums, vec![0]),
-            other => panic!("{other:?}"),
-        }
-        match d.handle(Request::FetchPage {
-            set: "events".into(),
-            num: 0,
-        }) {
-            Response::Page { bytes } => assert_eq!(bytes.len(), 4 * pangea_common::KB),
             other => panic!("{other:?}"),
         }
         // Dropping the set makes it unknown.
@@ -927,12 +922,7 @@ mod tests {
             }),
             Response::Ok
         );
-        assert!(matches!(
-            d.handle(Request::Scan {
-                set: "events".into()
-            }),
-            Response::Err { .. }
-        ));
+        assert!(matches!(d.handle(scan_req("events")), Response::Err { .. }));
     }
 
     #[test]
@@ -959,10 +949,11 @@ mod tests {
             };
             assert_eq!(d.handle(end), Response::Ok);
         };
-        let scan = || match d.handle(Request::Scan {
-            set: "events".into(),
-        }) {
-            Response::Records { records } => records,
+        let scan = || match d.handle(scan_req("events")) {
+            Response::Records {
+                records,
+                next: None,
+            } => records,
             other => panic!("{other:?}"),
         };
         assert!(matches!(d.handle(create()), Response::Created { .. }));
@@ -1021,7 +1012,7 @@ mod tests {
     #[test]
     fn missing_set_is_a_wire_error() {
         let d = Pangead::new(node("missing"));
-        match d.handle(Request::Scan { set: "nope".into() }) {
+        match d.handle(scan_req("nope")) {
             Response::Err { message } => assert!(message.contains("nope")),
             other => panic!("{other:?}"),
         }
@@ -1172,8 +1163,11 @@ mod tests {
                 ..
             }
         ));
-        match d.handle(Request::Scan { set: "tgt".into() }) {
-            Response::Records { records } => {
+        match d.handle(scan_req("tgt")) {
+            Response::Records {
+                records,
+                next: None,
+            } => {
                 assert_eq!(
                     records,
                     vec![b"a|1".to_vec(), b"b|22".to_vec(), b"c|333".to_vec()]
@@ -1417,8 +1411,14 @@ mod tests {
         let mut probe =
             PangeaClient::connect_with_secret(replacement.local_addr(), Some("absent-secret"))
                 .unwrap();
-        let ledger = probe.repair_ledger("tgt").unwrap();
-        assert_eq!(ledger.len(), 20);
+        let mut seeded = 0;
+        probe
+            .repair_ledger_for_each("tgt", |hashes| {
+                seeded += hashes.len();
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(seeded, 20);
 
         let push = sc
             .recover_push(
@@ -1436,7 +1436,7 @@ mod tests {
         assert_eq!(appended, 40);
         assert_eq!(rc.count("tgt").unwrap(), 60, "full set restored");
         // Without an open session the ledger is a typed protocol error.
-        assert!(probe.repair_ledger("tgt").is_err());
+        assert!(probe.repair_ledger_for_each("tgt", |_| Ok(())).is_err());
     }
 
     /// The Absent diff on the indexed ledger: the survivor's copy of a
@@ -1682,8 +1682,11 @@ mod tests {
             }),
             Response::Ok
         );
-        match d.handle(Request::Scan { set: "out".into() }) {
-            Response::Records { records } => assert!(records.is_empty(), "{records:?}"),
+        match d.handle(scan_req("out")) {
+            Response::Records {
+                records,
+                next: None,
+            } => assert!(records.is_empty(), "{records:?}"),
             other => panic!("{other:?}"),
         }
         assert!(d.stats().snapshot().shuffle_bytes > 0);
@@ -1731,8 +1734,11 @@ mod tests {
         // A retry's begin replaces the still-open session: its pinned
         // page goes with it, and the truncated set starts empty.
         assert_eq!(d.handle(begin), Response::Ok);
-        match d.handle(Request::Scan { set: "out".into() }) {
-            Response::Records { records } => assert!(records.is_empty(), "{records:?}"),
+        match d.handle(scan_req("out")) {
+            Response::Records {
+                records,
+                next: None,
+            } => assert!(records.is_empty(), "{records:?}"),
             other => panic!("{other:?}"),
         }
         assert!(matches!(
@@ -1747,8 +1753,11 @@ mod tests {
             Response::SessionAck { appended: 1, .. }
         ));
         assert_eq!(d.node.pool().pool_stats().pinned_pages, 0, "sealed");
-        match d.handle(Request::Scan { set: "out".into() }) {
-            Response::Records { records } => assert_eq!(records, vec![b"again".to_vec()]),
+        match d.handle(scan_req("out")) {
+            Response::Records {
+                records,
+                next: None,
+            } => assert_eq!(records, vec![b"again".to_vec()]),
             other => panic!("{other:?}"),
         }
 
@@ -1859,8 +1868,11 @@ mod tests {
             } => assert_eq!((appended, b), (want.len() as u64, bytes)),
             other => panic!("{other:?}"),
         }
-        match d.handle(Request::Scan { set: "sums".into() }) {
-            Response::Records { records } => assert_eq!(records, want),
+        match d.handle(scan_req("sums")) {
+            Response::Records {
+                records,
+                next: None,
+            } => assert_eq!(records, want),
             other => panic!("{other:?}"),
         }
         assert_eq!(d.node.pool().pool_stats().pinned_pages, 0, "sealed");
@@ -1903,8 +1915,11 @@ mod tests {
         drop(guard);
         d.ingests.forget("out", d.obs.registry());
         assert!(matches!(queued.join().unwrap(), Response::Err { .. }));
-        match d.handle(Request::Scan { set: "out".into() }) {
-            Response::Records { records } => assert!(records.is_empty(), "{records:?}"),
+        match d.handle(scan_req("out")) {
+            Response::Records {
+                records,
+                next: None,
+            } => assert!(records.is_empty(), "{records:?}"),
             other => panic!("{other:?}"),
         }
     }
@@ -1960,8 +1975,11 @@ mod tests {
         ));
         d.handle(Request::IngestEnd { set: "out".into() });
         for (set, want) in [("tgt", ["twice", "once"]), ("out", ["the", "the"])] {
-            match d.handle(Request::Scan { set: set.into() }) {
-                Response::Records { records } => {
+            match d.handle(scan_req(set)) {
+                Response::Records {
+                    records,
+                    next: None,
+                } => {
                     assert_eq!(records, want.map(|r| r.as_bytes().to_vec()), "{set}")
                 }
                 other => panic!("{other:?}"),
@@ -2027,8 +2045,11 @@ mod tests {
                 ..
             }
         ));
-        match d.handle(Request::Scan { set: "out".into() }) {
-            Response::Records { records } => {
+        match d.handle(scan_req("out")) {
+            Response::Records {
+                records,
+                next: None,
+            } => {
                 assert_eq!(records, vec![b"first".to_vec(), b"third".to_vec()])
             }
             other => panic!("{other:?}"),
@@ -2174,8 +2195,11 @@ mod tests {
             .flat_map(batch)
             .chain([b"lost-by-the-first-attempt".to_vec()])
             .collect();
-        match d.handle(Request::Scan { set: "tgt".into() }) {
-            Response::Records { records } => assert_eq!(records, want),
+        match d.handle(scan_req("tgt")) {
+            Response::Records {
+                records,
+                next: None,
+            } => assert_eq!(records, want),
             other => panic!("{other:?}"),
         }
 
@@ -2264,8 +2288,11 @@ mod tests {
         d.repairs.forget("tgt", d.obs.registry());
         drop(guard);
         assert!(matches!(queued.join().unwrap(), Response::Err { .. }));
-        match d.handle(Request::Scan { set: "tgt".into() }) {
-            Response::Records { records } => {
+        match d.handle(scan_req("tgt")) {
+            Response::Records {
+                records,
+                next: None,
+            } => {
                 assert_eq!(records, vec![b"first".to_vec(), b"third".to_vec()])
             }
             other => panic!("{other:?}"),
@@ -2311,10 +2338,11 @@ mod tests {
             }
         ));
         // Nothing is stored until the seal…
-        match d.handle(Request::Scan {
-            set: "counts".into(),
-        }) {
-            Response::Records { records } => assert!(records.is_empty(), "{records:?}"),
+        match d.handle(scan_req("counts")) {
+            Response::Records {
+                records,
+                next: None,
+            } => assert!(records.is_empty(), "{records:?}"),
             other => panic!("{other:?}"),
         }
         // …which materializes one record per key, sorted, and is
@@ -2331,10 +2359,11 @@ mod tests {
                 }
             ));
         }
-        match d.handle(Request::Scan {
-            set: "counts".into(),
-        }) {
-            Response::Records { records } => {
+        match d.handle(scan_req("counts")) {
+            Response::Records {
+                records,
+                next: None,
+            } => {
                 assert_eq!(records, vec![b"fox|1".to_vec(), b"the|5".to_vec()]);
             }
             other => panic!("{other:?}"),

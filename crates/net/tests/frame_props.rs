@@ -138,18 +138,19 @@ fn roundtrip_resp(resp: Response) {
     assert_eq!(Response::decode(&unframed).unwrap(), resp);
 }
 
-/// A page (or repair batch) reply bigger than one frame is refused on
-/// the *send* side as API misuse — an oversized recovery payload can
-/// never desynchronize the stream or force a peer allocation.
+/// A scan reply (or repair batch) bigger than one frame is refused on
+/// the *send* side as API misuse — an oversized payload can never
+/// desynchronize the stream or force a peer allocation.
 #[test]
-fn oversized_page_and_repair_replies_are_rejected_at_the_frame() {
-    let page = Response::Page {
-        bytes: vec![7u8; MAX_FRAME + 1],
+fn oversized_scan_and_repair_replies_are_rejected_at_the_frame() {
+    let records = Response::Records {
+        next: Some((3, 1)),
+        records: vec![vec![7u8; MAX_FRAME + 1]],
     };
     let mut buf = Vec::new();
-    match write_frame_corr(&mut buf, 1, &page.encode()) {
+    match write_frame_corr(&mut buf, 1, &records.encode()) {
         Err(PangeaError::InvalidUsage(m)) => assert!(m.contains("exceeds")),
-        other => panic!("oversized page must be refused, got {other:?}"),
+        other => panic!("oversized scan reply must be refused, got {other:?}"),
     }
     assert!(buf.is_empty(), "nothing may reach the wire");
 
@@ -312,10 +313,15 @@ proptest! {
             prop::collection::vec(any::<u8>(), 0..128),
             0..32,
         ),
+        start_page in any::<u64>(),
+        start_record in any::<u64>(),
+        more in any::<bool>(),
     ) {
         let req = Request::Append { set: ident(&set), records: records.clone() };
         roundtrip_req(req);
-        roundtrip_resp(Response::Records { records });
+        roundtrip_req(Request::Scan { set: ident(&set), start_page, start_record });
+        let next = more.then_some((start_page, start_record));
+        roundtrip_resp(Response::Records { next, records });
     }
 
     /// Partitioning schemes (both kinds, both key specs, arbitrary
@@ -652,7 +658,7 @@ proptest! {
         span in any::<u64>(),
         traced in any::<bool>(),
     ) {
-        let req = Request::Scan { set: ident(&set) };
+        let req = Request::Scan { set: ident(&set), start_page: job, start_record: span };
         let ctx = TraceCtx { job, span };
         let enc = if traced { req.encode_traced(Some(&ctx)) } else { req.encode() };
         let (back, got) = Request::decode_traced(&through_a_frame(&enc)).unwrap();
@@ -670,7 +676,7 @@ proptest! {
         span in any::<u64>(),
         cut_fraction in 0.0f64..1.0,
     ) {
-        let req = Request::Scan { set: ident(&set) };
+        let req = Request::Scan { set: ident(&set), start_page: span, start_record: job };
         let enc = req.encode_traced(Some(&TraceCtx { job, span }));
         let cut = ((enc.len() as f64) * cut_fraction) as usize;
         prop_assert!(Request::decode_traced(&enc[..cut]).is_err(), "cut at {cut} decoded");
@@ -837,7 +843,7 @@ proptest! {
 }
 
 /// A span push bigger than one frame is refused on the send side, like
-/// oversized pages and repair batches — a runaway driver ring can never
+/// oversized scan replies and repair batches — a runaway driver ring can never
 /// desynchronize the manager connection.
 #[test]
 fn oversized_trace_push_is_rejected_at_the_frame() {

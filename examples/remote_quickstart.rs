@@ -55,13 +55,10 @@ fn main() -> Result<()> {
     client.append_end("events")?;
     println!("appended {appended} records to 'events'");
 
-    let pages = client.page_numbers("events")?;
+    // A scan pages through the set one bounded reply at a time and
+    // collects the records in storage order.
     let scanned = client.scan("events")?;
-    println!(
-        "'events' holds {} records across {} pages",
-        scanned.len(),
-        pages.len()
-    );
+    println!("'events' holds {} records", scanned.len());
     assert_eq!(scanned.len(), events.len());
 
     let stats = client.remote_stats()?;

@@ -324,3 +324,55 @@ fn streamed_load_fills_pages_like_the_sim_and_writes_each_once() {
     }
     assert_eq!(snapshot_set(&cluster, "users").values().sum::<u32>(), 4000);
 }
+
+/// A scan of a share too large for one reply pages through several,
+/// and the driver's ledger is charged each record's payload exactly
+/// once: the sum of the record lengths, as a load of the same records
+/// is charged.
+#[test]
+fn multi_reply_scan_charges_each_record_once() {
+    let mgr = MgrServer::bind_with(
+        "127.0.0.1:0",
+        Duration::from_millis(300),
+        Some(SECRET.into()),
+    )
+    .unwrap();
+    let mgr_addr = mgr.local_addr().to_string();
+    let servers: Vec<_> = (0..3)
+        .map(|slot| worker(&format!("scan{slot}"), &mgr_addr, slot))
+        .collect();
+    let cluster = RemoteCluster::connect(&mgr_addr, Some(SECRET)).unwrap();
+    let rows = records(60_000);
+    let set = cluster
+        .create_dist_set("users", PartitionScheme::round_robin(3))
+        .unwrap();
+    let mut d = set.loader().unwrap();
+    for row in &rows {
+        d.dispatch(row.as_bytes()).unwrap();
+    }
+    d.finish().unwrap();
+
+    let scans = |slot: usize| {
+        let reg = servers[slot].0.daemon().obs().registry().clone();
+        reg.counter("rpc.count.Scan").get()
+    };
+    let before_scans: Vec<u64> = (0..3).map(scans).collect();
+    let before = cluster.workers().stats().snapshot().net_bytes;
+    let got = snapshot_set(&cluster, "users");
+    let charged = cluster.workers().stats().snapshot().net_bytes - before;
+
+    let want = rows.iter().fold(BTreeMap::new(), |mut m, r| {
+        *m.entry(r.as_bytes().to_vec()).or_insert(0u32) += 1;
+        m
+    });
+    assert!(got == want, "the scan returns every record once");
+    let payload: u64 = rows.iter().map(|r| r.len() as u64).sum();
+    assert_eq!(charged, payload, "each record's payload is charged once");
+    for (slot, before) in before_scans.into_iter().enumerate() {
+        let replies = scans(slot) - before;
+        assert!(
+            replies >= 2,
+            "slot {slot} served its share in {replies} replies"
+        );
+    }
+}

@@ -1,12 +1,12 @@
 //! Loopback TCP integration tests of one `pangead` driven by a
-//! `PangeaClient`: the page-level recovery read path, and typed remote
-//! errors that leave the connection usable. The distributed paths over
+//! `PangeaClient`: the cursor-paged scan, and typed remote errors that
+//! leave the connection usable. The distributed paths over
 //! real sockets are covered by `remote_mapshuffle`, `remote_pipeline`
 //! and `remote_recovery`.
 
-use pangea::common::KB;
+use pangea::common::{KB, MB};
 use pangea::core::{NodeConfig, StorageNode};
-use pangea::net::{PangeaClient, PangeadServer};
+use pangea::net::{for_each_chunk, PangeaClient, PangeadServer, PUSH_BATCH_BYTES};
 use std::path::PathBuf;
 
 fn dir(tag: &str) -> PathBuf {
@@ -38,27 +38,67 @@ fn load<R: AsRef<[u8]>>(client: &mut PangeaClient, set: &str, rows: &[R]) -> u64
     appended
 }
 
-/// The recovery read path over the wire: fetch raw remote pages and
-/// parse them with the page codec, as a recovering node would.
+/// A scan pages through a share in replies closed by the push batch
+/// rule: a reply boundary may fall inside a page, a record larger than
+/// a whole reply still travels (alone or closing its reply), and the
+/// records come back once each, in storage order.
 #[test]
-fn fetch_page_supports_remote_recovery_reads() {
-    let server = PangeadServer::bind(small_node("cli-fetch"), "127.0.0.1:0").unwrap();
+fn paged_scan_returns_a_share_in_bounded_replies() {
+    let node = StorageNode::new(
+        NodeConfig::new(dir("cli-scan"))
+            .with_pool_capacity(2 * MB)
+            .with_page_size(4 * KB),
+    )
+    .unwrap();
+    let server = PangeadServer::bind(node, "127.0.0.1:0").unwrap();
     let mut client = PangeaClient::connect(server.local_addr()).unwrap();
-    client.create_set("events", "write-back", None).unwrap();
-    let rows: Vec<String> = (0..300).map(|i| format!("event-{i:05}")).collect();
-    assert_eq!(load(&mut client, "events", &rows), 300);
+    // Pages of 256 KB hold two replies' worth of small records, so at
+    // least one reply must end inside a page.
+    client
+        .create_set("events", "write-back", Some(256 * KB))
+        .unwrap();
+    let mut rows: Vec<Vec<u8>> = (0..4000)
+        .map(|i| format!("event-{i:05}-{}", "x".repeat(80)).into_bytes())
+        .collect();
+    rows.insert(2000, vec![b'L'; PUSH_BATCH_BYTES + 1]);
+    assert_eq!(load(&mut client, "events", &rows), rows.len() as u64);
 
+    let mut starts = Vec::new();
     let mut restored = Vec::new();
-    for num in client.page_numbers("events").unwrap() {
-        let bytes = client.fetch_page("events", num).unwrap();
-        for rec in pangea::core::page::RecordSlices::new(&bytes) {
-            restored.push(String::from_utf8(rec.to_vec()).unwrap());
-        }
-    }
-    assert_eq!(
-        restored, rows,
-        "page-level fetch restores every record in order"
+    for_each_chunk(
+        "scan",
+        |cursor| {
+            starts.push(cursor);
+            client.scan_chunk("events", cursor)
+        },
+        |records| {
+            let (last, rest) = records.split_last().expect("a reply carries a record");
+            let below: usize = rest.iter().map(|r| r.len() + 4).sum();
+            assert!(
+                below < PUSH_BATCH_BYTES,
+                "a reply closes at the record that reaches the batch budget ({} B + {} B)",
+                below,
+                last.len()
+            );
+            restored.extend(records);
+            Ok(())
+        },
+    )
+    .unwrap();
+    assert!(starts.len() >= 3, "replies: {starts:?}");
+    assert!(
+        starts.iter().any(|&(_, record)| record > 0),
+        "a reply boundary falls inside a page: {starts:?}"
     );
+    assert!(restored == rows, "every record once, in storage order");
+    assert!(client.scan("events").unwrap() == rows);
+    let scans = server
+        .daemon()
+        .obs()
+        .registry()
+        .counter("rpc.count.Scan")
+        .get();
+    assert!(scans >= 3, "the share is served over {scans} Scan requests");
 }
 
 /// Remote errors carry their message across the wire instead of killing
