@@ -449,9 +449,10 @@ impl PangeaClient {
 
     /// Opens (or resets) a shuffle-ingest session for `set` on the
     /// remote node, truncating its local share of the set. With a
-    /// `reduce`, the session folds incoming `key|value` partials into a
-    /// keyed accumulator instead of appending records, materializing
-    /// the result at [`PangeaClient::ingest_end`].
+    /// `reduce`, the session keeps each source's incoming `key|value`
+    /// partials as a sorted run instead of appending records, and
+    /// merges the runs into one record per key at
+    /// [`PangeaClient::ingest_end`].
     pub fn ingest_begin(&mut self, set: &str, reduce: Option<&ReduceSpec>) -> Result<()> {
         let req = Request::IngestBegin {
             set: set.to_string(),

@@ -270,9 +270,10 @@ messages! {
             /// The ingest target set (must already exist on the node).
             set: String,
             /// When present, the session runs in *reducing* mode: incoming
-            /// records are `key|value` partials folded into a keyed
-            /// accumulator and materialized at [`Request::IngestEnd`],
-            /// instead of being appended record-for-record.
+            /// records are `key|value` partials, stored as one sorted run
+            /// per source and merged into one record per key at
+            /// [`Request::IngestEnd`], instead of being appended
+            /// record-for-record.
             reduce: Option<ReduceSpec>,
         } = 34,
         /// Mapper→destination delivery of routed records, each carrying its

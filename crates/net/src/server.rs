@@ -16,10 +16,10 @@ use crate::framed::{
 use crate::load::LoadWriters;
 use crate::pipeline::{PipelinedPeer, PushBatch, MAX_PIPELINE_WINDOW, PUSH_BATCH_BYTES};
 use crate::proto::{Request, Response};
-use crate::session::{local_set, Session, SessionTable, Sink, INGEST, REPAIR};
+use crate::session::{backing_set_name, local_set, Session, SessionTable, Sink, INGEST, REPAIR};
 use crate::wire::{RecordPredicate, RepairFilter};
 use pangea_common::{record_key, FxHashMap, IoStats, PangeaError, Result, WriteCause};
-use pangea_core::{HashConfig, ObjectIter, ReduceBuffer, SetOptions, SpillLedger, StorageNode};
+use pangea_core::{ObjectIter, SetOptions, SpillLedger, StorageNode};
 use pangea_obs::{names, Obs, TraceCtx};
 use parking_lot::Mutex;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -35,9 +35,9 @@ const PEER_POOL_CAP: usize = 64;
 /// sorted runs through the pool (≈512 KB of heap per session).
 const LEDGER_SPILL_ENTRIES: usize = 64 * 1024;
 
-/// Root partitions for per-session reduce accumulators. Small: a
-/// session accumulator grows by page splits under memory headroom, so
-/// roots only set the floor of pinned pages per open session.
+/// Root partitions for a mapper's combine accumulator. Small: the
+/// accumulator grows by page splits under memory headroom, so roots
+/// only set the floor of pinned pages per running task.
 pub(crate) const ACC_ROOT_PARTITIONS: u32 = 2;
 
 /// The protocol brain of a Pangea node daemon: dispatches decoded
@@ -70,10 +70,10 @@ pub struct Pangead {
     /// with [`Pangead::stats`], so `io.*` volumes and `rpc.*` metrics
     /// land in one `MetricsDump`) plus the span ring.
     obs: Obs,
-    /// Monotonic id appended to session backing-set names (ledger runs,
-    /// reduce accumulators, combine accumulators, Absent-diff ledgers),
-    /// so a replaced session's not-yet-released set never collides with
-    /// its successor's.
+    /// Monotonic id appended to session backing-set names (ledgers,
+    /// reducing sessions' runs, combine accumulators, Absent-diff
+    /// ledgers), so a replaced session's not-yet-released set never
+    /// collides with its successor's.
     session_seq: AtomicU64,
 }
 
@@ -97,8 +97,7 @@ impl Pangead {
 
     /// A fresh, collision-free backing-set name for per-session state.
     pub(crate) fn session_set_name(&self, set: &str, kind: &str) -> String {
-        let seq = self.session_seq.fetch_add(1, Ordering::Relaxed);
-        format!("{set}::{kind}.{seq}")
+        backing_set_name(set, kind, self.session_seq.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Sets the secret this daemon presents when dialing repair peers.
@@ -425,13 +424,7 @@ impl Pangead {
                     })?;
                     let sink = match reduce {
                         Some(spec) => {
-                            let acc = ReduceBuffer::create(
-                                &self.node,
-                                &self.session_set_name(&set, "reduce-acc"),
-                                HashConfig::new(ACC_ROOT_PARTITIONS),
-                                spec.merge_fn(),
-                            )?;
-                            Sink::Fold(spec, acc)
+                            Sink::runs(spec, self.session_seq.fetch_add(1, Ordering::Relaxed))
                         }
                         None => Sink::Write(None),
                     };
@@ -870,6 +863,26 @@ mod tests {
             start_page: 0,
             start_record: 0,
         }
+    }
+
+    /// Every record of `set`, asking again from each reply's cursor.
+    fn scan_all(d: &Pangead, set: &str) -> Vec<Vec<u8>> {
+        let mut all = Vec::new();
+        let mut from = Some((0, 0));
+        while let Some((start_page, start_record)) = from {
+            match d.handle(Request::Scan {
+                set: set.into(),
+                start_page,
+                start_record,
+            }) {
+                Response::Records { records, next } => {
+                    all.extend(records);
+                    from = next;
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        all
     }
 
     /// Record `i` of a large synthetic share: the zero-padded number,
@@ -1783,7 +1796,9 @@ mod tests {
     /// A reducing session dedups through the indexed ledger like a
     /// map-only one: past two flushed runs, a lost-ack replay of an early
     /// batch is refused record by record at one page pin each, and the
-    /// fresh partials before it stop at the run filters.
+    /// fresh partials before it stop at the run filters. Two sources
+    /// share every key, each sending it at the ordinal its sorted output
+    /// gives it, so the end folds each key from both runs.
     #[test]
     fn reducing_session_replay_dedups_across_flushed_runs_without_page_walks() {
         use crate::wire::{KeySpec, ReduceSpec};
@@ -1805,10 +1820,14 @@ mod tests {
             Response::Ok
         );
         let batch = |b: u64| -> Vec<(u64, Vec<u8>)> {
-            (b * BATCH..(b + 1) * BATCH)
-                .map(|i| {
-                    let rec = format!("w{:04}|{}", i % 2000, i % 17).into_bytes();
-                    (crate::wire::ingest_tag(0, i, &rec), rec)
+            let per_source = BATCH / 2;
+            (0..2u32)
+                .flat_map(|source| {
+                    (b * per_source..(b + 1) * per_source).map(move |ordinal| {
+                        let value = (ordinal + u64::from(source)) % 17;
+                        let rec = format!("w{ordinal:06}|{value}").into_bytes();
+                        (crate::wire::ingest_tag(source, ordinal, &rec), rec)
+                    })
                 })
                 .collect()
         };
@@ -1868,13 +1887,7 @@ mod tests {
             } => assert_eq!((appended, b), (want.len() as u64, bytes)),
             other => panic!("{other:?}"),
         }
-        match d.handle(scan_req("sums")) {
-            Response::Records {
-                records,
-                next: None,
-            } => assert_eq!(records, want),
-            other => panic!("{other:?}"),
-        }
+        assert!(scan_all(&d, "sums") == want, "the merge folds both runs");
         assert_eq!(d.node.pool().pool_stats().pinned_pages, 0, "sealed");
     }
 
@@ -2299,8 +2312,8 @@ mod tests {
         }
     }
 
-    /// A reducing ingest session folds incoming `key|value` partials
-    /// (tag-deduped) and materializes the accumulator at the seal —
+    /// A reducing ingest session keeps incoming `key|value` partials
+    /// (tag-deduped) as per-source runs and merges them at the seal —
     /// which stays tombstone-idempotent like the plain session.
     #[test]
     fn reducing_ingest_session_folds_partials_and_materializes_at_end() {
@@ -2319,15 +2332,16 @@ mod tests {
             }),
             Response::Ok
         );
-        // Two mappers' partials for "the" (3 + 2), one for "fox" (1);
-        // a replayed tag dedups away instead of double-counting.
+        // Two mappers' partials for "the" (3 + 2), one for "fox" (1),
+        // each source's in its sorted order; a replayed tag dedups away
+        // instead of double-counting.
         assert!(matches!(
             d.handle(Request::IngestAppend {
                 set: "counts".into(),
                 entries: vec![
-                    (crate::wire::ingest_tag(0, 7, b"the|3"), b"the|3".to_vec()),
+                    (crate::wire::ingest_tag(0, 7, b"fox|1"), b"fox|1".to_vec()),
                     (crate::wire::ingest_tag(1, 7, b"the|2"), b"the|2".to_vec()),
-                    (crate::wire::ingest_tag(0, 9, b"fox|1"), b"fox|1".to_vec()),
+                    (crate::wire::ingest_tag(0, 9, b"the|3"), b"the|3".to_vec()),
                     (crate::wire::ingest_tag(1, 7, b"the|2"), b"the|2".to_vec()),
                 ],
             }),
@@ -2368,6 +2382,342 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// One source's reduce partials for keys `keys`, in the order its
+    /// mapper ships them, tagged by position: `(tag, key|value)`.
+    fn partials(
+        reduce: &crate::wire::ReduceSpec,
+        source: u32,
+        keys: &[String],
+    ) -> Vec<(u64, Vec<u8>)> {
+        keys.iter()
+            .enumerate()
+            .map(|(ordinal, key)| {
+                let value = (ordinal as i64 * 7 + i64::from(source)) % 23 - 5;
+                let rec = reduce.encode_record(key.as_bytes(), value);
+                (crate::wire::ingest_tag(source, ordinal as u64, &rec), rec)
+            })
+            .collect()
+    }
+
+    /// The names of `set`'s run and ingest-ledger backing sets on `d`.
+    fn ingest_backing_sets(d: &Pangead, set: &str) -> Vec<String> {
+        let (run, ledger) = (format!("{set}::run-"), format!("{set}::ingest-ledger."));
+        d.node
+            .set_ids()
+            .into_iter()
+            .filter_map(|id| d.node.get_set_by_id(id))
+            .map(|s| s.name().to_string())
+            .filter(|name| name.starts_with(&run) || name.starts_with(&ledger))
+            .collect()
+    }
+
+    /// A run that goes backwards was not produced by the protocol: the
+    /// end refuses it as corruption instead of sorting it, leaves no
+    /// tombstone, and the next begin starts clean.
+    #[test]
+    fn a_run_going_backwards_fails_the_end_as_corruption() {
+        use crate::wire::{KeySpec, ReduceSpec};
+        let d = Pangead::new(node("ingest-reduce-backwards"));
+        d.handle(Request::CreateSet {
+            name: "counts".into(),
+            durability: "write-back".into(),
+            page_size: None,
+        });
+        let reduce = ReduceSpec::count(KeySpec::WholeRecord, b'|');
+        let begin = Request::IngestBegin {
+            set: "counts".into(),
+            reduce: Some(reduce.clone()),
+        };
+        assert_eq!(d.handle(begin.clone()), Response::Ok);
+        let tagged = |source, ordinal, rec: &[u8]| {
+            (crate::wire::ingest_tag(source, ordinal, rec), rec.to_vec())
+        };
+        assert!(matches!(
+            d.handle(Request::IngestAppend {
+                set: "counts".into(),
+                entries: vec![
+                    tagged(0, 0, b"ant|1"),
+                    tagged(1, 0, b"bee|4"),
+                    tagged(0, 1, b"cat|2"),
+                    tagged(0, 2, b"bat|3"),
+                ],
+            }),
+            Response::SessionAck { appended: 4, .. }
+        ));
+        match d.ingests.end(&d.node, "counts", d.obs.registry()) {
+            Err(PangeaError::Corruption(m)) => assert!(m.contains("backwards"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        // No tombstone: a retried end fails loudly, not with totals.
+        assert!(matches!(
+            d.handle(Request::IngestEnd {
+                set: "counts".into()
+            }),
+            Response::Err { .. }
+        ));
+        assert!(ingest_backing_sets(&d, "counts").is_empty());
+        assert_eq!(d.node.pool().pool_stats().pinned_pages, 0);
+
+        // The next attempt's begin truncates whatever the failed merge
+        // wrote, and its sorted runs seal.
+        assert_eq!(d.handle(begin), Response::Ok);
+        assert!(scan_all(&d, "counts").is_empty());
+        assert!(matches!(
+            d.handle(Request::IngestAppend {
+                set: "counts".into(),
+                entries: vec![
+                    tagged(0, 0, b"ant|1"),
+                    tagged(0, 1, b"bat|3"),
+                    tagged(0, 2, b"cat|2"),
+                    tagged(1, 0, b"bat|4"),
+                ],
+            }),
+            Response::SessionAck { appended: 4, .. }
+        ));
+        assert!(matches!(
+            d.handle(Request::IngestEnd {
+                set: "counts".into()
+            }),
+            Response::SessionAck { appended: 3, .. }
+        ));
+        assert_eq!(
+            scan_all(&d, "counts"),
+            vec![b"ant|1".to_vec(), b"bat|7".to_vec(), b"cat|2".to_vec()]
+        );
+    }
+
+    /// A dead attempt's queued batches (a prefix of each source's
+    /// stream) interleave, batch by batch, with a full retry's — batched
+    /// differently, so some batches are half new. The first arrival of
+    /// every ordinal is still in order, so the sealed output equals a
+    /// clean single-attempt session's record for record.
+    #[test]
+    fn interleaved_dead_attempt_and_retry_merge_like_one_clean_attempt() {
+        use crate::wire::{KeySpec, ReduceSpec};
+        let d = Pangead::new(node("ingest-reduce-interleave"));
+        let reduce = ReduceSpec::sum(KeySpec::WholeRecord, b'|', 1);
+        // Three sources whose sorted keys overlap: every key is shipped
+        // by one, two or three of them.
+        let streams: Vec<Vec<(u64, Vec<u8>)>> = (0..3u32)
+            .map(|source| {
+                let keys: Vec<String> = (0..300u32)
+                    .filter(|k| (k + source) % 3 != 0 || k % 5 == 0)
+                    .map(|k| format!("key-{k:04}"))
+                    .collect();
+                partials(&reduce, source, &keys)
+            })
+            .collect();
+        let begin = |set: &str| {
+            d.handle(Request::CreateSet {
+                name: set.into(),
+                durability: "write-back".into(),
+                page_size: None,
+            });
+            assert_eq!(
+                d.handle(Request::IngestBegin {
+                    set: set.into(),
+                    reduce: Some(reduce.clone()),
+                }),
+                Response::Ok
+            );
+        };
+        let append = |set: &str, entries: &[(u64, Vec<u8>)]| {
+            d.handle(Request::IngestAppend {
+                set: set.into(),
+                entries: entries.to_vec(),
+            });
+        };
+        let end = |set: &str| match d.handle(Request::IngestEnd { set: set.into() }) {
+            Response::SessionAck {
+                appended, bytes, ..
+            } => (appended, bytes),
+            other => panic!("{other:?}"),
+        };
+
+        begin("clean");
+        for stream in &streams {
+            stream.chunks(16).for_each(|batch| append("clean", batch));
+        }
+        let clean_totals = end("clean");
+        let clean = scan_all(&d, "clean");
+        let mut expect = std::collections::BTreeMap::<Vec<u8>, i64>::new();
+        for (_, rec) in streams.iter().flatten() {
+            let (key, value) = reduce.decode_record(rec).unwrap();
+            *expect.entry(key.to_vec()).or_insert(0) += value;
+        }
+        let want: Vec<Vec<u8>> = expect
+            .iter()
+            .map(|(key, value)| reduce.encode_record(key, *value))
+            .collect();
+        assert!(clean == want, "a clean attempt folds every key once");
+
+        for seed in 0..8u64 {
+            let set = format!("retried-{seed}");
+            begin(&set);
+            // Per source, the dead attempt's batches of 11 up to a cut,
+            // and the retry's batches of 16 over the whole stream.
+            let mut queues: Vec<std::collections::VecDeque<_>> = streams
+                .iter()
+                .enumerate()
+                .flat_map(|(s, stream)| {
+                    let cut = stream.len() * (seed as usize * 3 + s + 1) / 26;
+                    [
+                        stream[..cut].chunks(11).collect(),
+                        stream.chunks(16).collect(),
+                    ]
+                })
+                .collect();
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            while queues.iter().any(|q| !q.is_empty()) {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let live: Vec<usize> = (0..queues.len())
+                    .filter(|&i| !queues[i].is_empty())
+                    .collect();
+                let pick = live[(rng % live.len() as u64) as usize];
+                let batch = queues[pick].pop_front().expect("a live queue");
+                append(&set, batch);
+            }
+            assert_eq!(end(&set), clean_totals, "seed {seed}");
+            assert!(
+                scan_all(&d, &set) == clean,
+                "seed {seed}: not the clean output"
+            );
+        }
+    }
+
+    /// However a reducing session goes — sealed, poisoned by a failed
+    /// append, replaced by a fresh begin, or dropped with its set — its
+    /// run sets and its ledger's set go with it, and no page stays
+    /// pinned.
+    #[test]
+    fn reducing_sessions_leave_no_backing_sets_however_they_end() {
+        use crate::wire::{KeySpec, ReduceSpec};
+        let d = Pangead::new(node("ingest-reduce-orphans"));
+        let reduce = ReduceSpec::count(KeySpec::WholeRecord, b'|');
+        // Past the ledger's in-memory generation, so it has flushed a
+        // run into a backing set of its own.
+        let keys: Vec<String> = (0..LEDGER_SPILL_ENTRIES / 2 + 100)
+            .map(|k| format!("{k:06}"))
+            .collect();
+        let open = |how: &str| {
+            d.handle(Request::CreateSet {
+                name: "out".into(),
+                durability: "write-back".into(),
+                page_size: None,
+            });
+            assert_eq!(
+                d.handle(Request::IngestBegin {
+                    set: "out".into(),
+                    reduce: Some(reduce.clone()),
+                }),
+                Response::Ok
+            );
+            for source in 0..2 {
+                for batch in partials(&reduce, source, &keys).chunks(4096) {
+                    assert!(
+                        matches!(
+                            d.handle(Request::IngestAppend {
+                                set: "out".into(),
+                                entries: batch.to_vec(),
+                            }),
+                            Response::SessionAck { .. }
+                        ),
+                        "{how}"
+                    );
+                }
+            }
+            let mut held = ingest_backing_sets(&d, "out");
+            held.sort();
+            assert_eq!(held.len(), 3, "{how}: {held:?}");
+            assert!(held[0].contains("::ingest-ledger."), "{how}: {held:?}");
+            assert!(held[1].contains("::run-0."), "{how}: {held:?}");
+            assert!(held[2].contains("::run-1."), "{how}: {held:?}");
+        };
+        let released = |how: &str| {
+            assert!(
+                ingest_backing_sets(&d, "out").is_empty(),
+                "{how}: {:?}",
+                ingest_backing_sets(&d, "out")
+            );
+            assert_eq!(d.node.pool().pool_stats().pinned_pages, 0, "{how}");
+        };
+
+        open("sealed");
+        assert!(matches!(
+            d.handle(Request::IngestEnd { set: "out".into() }),
+            Response::SessionAck { appended, .. } if appended == keys.len() as u64
+        ));
+        released("sealed");
+
+        open("poisoned");
+        let too_big = vec![b'x'; 8 * pangea_common::KB];
+        assert!(matches!(
+            d.handle(Request::IngestAppend {
+                set: "out".into(),
+                entries: vec![(crate::wire::ingest_tag(0, 1 << 40, &too_big), too_big)],
+            }),
+            Response::Err { .. }
+        ));
+        released("poisoned");
+
+        open("replaced");
+        assert_eq!(
+            d.handle(Request::IngestBegin {
+                set: "out".into(),
+                reduce: Some(reduce.clone()),
+            }),
+            Response::Ok
+        );
+        released("replaced");
+
+        open("dropped");
+        assert_eq!(
+            d.handle(Request::DropSet { set: "out".into() }),
+            Response::Ok
+        );
+        released("dropped");
+    }
+
+    /// A provenance tag carries 16 bits of source slot, so a task
+    /// naming a wider slot is refused up front as a usage error, while
+    /// the widest slot that fits runs.
+    #[test]
+    fn a_task_whose_source_overflows_a_tag_is_a_usage_error() {
+        use crate::wire::{Job, KeySpec, MapSpec, SchemeSpec, TaskSpec};
+        let d = Pangead::new(node("task-wide-source"));
+        d.handle(Request::CreateSet {
+            name: "lines".into(),
+            durability: "write-back".into(),
+            page_size: None,
+        });
+        let spec = |source| TaskSpec {
+            job: Job {
+                input: "lines".into(),
+                output: "words".into(),
+                map: MapSpec::extract(KeySpec::WholeRecord),
+                reduce: None,
+                scheme: SchemeSpec::Hash {
+                    key_name: "word".into(),
+                    partitions: 1,
+                    key: KeySpec::WholeRecord,
+                },
+                nodes: 1,
+            },
+            source,
+            dests: vec![],
+        };
+        match d.run_task(&spec(u32::from(u16::MAX) + 1), None) {
+            Err(PangeaError::InvalidUsage(m)) => assert!(m.contains("16 bits"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(
+            d.run_task(&spec(u32::from(u16::MAX)), None),
+            Ok(Response::TaskDone { scanned: 0, .. })
+        ));
     }
 
     /// The tentpole flow at daemon scope over real sockets: a shipped

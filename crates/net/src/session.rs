@@ -2,17 +2,44 @@
 //! shuffle ingest (`Ingest*`) and peer repair (`Recover*`). The two
 //! kinds differ only in what their request handlers supply: each
 //! record's dedup key (a provenance tag, or the record's content key),
-//! what a begin prepares (truncate the set and maybe build a fold, or
-//! seed the ledger from what the target and its peers hold), and the
-//! [`Sink`]. The daemon keeps one [`SessionTable`] per kind, so an
-//! ingest session and a repair session on one set never replace each
-//! other.
+//! what a begin prepares (truncate the set, or seed the ledger from
+//! what the target and its peers hold), and the [`Sink`]. The daemon
+//! keeps one [`SessionTable`] per kind, so an ingest session and a
+//! repair session on one set never replace each other.
+//!
+//! # Reducing sessions merge sorted runs
+//!
+//! A reducing ingest session keeps no hash table: it stores each
+//! source's accepted partials as a run in arrival order, and its end
+//! merges the runs, trusting each to rise in key. That holds under
+//! retries, for three reasons:
+//!
+//! - A mapper ships its combined partials sorted by key, and a
+//!   partial's tag ordinal is its position in that order
+//!   ([`ingest_tag`](crate::wire::ingest_tag)). So one source's
+//!   subsequence for this destination rises in ordinal and in key
+//!   together, and a retried task re-sends the same subsequence.
+//! - Every stream into a session, whether a retried task or a dead
+//!   attempt's queued frames, is a prefix of that subsequence. One
+//!   connection is applied in order by its one thread, and the
+//!   self-destined share is appended in order in-process.
+//! - So whichever stream first delivers ordinal `n` has already
+//!   delivered every smaller ordinal. The ledger's "first arrival wins"
+//!   therefore admits each source's partials in increasing order.
+//!
+//! A run that goes backwards anyway was not produced by this protocol,
+//! and the merge refuses it as [`PangeaError::Corruption`] rather than
+//! sort it.
 
-use crate::wire::ReduceSpec;
-use pangea_common::{FxHashMap, FxHashSet, IoStats, PangeaError, Result};
-use pangea_core::{LocalitySet, ReduceBuffer, SeqWriter, SpillLedger, StorageNode};
+use crate::wire::{tag_source, ReduceSpec};
+use pangea_common::{FxHashMap, FxHashSet, IoStats, PageNum, PangeaError, Result};
+use pangea_core::{
+    LocalitySet, ReadPattern, RecordSlices, SeqWriter, SetOptions, SpillLedger, StorageNode,
+};
 use pangea_obs::{names, Registry};
 use parking_lot::Mutex;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Where a session's accepted records go.
@@ -24,34 +51,206 @@ pub(crate) enum Sink {
     /// other way (poisoned, replaced by a new begin, `DropSet`) seals
     /// the open page through the writer's own `Drop`.
     Write(Option<SeqWriter>),
-    /// A reducing ingest session: `key|value` partials fold into a keyed
-    /// accumulator over pool pages (the paper's §8 hash service), so a
-    /// fold larger than memory spills partial aggregates instead of
-    /// killing the worker. Nothing touches the set until the end
-    /// materializes the fold; until then the totals count partials
-    /// accepted into it.
-    Fold(ReduceSpec, ReduceBuffer),
+    /// A reducing ingest session: each source's `key|value` partials go,
+    /// in arrival order, into that source's [`Run`], opened by its first
+    /// accepted partial and named `<set>::run-<source>.<seq>` after the
+    /// session's `seq`. Nothing touches the target set until the end
+    /// merges the runs; until then the totals count partials accepted.
+    Runs {
+        spec: ReduceSpec,
+        seq: u64,
+        runs: BTreeMap<u16, Run>,
+    },
 }
 
 impl Sink {
-    /// Stores a batch's accepted run, in order: a writer takes each
-    /// page's write guard once per page fill, a fold folds record by
-    /// record.
-    fn put_all<'r>(
-        &mut self,
-        target: &LocalitySet,
-        recs: impl IntoIterator<Item = &'r [u8]>,
-    ) -> Result<()> {
+    /// A reducing session's sink, its run sets named after `seq`.
+    pub(crate) fn runs(spec: ReduceSpec, seq: u64) -> Self {
+        Self::Runs {
+            spec,
+            seq,
+            runs: BTreeMap::new(),
+        }
+    }
+
+    /// Stores a batch's accepted `(key, record)` run, in order: a writer
+    /// takes each page's write guard once per page fill, and a reducing
+    /// sink does the same per stretch of one source's partials.
+    fn put_all(&mut self, target: &LocalitySet, accepted: &[(u64, &[u8])]) -> Result<()> {
         match self {
             Self::Write(writer) => writer
                 .get_or_insert_with(|| target.writer())
-                .add_objects(recs),
-            Self::Fold(spec, acc) => recs.into_iter().try_for_each(|rec| {
-                let (key, value) = spec.decode_record(rec)?;
-                acc.insert_merge(key, value)
-            }),
+                .add_objects(accepted.iter().map(|&(_, rec)| rec)),
+            Self::Runs { seq, runs, .. } => {
+                for stretch in accepted.chunk_by(|a, b| tag_source(a.0) == tag_source(b.0)) {
+                    let source = tag_source(stretch[0].0);
+                    let run = match runs.entry(source) {
+                        Entry::Occupied(run) => run.into_mut(),
+                        Entry::Vacant(slot) => {
+                            let kind = format!("run-{source}");
+                            let name = backing_set_name(target.name(), &kind, *seq);
+                            slot.insert(Run::create(target.node(), &name)?)
+                        }
+                    };
+                    run.0.add_objects(stretch.iter().map(|&(_, rec)| rec))?;
+                }
+                Ok(())
+            }
         }
     }
+}
+
+/// One source's run of accepted partials in a reducing session: a
+/// transient (`write-back`) set, written once through its writer and
+/// read once by the end's merge. Its lifetime ends with the run, however
+/// the session goes — sealed, poisoned, replaced by a new begin, or
+/// dropped with its set — the way a [`SpillLedger`] releases its own.
+#[derive(Debug)]
+pub(crate) struct Run(SeqWriter);
+
+impl Run {
+    fn create(node: &StorageNode, name: &str) -> Result<Self> {
+        let set = node.create_set(name, SetOptions::write_back())?;
+        Ok(Self(set.writer()))
+    }
+}
+
+impl Drop for Run {
+    fn drop(&mut self) {
+        // Best-effort, like the ledger's: release the writer's page
+        // first, since a set with a pinned page cannot be dropped.
+        let _ = self.0.seal_current();
+        let set = self.0.set();
+        let _ = set.end_lifetime();
+        let _ = set.node().drop_set(set.id());
+    }
+}
+
+/// A read cursor over one finished run. It works from a copy of the
+/// current page, so it holds no pin or page guard between steps: a
+/// guard held while another cursor's pin evicts would order page locks
+/// both ways round.
+struct RunCursor {
+    set: LocalitySet,
+    pages: std::vec::IntoIter<PageNum>,
+    /// The current page's bytes, and the spans of its records not yet
+    /// visited.
+    page: Vec<u8>,
+    spans: std::vec::IntoIter<Range<usize>>,
+    /// A copy of the record the cursor stands on, that record's key
+    /// length and value, and whether there is one.
+    rec: Vec<u8>,
+    key_len: usize,
+    value: i64,
+    live: bool,
+}
+
+impl RunCursor {
+    /// A cursor standing on `run`'s first record, if it has one.
+    fn open(run: &mut Run, spec: &ReduceSpec) -> Result<Self> {
+        run.0.finish()?;
+        let set = run.0.set().clone();
+        set.declare_read(ReadPattern::Sequential)?;
+        let mut cursor = Self {
+            pages: set.page_numbers().into_iter(),
+            set,
+            page: Vec::new(),
+            spans: Vec::new().into_iter(),
+            rec: Vec::new(),
+            key_len: 0,
+            value: 0,
+            live: false,
+        };
+        cursor.advance(spec)?;
+        Ok(cursor)
+    }
+
+    /// The key of the record the cursor stands on; `None` once the run
+    /// is exhausted.
+    fn key(&self) -> Option<&[u8]> {
+        self.live.then(|| &self.rec[..self.key_len])
+    }
+
+    /// Steps to the run's next record, copying in the next page when
+    /// the current one is done. A key below the previous one is
+    /// corruption: runs are never sorted here.
+    fn advance(&mut self, spec: &ReduceSpec) -> Result<()> {
+        loop {
+            if let Some(span) = self.spans.next() {
+                let rec = &self.page[span];
+                let (key, value) = spec.decode_record(rec)?;
+                if self.live && key < &self.rec[..self.key_len] {
+                    return Err(PangeaError::Corruption(format!(
+                        "run '{}' goes backwards: '{}' after '{}'",
+                        self.set.name(),
+                        String::from_utf8_lossy(key),
+                        String::from_utf8_lossy(&self.rec[..self.key_len])
+                    )));
+                }
+                self.key_len = key.len();
+                self.value = value;
+                self.rec.clear();
+                self.rec.extend_from_slice(rec);
+                self.live = true;
+                return Ok(());
+            }
+            let Some(num) = self.pages.next() else {
+                self.live = false;
+                return Ok(());
+            };
+            self.page.clear();
+            self.page.extend_from_slice(&self.set.pin_page(num)?.read());
+            let base = self.page.as_ptr() as usize;
+            self.spans = RecordSlices::new(&self.page)
+                .map(|rec| {
+                    let start = rec.as_ptr() as usize - base;
+                    start..start + rec.len()
+                })
+                .collect::<Vec<_>>()
+                .into_iter();
+        }
+    }
+}
+
+/// K-way merges a reducing session's runs into `out` in sorted key
+/// order, folding each key's partials with the spec's merge, and
+/// returns the records and bytes written.
+fn merge_runs(
+    spec: &ReduceSpec,
+    runs: &mut BTreeMap<u16, Run>,
+    out: &LocalitySet,
+) -> Result<(u64, u64)> {
+    let merge = spec.merge_fn();
+    let mut cursors = runs
+        .values_mut()
+        .map(|run| RunCursor::open(run, spec))
+        .collect::<Result<Vec<_>>>()?;
+    let mut writer = out.writer();
+    let (mut appended, mut bytes) = (0u64, 0u64);
+    let mut key = Vec::new();
+    while let Some((least, first)) = cursors
+        .iter()
+        .enumerate()
+        .filter_map(|(i, cursor)| Some((cursor.key()?, i)))
+        .min()
+    {
+        key.clear();
+        key.extend_from_slice(least);
+        let mut acc = cursors[first].value;
+        cursors[first].advance(spec)?;
+        for cursor in &mut cursors {
+            while cursor.key() == Some(&key[..]) {
+                merge(&mut acc, cursor.value);
+                cursor.advance(spec)?;
+            }
+        }
+        let rec = spec.encode_record(&key, acc);
+        writer.add_object(&rec)?;
+        appended += 1;
+        bytes += rec.len() as u64;
+    }
+    writer.finish()?;
+    Ok((appended, bytes))
 }
 
 /// One open session.
@@ -74,9 +273,8 @@ pub(crate) struct Session {
     /// Set, under the session lock, when a batch failed part-way or a
     /// new begin replaced this session. Later appends no longer find
     /// the session; one already queued on its lock must fail the same
-    /// way instead of writing behind a retry's back or running on a
-    /// half-updated fold (one whose spill failed panics on its next
-    /// use).
+    /// way instead of writing behind a retry's back or into a sink the
+    /// failure left half-written.
     pub(crate) poisoned: bool,
 }
 
@@ -106,7 +304,7 @@ pub(crate) struct SessionKind {
     live: &'static str,
     dedup_hits: &'static str,
     /// Charges the payload a [`Sink::Write`] stored; what a
-    /// [`Sink::Fold`] accepts is always reduce-mode shuffle traffic.
+    /// [`Sink::Runs`] accepts is always reduce-mode shuffle traffic.
     record_written: fn(&IoStats, usize),
 }
 
@@ -182,9 +380,10 @@ impl SessionTable {
     /// Opens the session `prepare` builds for `set`, replacing any open
     /// one: a begin is the idempotent open of a fresh attempt. A session
     /// a failed attempt left open still holds its writer's page, so it
-    /// is poisoned and its writer closed first (waiting out an append in
-    /// flight on it) — what `prepare` then reads or truncates includes
-    /// every record that attempt stored.
+    /// is poisoned and its sink released first (waiting out an append in
+    /// flight on it): its writer closes and its run sets go, so what
+    /// `prepare` then reads or truncates includes every record that
+    /// attempt stored.
     pub(crate) fn open(
         &self,
         set: &str,
@@ -195,9 +394,7 @@ impl SessionTable {
         if let Some(stale) = stale {
             let mut stale = stale.lock();
             stale.poisoned = true;
-            if let Sink::Write(writer) = &mut stale.sink {
-                *writer = None;
-            }
+            stale.sink = Sink::Write(None);
         }
         let session = prepare()?;
         self.sealed.lock().remove(set);
@@ -211,17 +408,18 @@ impl SessionTable {
     /// Dedup-appends one batch of `(key, record)` pairs into the open
     /// session for `target` and returns what it accepted, in three
     /// phases: drop every record whose key the ledger holds or the batch
-    /// already carried, store the accepted run through one
-    /// [`Sink::put_all`], then enter its keys into the ledger — only
+    /// already carried, store the accepted records through one
+    /// [`Sink::put_all`], then enter their keys into the ledger — only
     /// after their records are stored, so a failed store leaves them
     /// unseen and the idempotent retry cannot dedup a lost record away.
     ///
     /// The session lock serializes concurrent pushes into one set: the
     /// key check and the store are atomic per batch, and the sink sees
     /// one writer's order. A failure part-way leaves what was stored
-    /// unknowable, so the session is poisoned and closed: appends queued
-    /// behind this one are refused, and the retry's begin re-seeds or
-    /// truncates from what the set really holds.
+    /// unknowable, so the session is poisoned, its sink released and the
+    /// session closed: appends queued behind this one are refused, and
+    /// the retry's begin re-seeds or truncates from what the set really
+    /// holds.
     pub(crate) fn append<'r>(
         &self,
         target: &LocalitySet,
@@ -254,7 +452,7 @@ impl SessionTable {
                 }
             }
             reg.counter(self.kind.dedup_hits).add(hits);
-            sink.put_all(target, accepted.iter().map(|&(_, rec)| rec))?;
+            sink.put_all(target, &accepted)?;
             let mut bytes = 0u64;
             for &(key, rec) in &accepted {
                 ledger.insert(key)?;
@@ -268,12 +466,13 @@ impl SessionTable {
                 session.bytes += bytes;
                 match session.sink {
                     Sink::Write(_) => (self.kind.record_written)(stats, bytes as usize),
-                    Sink::Fold(..) => stats.record_shuffle_reduce(bytes as usize),
+                    Sink::Runs { .. } => stats.record_shuffle_reduce(bytes as usize),
                 }
                 Ok((appended, bytes))
             }
             Err(e) => {
                 session.poisoned = true;
+                session.sink = Sink::Write(None);
                 let mut open = self.open.lock();
                 if open.get(set).is_some_and(|s| Arc::ptr_eq(s, &handle)) {
                     open.remove(set);
@@ -285,12 +484,12 @@ impl SessionTable {
 
     /// Seals the open session for `set` and returns its totals; a
     /// retried end (the first ack was lost) answers the sealed totals
-    /// again. A write session finishes its writer. A fold re-aggregates
-    /// its in-memory pages with its spilled partials and materializes
-    /// into the (begin-truncated) set in sorted-key order, so the stored
-    /// order stays deterministic; its totals are what was materialized.
-    /// A failed seal leaves no tombstone: a retried end fails loudly,
-    /// and the next attempt's begin starts clean.
+    /// again. A write session finishes its writer. A reducing session
+    /// merges its runs into the (begin-truncated) set in sorted key
+    /// order ([`merge_runs`]), so the stored order stays deterministic;
+    /// its totals are what was materialized, and its run sets go with
+    /// it. A failed seal leaves no tombstone: a retried end fails
+    /// loudly, and the next attempt's begin starts clean.
     pub(crate) fn end(&self, node: &StorageNode, set: &str, reg: &Registry) -> Result<(u64, u64)> {
         // The orchestrator ends a session only after its pushes return,
         // so no appender still holds it here.
@@ -307,19 +506,8 @@ impl SessionTable {
                 }
                 (session.appended, session.bytes)
             }
-            Sink::Fold(spec, acc) => {
-                let mut pairs = acc.finalize()?;
-                pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                let mut writer = local_set(node, set)?.writer();
-                let (mut appended, mut bytes) = (0u64, 0u64);
-                for (key, value) in &pairs {
-                    let rec = spec.encode_record(key, *value);
-                    writer.add_object(&rec)?;
-                    appended += 1;
-                    bytes += rec.len() as u64;
-                }
-                writer.finish()?;
-                (appended, bytes)
+            Sink::Runs { spec, mut runs, .. } => {
+                merge_runs(&spec, &mut runs, &local_set(node, set)?)?
             }
         };
         self.sealed.lock().insert(set.to_string(), totals);
@@ -331,7 +519,7 @@ impl SessionTable {
     /// Forgets `set`'s open session and sealed totals: session state
     /// dies with its set, or a set recreated under the same name would
     /// answer a retried end with a previous life's totals. Dropping a
-    /// session also releases its ledger's and fold's backing sets.
+    /// session also releases its ledger's and runs' backing sets.
     pub(crate) fn forget(&self, set: &str, reg: &Registry) {
         self.sealed.lock().remove(set);
         let mut open = self.open.lock();
@@ -346,6 +534,14 @@ impl SessionTable {
         let open: Vec<SessionHandle> = self.open.lock().values().cloned().collect();
         open.iter().map(|s| s.lock().bytes).sum()
     }
+}
+
+/// The name of a session's backing set of `kind` for `set`:
+/// `<set>::<kind>.<seq>`, where `seq` comes from the daemon's one
+/// counter, so a replaced session's not-yet-released set never collides
+/// with its successor's.
+pub(crate) fn backing_set_name(set: &str, kind: &str, seq: u64) -> String {
+    format!("{set}::{kind}.{seq}")
 }
 
 /// The set `name` on `node`, or the usage error a request naming a

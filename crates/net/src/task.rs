@@ -9,7 +9,7 @@ use crate::pipeline::{PipelinedPeer, PushBatch};
 use crate::proto::Response;
 use crate::server::{Pangead, ACC_ROOT_PARTITIONS};
 use crate::wire::{ingest_tag, SchemeSpec, TaskReport, TaskSpec};
-use pangea_common::{fx_hash64, FxHashMap, PangeaError, Result};
+use pangea_common::{FxHashMap, PangeaError, Result};
 use pangea_core::{HashConfig, ObjectIter, ReduceBuffer};
 use pangea_obs::TraceCtx;
 use std::collections::hash_map::Entry;
@@ -51,6 +51,12 @@ impl Pangead {
         let job = &spec.job;
         let input = self.get_set(&job.input)?;
         let nodes = job.nodes.max(1);
+        if spec.source > u32::from(u16::MAX) {
+            return Err(PangeaError::usage(format!(
+                "source slot {} does not fit a provenance tag's 16 bits",
+                spec.source
+            )));
+        }
         if job.reduce.is_some() && matches!(job.scheme, SchemeSpec::RoundRobin { .. }) {
             return Err(PangeaError::usage(
                 "a reduce needs key-determined placement; round-robin output \
@@ -73,14 +79,16 @@ impl Pangead {
         let outcome = (|| -> Result<()> {
             match &job.reduce {
                 // Source-side combine: fold the whole local share, then
-                // ship one encoded partial per key. Tags derive from
-                // the key (a retried task re-derives the same fold, so
-                // its partials dedup away at the destinations). The
-                // fold runs through a pool-paged [`ReduceBuffer`], so a
-                // share whose distinct keys exceed the memory budget
-                // spills partial aggregates instead of OOMing the
-                // worker; sorting the finalized pairs keeps the shipped
-                // order deterministic across retries.
+                // ship one encoded partial per key, in sorted key order.
+                // A partial's tag ordinal is its position in that order:
+                // a retried task re-derives the same fold and the same
+                // order, so its partials dedup away at the destinations,
+                // and each destination receives every source's partials
+                // as a run that rises in ordinal and key together, which
+                // is what lets it merge instead of fold. The fold runs
+                // through a pool-paged [`ReduceBuffer`], so a share whose
+                // distinct keys exceed the memory budget spills partial
+                // aggregates instead of OOMing the worker.
                 Some(reduce) => {
                     let mut acc = ReduceBuffer::create(
                         self.node(),
@@ -103,10 +111,10 @@ impl Pangead {
                     }
                     let mut pairs = acc.finalize()?;
                     pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    for (key, value) in &pairs {
+                    for (ordinal, (key, value)) in pairs.iter().enumerate() {
                         let out = reduce.encode_record(key, *value);
                         let dest = job.scheme.node_of(&out, 0, nodes);
-                        let tag = ingest_tag(spec.source, fx_hash64(key), &out);
+                        let tag = ingest_tag(spec.source, ordinal as u64, &out);
                         route.route_output(&mut report, dest, tag, out)?;
                     }
                 }

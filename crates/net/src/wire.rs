@@ -866,9 +866,9 @@ const REDUCE_MAX: u64 = 4;
 /// count / sum / min / max of a delimited numeric field, grouped by the
 /// record key. A reduce makes the map-shuffle a full distributed
 /// map-combine-reduce: mappers pre-aggregate per key before shipping
-/// (source-side combine — measurably fewer shuffle bytes), and each
-/// destination folds the incoming partials into one accumulator,
-/// materialized at `IngestEnd`.
+/// (source-side combine — measurably fewer shuffle bytes) and ship the
+/// partials sorted by key, and each destination merges the sources'
+/// sorted runs of partials at `IngestEnd`.
 ///
 /// # Record forms
 ///
@@ -1103,9 +1103,10 @@ pub struct Job {
     pub map: MapSpec,
     /// When present, the mapper pre-aggregates its mapped output per
     /// key (source-side combine) and ships encoded partials instead of
-    /// raw records; destinations fold the partials in their reducing
-    /// ingest sessions. Must pair with a hash `scheme` keyed by field 0
-    /// under the reduce's delimiter, so placement is key-determined.
+    /// raw records, sorted by key; destinations merge each source's run
+    /// of partials in their reducing ingest sessions. Must pair with a
+    /// hash `scheme` keyed by field 0 under the reduce's delimiter, so
+    /// placement is key-determined.
     pub reduce: Option<ReduceSpec>,
     /// Output partitioning (declarative — it crosses the wire).
     pub scheme: SchemeSpec,
@@ -1122,7 +1123,8 @@ pub struct TaskSpec {
     /// The job every worker runs against its own share.
     pub job: Job,
     /// The executing worker's slot, for provenance tags
-    /// ([`ingest_tag`]) — stable across task retries. Contract: this
+    /// ([`ingest_tag`]) — stable across task retries, and at most
+    /// `u16::MAX`, the widest slot a tag carries. Contract: this
     /// names the daemon the task runs on, so records routing to the
     /// `source` slot are appended into the daemon's *own* ingest
     /// session directly (no loopback RPC).
@@ -1159,23 +1161,33 @@ impl TaskReport {
     }
 }
 
-/// The provenance tag an ingest session dedups on: a hash of the
-/// mapper's slot, the input record's scan ordinal, and the emitted
-/// bytes. A retried task re-scans the same local share in the same
-/// storage order, so its tags are identical and every re-pushed record
-/// dedups away — while two *legitimately identical* output records
-/// (different source or ordinal) keep distinct tags and are both
-/// appended. (Contrast repair sessions, which dedup on record content:
-/// a restored set holds each lost record once, but a shuffle output may
-/// contain honest duplicates.)
-pub fn ingest_tag(source: u32, ordinal: u64, record: &[u8]) -> u64 {
-    // Stack buffer of (source, ordinal, hash(record)) — no per-record
-    // heap allocation or payload copy on the mapper hot path.
-    let mut buf = [0u8; 20];
-    buf[..4].copy_from_slice(&source.to_le_bytes());
-    buf[4..12].copy_from_slice(&ordinal.to_le_bytes());
-    buf[12..].copy_from_slice(&fx_hash64(record).to_le_bytes());
-    fx_hash64(&buf)
+/// Bits of an [`ingest_tag`] that carry the ordinal; the source slot
+/// sits above them.
+const TAG_ORDINAL_BITS: u32 = 48;
+
+/// The provenance tag an ingest session dedups on: the mapper's slot in
+/// the top 16 bits and the record's ordinal in the low 48, packed
+/// losslessly, so a receiver can read each record's source back. The
+/// ordinal is an emission's sequence number, or a reduce partial's
+/// position in the mapper's sorted output. A retried task re-scans the
+/// same local share in the same storage order, so its tags are
+/// identical and every re-pushed record dedups away — while two
+/// *legitimately identical* output records (different source or
+/// ordinal) keep distinct tags and are both appended. `record` is not
+/// read: a tag is provenance, not content. (Contrast repair sessions,
+/// which dedup on record content: a restored set holds each lost record
+/// once, but a shuffle output may contain honest duplicates.)
+///
+/// The packing is injective for sources up to `u16::MAX` (a task
+/// refuses a wider slot) and ordinals below 2^48; an ordinal past that
+/// keeps only its low 48 bits, so it can never overwrite the source.
+pub fn ingest_tag(source: u32, ordinal: u64, _record: &[u8]) -> u64 {
+    (u64::from(source) << TAG_ORDINAL_BITS) | (ordinal & ((1 << TAG_ORDINAL_BITS) - 1))
+}
+
+/// The source slot an [`ingest_tag`] carries.
+pub(crate) fn tag_source(tag: u64) -> u16 {
+    (tag >> TAG_ORDINAL_BITS) as u16
 }
 
 /// One catalog entry as served by `pangea-mgr`.
@@ -1632,12 +1644,27 @@ mod tests {
     #[test]
     fn ingest_tags_separate_provenance_not_content() {
         // Identical bytes from different sources/ordinals keep distinct
-        // tags (honest duplicates survive); identical provenance dedups.
+        // tags (honest duplicates survive); identical provenance dedups,
+        // whatever the bytes.
         let a = ingest_tag(0, 7, b"the");
         assert_eq!(a, ingest_tag(0, 7, b"the"), "retries produce equal tags");
+        assert_eq!(a, ingest_tag(0, 7, b"fox"), "a tag is provenance only");
         assert_ne!(a, ingest_tag(1, 7, b"the"));
         assert_ne!(a, ingest_tag(0, 8, b"the"));
-        assert_ne!(a, ingest_tag(0, 7, b"fox"));
+        // Injective over (u16 source, 48-bit ordinal), at the edges of
+        // both fields, and the source reads back from the top bits.
+        let sources = [0u32, 1, 2, 0x7fff, 0x8000, u16::MAX as u32];
+        let ordinals = [0u64, 1, 2, 1 << 47, (1 << 48) - 2, (1 << 48) - 1];
+        let mut seen = std::collections::HashSet::new();
+        for &source in &sources {
+            for &ordinal in &ordinals {
+                let tag = ingest_tag(source, ordinal, b"");
+                assert!(seen.insert(tag), "({source}, {ordinal}) collides");
+                assert_eq!(tag >> 48, u64::from(source));
+                assert_eq!(u32::from(tag_source(tag)), source);
+                assert_eq!(tag & ((1 << 48) - 1), ordinal);
+            }
+        }
     }
 
     #[test]

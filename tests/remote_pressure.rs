@@ -5,8 +5,8 @@
 //!
 //! 1. A distributed tokenize→combine→reduce over input several × the
 //!    per-worker pool budget **completes** — the combine accumulators,
-//!    reduce accumulators, and dedup ledgers spill through the paged
-//!    pool instead of exhausting it.
+//!    reducing sessions' runs, and dedup ledgers spill through the
+//!    paged pool instead of exhausting it.
 //! 2. The output matches a **serial `SimCluster` run record-for-record**
 //!    under the same tiny pool (same engine, same spill paths).
 //! 3. The driver still moves **zero payload bytes** — spilling is a
