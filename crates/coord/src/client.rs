@@ -4,9 +4,9 @@
 use pangea_cluster::engine::Catalog;
 use pangea_cluster::{CatalogEntry, PartitionScheme, SetStats};
 use pangea_common::{Epoch, NodeId, PangeaError, ReplicaGroupId, Result};
-use pangea_net::{PangeaClient, Request, Response, SchemeSpec, WireSpan, WireWorker};
-use parking_lot::Mutex;
+use pangea_net::{ClientPool, PangeaClient, Request, Response, SchemeSpec, WireSpan, WireWorker};
 use std::net::ToSocketAddrs;
+use std::sync::Arc;
 
 /// A connected manager client: one connection, typed manager RPCs.
 #[derive(Debug)]
@@ -225,46 +225,48 @@ impl ManagerClient {
     }
 }
 
-/// A reconnecting handle to one `pangea-mgr`: holds at most one idle
-/// connection, *checked out* for the duration of each RPC so the lock
-/// is never held across socket I/O (a wedged manager socket blocks its
-/// own caller, not every other thread's manager traffic). A failed
-/// call drops the connection; the next call reconnects.
+/// A typed view of a pooled connection, for [`ClientPool::call`].
+impl From<PangeaClient> for ManagerClient {
+    fn from(client: PangeaClient) -> Self {
+        Self { client }
+    }
+}
+
+impl From<ManagerClient> for PangeaClient {
+    fn from(manager: ManagerClient) -> Self {
+        manager.client
+    }
+}
+
+/// A reconnecting handle to one `pangea-mgr`: its idle connection
+/// lives in a [`ClientPool`], checked out for the duration of each call
+/// so no lock is held across socket I/O (a wedged manager socket blocks
+/// its own caller, not every other thread's manager traffic).
 #[derive(Debug)]
 pub struct MgrConn {
     addr: String,
-    secret: Option<String>,
-    idle: Mutex<Option<ManagerClient>>,
+    pool: ClientPool,
 }
 
 impl MgrConn {
     /// Connects once (validating address + handshake) and keeps the
     /// connection as the idle one.
     pub fn connect(addr: &str, secret: Option<&str>) -> Result<Self> {
-        let client = ManagerClient::connect(addr, secret)?;
+        let pool = ClientPool::new(Arc::default(), secret, None);
+        let client = pool.checkout(addr)?;
+        pool.checkin(addr, client);
         Ok(Self {
             addr: addr.to_string(),
-            secret: secret.map(str::to_string),
-            idle: Mutex::new(Some(client)),
+            pool,
         })
     }
 
-    /// Runs `f` with a checked-out manager client, reconnecting when no
-    /// idle connection exists. The connection returns to the pool only
-    /// on success.
-    pub fn with<T>(&self, f: impl FnOnce(&mut ManagerClient) -> Result<T>) -> Result<T> {
-        let cached = self.idle.lock().take();
-        let mut client = match cached {
-            Some(c) => c,
-            None => ManagerClient::connect(self.addr.as_str(), self.secret.as_deref())?,
-        };
-        let out = f(&mut client);
-        if out.is_ok() {
-            // A concurrent caller may have checked its own connection
-            // back in first; last one in wins the single idle slot.
-            *self.idle.lock() = Some(client);
-        }
-        out
+    /// Runs the one-shot `f` with a checked-out manager client under the
+    /// pool's rule: retried once on a fresh connection when it fails
+    /// with an I/O error on the pooled one. The connection returns to
+    /// the pool only on success.
+    pub fn with<T>(&self, f: impl FnMut(&mut ManagerClient) -> Result<T>) -> Result<T> {
+        self.pool.call(&self.addr, f)
     }
 }
 

@@ -13,6 +13,7 @@
 //! [`Pangead`]: pangea_net::Pangead
 
 use crate::membership::Membership;
+use crate::signals::tick;
 use pangea_cluster::{CatalogEntry, Manager, PartitionScheme};
 use pangea_common::{Epoch, IoStats, NodeId, PangeaError, ReplicaGroupId, Result};
 use pangea_net::{
@@ -24,7 +25,7 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The default liveness timeout: a worker missing heartbeats for this
 /// long is declared dead.
@@ -343,18 +344,10 @@ impl MgrServer {
             let interval = (liveness_timeout / 4).max(Duration::from_millis(10));
             std::thread::Builder::new()
                 .name("pangea-mgr-liveness".into())
-                .spawn(move || loop {
-                    let deadline = Instant::now() + interval;
-                    while Instant::now() < deadline {
-                        if stop.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        std::thread::sleep(
-                            Duration::from_millis(5)
-                                .min(deadline.saturating_duration_since(Instant::now())),
-                        );
+                .spawn(move || {
+                    while tick(&stop, interval) {
+                        daemon.membership().sweep();
                     }
-                    daemon.membership().sweep();
                 })?
         };
         let scraper = match scrape_interval {

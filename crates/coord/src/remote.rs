@@ -15,7 +15,8 @@
 //! the same ledger (the driver-mediated recovery cost; see DESIGN.md
 //! §control-plane).
 
-use crate::client::{ManagerClient, MgrConn, RemoteCatalog};
+use crate::client::{MgrConn, RemoteCatalog};
+use crate::signals::tick;
 use pangea_cluster::engine::{
     fan_out, Catalog, ClusterCore, EngineSet, MapShuffleReport, PeerRepair, RecordSink,
     RecoveryReport, ReplicaReport, TaskExec, WorkerBackend,
@@ -24,8 +25,8 @@ use pangea_cluster::{PartitionKind, PartitionScheme};
 use pangea_common::ReplicaGroupId;
 use pangea_common::{Epoch, FxHashMap, IoStats, NodeId, PangeaError, Result};
 use pangea_net::{
-    for_each_chunk, Job, MapSpec, PangeaClient, PipelinedPeer, ReduceSpec, RepairFilter,
-    RepairPushReport, TaskReport, TaskSpec, WireSpan, WireWorker, WorkerState,
+    for_each_chunk, ClientPool, Job, MapSpec, PangeaClient, PipelinedPeer, ReduceSpec,
+    RepairFilter, RepairPushReport, TaskReport, TaskSpec, WireSpan, WireWorker, WorkerState,
 };
 use pangea_obs::{Obs, SpanRecord, TraceCtx};
 use parking_lot::{Mutex, RwLock};
@@ -45,13 +46,11 @@ struct RemoteWorkersInner {
     /// Slot `i` holds the advertised address of worker `i` while it is
     /// alive; `None` marks a dead/left slot.
     slots: RwLock<Vec<Option<String>>>,
-    /// One pooled idle client per worker, keyed with the advertised
-    /// address it was opened against (so a slot replacement at a new
-    /// address never reuses a stale connection). The pool holds only
-    /// *idle* connections: a client is checked out for the duration of
-    /// an RPC, so one slow or hung worker never blocks RPCs to others.
-    clients: Mutex<FxHashMap<NodeId, (String, PangeaClient)>>,
-    secret: Option<String>,
+    /// Idle connections to the workers, by advertised address (so a
+    /// slot replacement at a new address never reuses a stale one). A
+    /// connection is checked out for the duration of an RPC, so one
+    /// slow or hung worker never blocks RPCs to others.
+    pool: ClientPool,
     /// Shared payload-byte ledger across all per-worker clients.
     stats: Arc<IoStats>,
     /// Driver-side observability bundle over the same registry as
@@ -100,8 +99,7 @@ impl RemoteWorkers {
         Self {
             inner: Arc::new(RemoteWorkersInner {
                 slots: RwLock::new(Vec::new()),
-                clients: Mutex::new(FxHashMap::default()),
-                secret: secret.map(str::to_string),
+                pool: ClientPool::new(stats.registry().clone(), secret, Some(Arc::clone(&stats))),
                 stats: Arc::clone(&stats),
                 obs: Obs::with_registry(stats.registry().clone()),
                 last_job: Mutex::new(None),
@@ -170,8 +168,7 @@ impl RemoteWorkers {
     }
 
     /// Installs a fresh membership snapshot: alive slots keep (or gain)
-    /// their address, everything else is evicted along with its cached
-    /// client connection.
+    /// their address, everything else is evicted.
     fn install_membership(&self, workers: &[WireWorker]) {
         let len = workers
             .iter()
@@ -184,28 +181,13 @@ impl RemoteWorkers {
                 slots[w.node as usize] = Some(w.addr.clone());
             }
         }
-        let mut clients = self.inner.clients.lock();
-        clients.retain(|n, (opened_against, _)| {
-            slots
-                .get(n.raw() as usize)
-                .and_then(|s| s.as_deref())
-                .is_some_and(|addr| addr == opened_against)
-        });
         *self.inner.slots.write() = slots;
     }
 
-    /// Runs `f` (a single RPC — it may be retried once) with the slot's
-    /// pooled client, connecting on first use. The client is checked
-    /// *out* of the pool for the call — the pool lock is never held
-    /// across socket I/O, so a hung worker cannot wedge RPCs to other
-    /// workers (or membership refreshes).
-    ///
-    /// A *pooled* connection may have gone stale while idle (worker
-    /// restarted at the same address). An `Io` failure on a pooled
-    /// connection means the request got no response byte — `pangead`
-    /// always writes a response before closing, and mid-response
-    /// failures surface as `Corruption` — so the call is retried once on
-    /// a fresh connection.
+    /// Runs `f` (a single RPC, or one reply of a paged read) on a
+    /// pooled connection to slot `n`, under the pool's one-shot rule: an
+    /// `Io` failure on a pooled connection, which may have gone stale
+    /// while idle, is retried once on a fresh one.
     ///
     /// A fresh connection that *also* fails at the socket level (refused,
     /// reset, EOF mid-request) means the worker process is gone even if
@@ -222,7 +204,14 @@ impl RemoteWorkers {
             span: pangea_obs::next_span_id(),
         });
         let start = self.inner.obs.now_ns();
-        let out = self.with_client_at(n, &addr, ctx, f);
+        let out = self
+            .inner
+            .pool
+            .call(&addr, |c: &mut PangeaClient| {
+                c.set_trace(ctx);
+                f(c)
+            })
+            .map_err(|e| unavailable(n, e));
         if let Some(ctx) = ctx {
             // One driver span per RPC: the root of the worker-side span
             // tree this request grows (the receiving daemon records its
@@ -247,66 +236,13 @@ impl RemoteWorkers {
         }
         out
     }
+}
 
-    /// A fresh connection to slot `n` at `addr`; a refused or reset
-    /// dial is the typed [`PangeaError::NodeUnavailable`].
-    fn dial(&self, n: NodeId, addr: &str) -> Result<PangeaClient> {
-        PangeaClient::connect_with(
-            addr,
-            self.inner.secret.as_deref(),
-            Some(Arc::clone(&self.inner.stats)),
-        )
-        .map_err(|e| match e {
-            PangeaError::Io(_) => PangeaError::NodeUnavailable(n),
-            other => PangeaError::Remote(format!("connecting {n} at {addr}: {other}")),
-        })
-    }
-
-    /// The untraced body of [`RemoteWorkers::with_client`]: pool
-    /// checkout, the stale-idle-connection retry, and the Io →
-    /// `NodeUnavailable` mapping.
-    fn with_client_at<T>(
-        &self,
-        n: NodeId,
-        addr: &str,
-        ctx: Option<TraceCtx>,
-        f: impl Fn(&mut PangeaClient) -> Result<T>,
-    ) -> Result<T> {
-        let cached = self.inner.clients.lock().remove(&n);
-        if let Some((opened_against, mut client)) = cached {
-            if opened_against == addr {
-                client.set_trace(ctx);
-                match f(&mut client) {
-                    Ok(out) => {
-                        self.check_in(n, addr.to_string(), client);
-                        return Ok(out);
-                    }
-                    // Stale idle connection: provably unprocessed, retry
-                    // below on a fresh one.
-                    Err(PangeaError::Io(_)) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        let mut client = self.dial(n, addr)?;
-        client.set_trace(ctx);
-        let out = f(&mut client);
-        match out {
-            Ok(out) => {
-                self.check_in(n, addr.to_string(), client);
-                Ok(out)
-            }
-            Err(PangeaError::Io(_)) => Err(PangeaError::NodeUnavailable(n)),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Returns an idle connection to the pool. Concurrent callers may
-    /// have raced a connection in; last one in wins the single idle
-    /// slot, the loser just closes.
-    fn check_in(&self, n: NodeId, addr: String, mut client: PangeaClient) {
-        client.set_trace(None);
-        self.inner.clients.lock().insert(n, (addr, client));
+/// An I/O failure on a fresh connection to slot `n`: the worker is gone.
+fn unavailable(n: NodeId, e: PangeaError) -> PangeaError {
+    match e {
+        PangeaError::Io(_) => PangeaError::NodeUnavailable(n),
+        other => other,
     }
 }
 
@@ -335,12 +271,16 @@ struct RemoteSink {
 impl RemoteSink {
     /// A stream failure: an I/O error means the worker is gone, which
     /// callers see as the typed [`PangeaError::NodeUnavailable`]. The
-    /// stream is dropped either way — its state is unknown.
+    /// stream is discarded either way — its state is unknown.
     fn fail(&mut self, e: PangeaError) -> PangeaError {
-        self.peer = None;
-        match e {
-            PangeaError::Io(_) => PangeaError::NodeUnavailable(self.node),
-            other => other,
+        self.discard();
+        unavailable(self.node, e)
+    }
+
+    /// Closes the stream, if still open, without pooling it.
+    fn discard(&mut self) {
+        if let Some(peer) = self.peer.take() {
+            self.workers.inner.pool.discard(peer.into_client());
         }
     }
 
@@ -376,9 +316,19 @@ impl RecordSink for RemoteSink {
         }
         if let Some(peer) = self.peer.take() {
             self.workers
-                .check_in(self.node, self.addr, peer.into_client());
+                .inner
+                .pool
+                .checkin(&self.addr, peer.into_client());
         }
         Ok(())
+    }
+}
+
+impl Drop for RemoteSink {
+    /// A load abandoned before `finish` leaves its stream in an unknown
+    /// state: discarded, never pooled.
+    fn drop(&mut self) {
+        self.discard();
     }
 }
 
@@ -409,19 +359,15 @@ impl WorkerBackend for RemoteWorkers {
     }
 
     fn open_sink(&self, n: NodeId, set: &str) -> Result<Box<dyn RecordSink>> {
-        // The slot's pooled connection when a ping proves it live: an
-        // idle one may have gone stale, and a pipelined stream would
-        // only find out at an ack, with batches already lost. The stream
-        // goes back to the pool when the load is sealed.
+        // A stream checkout: the pooled connection when a ping proves it
+        // live, else a fresh dial. The sink owns it from here and hands
+        // it back to the pool when the load is sealed.
         let addr = self.addr_of(n)?;
-        let pooled = self.inner.clients.lock().remove(&n);
-        let live = pooled
-            .filter(|(opened_against, _)| *opened_against == addr)
-            .and_then(|(_, mut client)| client.ping().is_ok().then_some(client));
-        let client = match live {
-            Some(client) => client,
-            None => self.dial(n, &addr)?,
-        };
+        let client = self
+            .inner
+            .pool
+            .checkout(&addr)
+            .map_err(|e| unavailable(n, e))?;
         Ok(Box::new(RemoteSink {
             workers: self.clone(),
             node: n,
@@ -737,7 +683,7 @@ impl RemoteCluster {
         if spans.is_empty() {
             return;
         }
-        if let Err(e) = self.mgr.with(|m| m.trace_push("driver", spans)) {
+        if let Err(e) = self.mgr.with(|m| m.trace_push("driver", spans.clone())) {
             *self.workers.inner.trace_cursor.lock() = cursor_before;
             eprintln!("pangea driver: trace push failed (will retry next job): {e}");
         }
@@ -968,8 +914,9 @@ impl RemoteCluster {
 /// liveness sweeping is for.
 #[derive(Debug)]
 pub struct WorkerAgent {
-    mgr_addr: String,
-    secret: Option<String>,
+    /// The manager handle registration, heartbeats and deregistration
+    /// share.
+    mgr: Arc<MgrConn>,
     node: NodeId,
     epoch: Epoch,
     stop: Arc<AtomicBool>,
@@ -987,50 +934,29 @@ impl WorkerAgent {
         slot: Option<NodeId>,
         interval: Duration,
     ) -> Result<Self> {
-        let mut mgr = ManagerClient::connect(mgr_addr, secret)?;
-        let (node, epoch) = mgr.register_worker(advertise, slot)?;
+        let mgr = Arc::new(MgrConn::connect(mgr_addr, secret)?);
+        let (node, epoch) = mgr.with(|m| m.register_worker(advertise, slot))?;
         let stop = Arc::new(AtomicBool::new(false));
         let beat = {
             let stop = Arc::clone(&stop);
-            let mgr_addr = mgr_addr.to_string();
-            let secret = secret.map(str::to_string);
+            let mgr = Arc::clone(&mgr);
             std::thread::Builder::new()
                 .name(format!("pangea-heartbeat-{node}"))
                 .spawn(move || {
-                    let mut conn = Some(mgr);
-                    loop {
-                        let deadline = Instant::now() + interval;
-                        while Instant::now() < deadline {
-                            if stop.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            std::thread::sleep(
-                                Duration::from_millis(5)
-                                    .min(deadline.saturating_duration_since(Instant::now())),
-                            );
-                        }
-                        if stop.load(Ordering::SeqCst) {
+                    while tick(&stop, interval) {
+                        // Replaced by a newer incarnation: stop beating
+                        // for good. Any other failure is retried by the
+                        // next beat.
+                        if let Err(PangeaError::StaleEpoch { .. }) =
+                            mgr.with(|m| m.heartbeat(node, epoch))
+                        {
                             return;
-                        }
-                        if conn.is_none() {
-                            conn =
-                                ManagerClient::connect(mgr_addr.as_str(), secret.as_deref()).ok();
-                        }
-                        if let Some(m) = conn.as_mut() {
-                            match m.heartbeat(node, epoch) {
-                                Ok(()) => {}
-                                // Replaced by a newer incarnation: stop
-                                // beating for good.
-                                Err(PangeaError::StaleEpoch { .. }) => return,
-                                Err(_) => conn = None,
-                            }
                         }
                     }
                 })?
         };
         Ok(Self {
-            mgr_addr: mgr_addr.to_string(),
-            secret: secret.map(str::to_string),
+            mgr,
             node,
             epoch,
             stop,
@@ -1058,8 +984,8 @@ impl WorkerAgent {
     /// Clean exit: stops heartbeating and deregisters with the manager.
     pub fn shutdown(&mut self) -> Result<()> {
         self.stop_heartbeats();
-        ManagerClient::connect(self.mgr_addr.as_str(), self.secret.as_deref())?
-            .deregister_worker(self.node, self.epoch)
+        self.mgr
+            .with(|m| m.deregister_worker(self.node, self.epoch))
     }
 
     /// Crash simulation: stops heartbeating *without* deregistering, so

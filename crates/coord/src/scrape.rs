@@ -20,19 +20,21 @@
 //!
 //! Scrape failures are per-worker and non-fatal: a dead daemon costs
 //! one `mgr.scrape.errors` increment and its connection, nothing else.
+//! Worker connections idle in a [`ClientPool`] between ticks.
 //!
 //! [`MgrServer::bind_full`]: crate::daemon::MgrServer::bind_full
 //! [`ScrapeStore`]: pangea_obs::ScrapeStore
 
 use crate::daemon::ManagerDaemon;
+use crate::signals::tick;
 use pangea_common::{FxHashMap, Result};
-use pangea_net::{PangeaClient, WireMetric, WireSpan, WorkerState};
+use pangea_net::{ClientPool, PangeaClient, WireMetric, WireSpan, WorkerState};
 use pangea_obs::timeseries::{ROLLUP_RPC_BYTES, ROLLUP_RPC_COUNT, ROLLUP_RPC_LATENCY};
 use pangea_obs::{names, MetricSnapshot, MetricValue, SpanRecord};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The series name per-worker heartbeat staleness is retained under in
 /// each worker's scrape store slice. The manager is the one measuring —
@@ -106,15 +108,13 @@ pub(crate) fn wire_of(seq: u64, r: SpanRecord) -> WireSpan {
 
 /// One worker incarnation: its slot and registration epoch. A
 /// replacement at a slot is a new process whose span ring restarts at
-/// sequence 0, so its cursor and connection must not be the dead
-/// incarnation's.
+/// sequence 0, so its cursor must not be the dead incarnation's.
 type Incarnation = (u32, u64);
 
-/// Per-worker scraper state that must survive between ticks, per
-/// incarnation: the pooled connection and the incremental span cursor.
-#[derive(Default)]
+/// Scraper state that must survive between ticks: the idle worker
+/// connections, and each incarnation's incremental span cursor.
 struct ScraperState {
-    clients: FxHashMap<Incarnation, PangeaClient>,
+    pool: ClientPool,
     cursors: FxHashMap<Incarnation, u64>,
     mgr_cursor: u64,
 }
@@ -130,30 +130,21 @@ pub(crate) fn spawn(
     Ok(std::thread::Builder::new()
         .name("pangea-mgr-scrape".into())
         .spawn(move || {
-            let mut state = ScraperState::default();
-            loop {
-                let deadline = Instant::now() + interval;
-                while Instant::now() < deadline {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(
-                        Duration::from_millis(5)
-                            .min(deadline.saturating_duration_since(Instant::now())),
-                    );
-                }
-                scrape_once(&daemon, secret.as_deref(), interval, &mut state);
+            // The pool's counters land in the manager's own registry.
+            let pool = ClientPool::new(daemon.obs().registry().clone(), secret.as_deref(), None);
+            let mut state = ScraperState {
+                pool,
+                cursors: FxHashMap::default(),
+                mgr_cursor: 0,
+            };
+            while tick(&stop, interval) {
+                scrape_once(&daemon, interval, &mut state);
             }
         })?)
 }
 
 /// One full scrape pass (see the module docs for the three stages).
-fn scrape_once(
-    daemon: &ManagerDaemon,
-    secret: Option<&str>,
-    interval: Duration,
-    state: &mut ScraperState,
-) {
+fn scrape_once(daemon: &ManagerDaemon, interval: Duration, state: &mut ScraperState) {
     let store = daemon.scrape_store();
     let reg = daemon.obs().registry();
     let at = store.now_ms();
@@ -184,25 +175,18 @@ fn scrape_once(
     // keeps its cursor, since its ring did not restart.
     let listed = |i: &Incarnation| workers.iter().any(|w| (w.node, w.epoch) == *i);
     state.cursors.retain(|i, _| listed(i));
-    state.clients.retain(|i, _| listed(i));
     for w in &workers {
         let incarnation = (w.node, w.epoch);
         if w.state != WorkerState::Alive {
-            state.clients.remove(&incarnation);
             continue;
         }
         let name = format!("worker{}", w.node);
-        let client = match state.clients.remove(&incarnation) {
-            Some(c) => Ok(c),
-            None => PangeaClient::connect_with_secret(&w.addr, secret),
-        };
         let from = state.cursors.get(&incarnation).copied().unwrap_or(0);
-        let scraped = client.and_then(|mut c| {
-            c.metrics_dump_since(from)
-                .map(|(metrics, spans, cursor)| (c, metrics, spans, cursor))
-        });
+        let scraped = state
+            .pool
+            .call(&w.addr, |c: &mut PangeaClient| c.metrics_dump_since(from));
         match scraped {
-            Ok((client, metrics, spans, cursor)) => {
+            Ok((metrics, spans, cursor)) => {
                 // A first span sequence beyond the cursor means the
                 // worker's ring wrapped past us: that history is gone.
                 // Count and log it — a trace stitched later must be
@@ -222,7 +206,6 @@ fn scrape_once(
                 store.record_metrics(&name, at, &snapshot_of(&metrics));
                 store.record_spans(&name, spans.into_iter().map(record_of).collect());
                 state.cursors.insert(incarnation, cursor);
-                state.clients.insert(incarnation, client);
             }
             Err(e) => {
                 reg.counter(names::MGR_SCRAPE_ERRORS).inc();

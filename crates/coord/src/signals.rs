@@ -6,7 +6,7 @@
 //! thread polls instead of killing the process outright.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
@@ -32,4 +32,19 @@ pub fn wait_for_termination() {
     while !SHUTDOWN.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(100));
     }
+}
+
+/// Sleeps out one `interval` of a background ticker (the heartbeat,
+/// the liveness sweep, the scrape loop) in 5 ms slices, so a raised
+/// `stop` ends it promptly. Returns `false` once `stop` is set.
+pub(crate) fn tick(stop: &AtomicBool, interval: Duration) -> bool {
+    let deadline = Instant::now() + interval;
+    while !stop.load(Ordering::SeqCst) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return true;
+        }
+        std::thread::sleep(left.min(Duration::from_millis(5)));
+    }
+    false
 }

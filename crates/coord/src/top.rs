@@ -11,8 +11,9 @@
 
 use crate::client::ManagerClient;
 use pangea_common::Result;
-use pangea_net::{PangeaClient, WireMetric, WireSpan, WorkerState};
+use pangea_net::{ClientPool, PangeaClient, WireMetric, WireSpan, WorkerState};
 use pangea_obs::{json_escape, names, quantile_from_buckets};
+use std::sync::Arc;
 
 /// One node's slice of the fleet snapshot.
 #[derive(Debug)]
@@ -353,20 +354,13 @@ pub fn run_watch(
     iters: Option<u64>,
 ) -> Result<()> {
     let interval = std::time::Duration::from_millis(interval_ms.max(100));
-    let mut client: Option<PangeaClient> = None;
+    let pool = ClientPool::new(Arc::default(), secret, None);
     let mut tick = 0u64;
     loop {
-        let dumped = match client.take() {
-            Some(c) => Ok(c),
-            None => PangeaClient::connect_with_secret(manager, secret),
-        }
-        .and_then(|mut c| c.metrics_dump().map(|(metrics, _)| (c, metrics)));
+        let dumped = pool.call(manager, |c: &mut PangeaClient| c.metrics_dump());
         tick += 1;
         match dumped {
-            Ok((c, metrics)) => {
-                println!("-- tick {tick} --\n{}", render_watch(&metrics));
-                client = Some(c);
-            }
+            Ok((metrics, _)) => println!("-- tick {tick} --\n{}", render_watch(&metrics)),
             Err(e) => println!("-- tick {tick} --\nmanager unreachable: {e}\n"),
         }
         if let Some(n) = iters {

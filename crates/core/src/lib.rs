@@ -12,7 +12,7 @@
 //! * Services (paper §8), each of which teaches the locality set its
 //!   access pattern at runtime:
 //!   * sequential write — [`SeqWriter`]
-//!   * sequential read — [`PageIterator`] / [`DataProxy`] (Fig. 2)
+//!   * sequential read — [`PageIterator`]
 //!   * shuffle — [`ShuffleService`] / [`VirtualShuffleBuffer`]
 //!   * hash aggregation — [`VirtualHashBuffer`]
 //!   * join & broadcast maps — [`JoinMap`] / [`broadcast_map`]
@@ -40,7 +40,7 @@ pub use join::{broadcast_map, JoinMap, JoinMapBuilder};
 pub use ledger::SpillLedger;
 pub use node::{NodeConfig, PagingStats, StorageNode};
 pub use page::{ObjectIter, RecordSlices};
-pub use scan::{DataProxy, PageIterator};
+pub use scan::PageIterator;
 pub use seq::SeqWriter;
 pub use set::LocalitySet;
 pub use shuffle::{ShuffleConfig, ShuffleService, VirtualShuffleBuffer};

@@ -1,18 +1,9 @@
-//! The sequential read service (paper §8 and Fig. 2).
-//!
-//! Two access paths, both exposing the paper's long-lived-worker model
-//! (workers pull pages in a loop; there is no "wave of tasks" — §5):
-//!
-//! * [`LocalitySet::page_iterators`] — the `getPageIterators(numThreads)`
-//!   API: N iterators sharing one atomic cursor over the set's pages.
-//!   Each `next()` pins (and, if spilled, reloads) the next unclaimed
-//!   page.
-//! * [`DataProxy::scan`] — the Fig. 2 protocol: a storage thread answers
-//!   the `GetSetPages` request by pinning pages ahead and pushing their
-//!   metadata ("page pinned: id, offset") into a bounded, thread-safe
-//!   circular buffer; worker threads pull pins from the buffer and read
-//!   the page bytes through shared memory (the pool arena). A `NoMorePage`
-//!   sentinel ends the scan.
+//! The sequential read service (paper §8): the paper's long-lived-worker
+//! model, where workers pull pages in a loop and there is no "wave of
+//! tasks" (§5). [`LocalitySet::page_iterators`] is the
+//! `getPageIterators(numThreads)` API: N iterators sharing one atomic
+//! cursor over the set's pages. Each `next()` pins (and, if spilled,
+//! reloads) the next unclaimed page.
 
 use crate::set::LocalitySet;
 use pangea_common::{PageNum, Result};
@@ -63,107 +54,6 @@ impl LocalitySet {
                 cursor: Arc::clone(&cursor),
             })
             .collect())
-    }
-
-    /// Scans the whole set with `threads` worker threads through the
-    /// Fig. 2 data-proxy protocol, calling `work` on every pinned page.
-    /// Returns the number of pages processed.
-    pub fn scan(
-        &self,
-        threads: usize,
-        work: impl Fn(PagePin) -> Result<()> + Send + Sync,
-    ) -> Result<usize> {
-        DataProxy::new(self.clone()).scan(threads, work)
-    }
-}
-
-/// Maximum capacity of the circular buffer between the storage thread
-/// and the computation workers (Fig. 2). The effective capacity also
-/// adapts to the pool so prefetch can never pin the whole pool.
-const CIRCULAR_BUFFER_SLOTS: usize = 8;
-
-/// The computation process's access point to the storage process
-/// (paper §5): forwards `GetSetPages`, receives pinned-page metadata
-/// through a bounded circular buffer, and hands pages to workers.
-#[derive(Debug)]
-pub struct DataProxy {
-    set: LocalitySet,
-}
-
-impl DataProxy {
-    /// A proxy bound to one locality set.
-    pub fn new(set: LocalitySet) -> Self {
-        Self { set }
-    }
-
-    /// Runs a full scan: one storage thread pins pages in order and
-    /// pushes them into the circular buffer; `threads` workers pull and
-    /// run `work`. Errors on either side abort the scan.
-    pub fn scan(
-        &self,
-        threads: usize,
-        work: impl Fn(PagePin) -> Result<()> + Send + Sync,
-    ) -> Result<usize> {
-        self.set.declare_read(ReadPattern::Sequential)?;
-        // Budget the pins the scan holds concurrently (buffered pages +
-        // one per worker + one in the producer's hand) against the pool,
-        // so a small pool is streamed through rather than exhausted.
-        let pool_pages = (self.set.node().pool().capacity() / self.set.page_size()).max(1);
-        let threads = threads.max(1).min(pool_pages.saturating_sub(2).max(1));
-        let slots = pool_pages
-            .saturating_sub(threads + 1)
-            .clamp(1, CIRCULAR_BUFFER_SLOTS);
-        let (tx, rx) = crossbeam::channel::bounded::<PagePin>(slots);
-        let set = self.set.clone();
-        let pages = set.page_numbers();
-        let total = pages.len();
-        let processed = AtomicUsize::new(0);
-        let result: Result<()> = std::thread::scope(|scope| {
-            // The storage thread: answers GetSetPages by pinning pages
-            // and publishing their metadata. Dropping `tx` at the end is
-            // the NoMorePage sentinel.
-            let producer = scope.spawn(move || -> Result<()> {
-                for num in pages {
-                    let pin = set.pin_page(num)?;
-                    if tx.send(pin).is_err() {
-                        break; // workers bailed out early
-                    }
-                }
-                Ok(())
-            });
-            let mut workers = Vec::new();
-            for _ in 0..threads {
-                let rx = rx.clone();
-                let work = &work;
-                let processed = &processed;
-                workers.push(scope.spawn(move || -> Result<()> {
-                    // Long-lived worker loop: pull page metadata, access
-                    // the page through shared memory, repeat (§5).
-                    while let Ok(pin) = rx.recv() {
-                        work(pin)?;
-                        processed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(())
-                }));
-            }
-            drop(rx);
-            let mut first_err = None;
-            for w in workers {
-                if let Err(e) = w.join().expect("worker panicked") {
-                    first_err.get_or_insert(e);
-                }
-            }
-            if let Err(e) = producer.join().expect("storage thread panicked") {
-                first_err.get_or_insert(e);
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        });
-        result?;
-        self.set.declare_idle()?;
-        Ok(processed.load(Ordering::Relaxed).min(total))
     }
 }
 
@@ -232,63 +122,31 @@ mod tests {
     }
 
     #[test]
-    fn proxy_scan_visits_all_pages_with_small_pool() {
-        // Pool holds 8 pages; the set has ~40: the scan must page data
-        // back in from disk as it streams.
-        let n = node("proxy", 8);
-        let s = n.create_set("s", SetOptions::write_back()).unwrap();
-        fill(&s, 1000);
-        let total_pages = s.num_pages() as usize;
-        assert!(total_pages > 8, "working set must exceed the pool");
-        let seen = AtomicU64::new(0);
-        let pages = s
-            .scan(3, |pin| {
-                ObjectIter::new(&pin).for_each(|rec| {
-                    seen.fetch_add(
-                        u64::from_le_bytes(rec.try_into().unwrap()),
-                        Ordering::Relaxed,
-                    );
-                });
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(pages, total_pages);
-        assert_eq!(seen.load(Ordering::Relaxed), (0..1000).sum::<u64>());
-        assert_eq!(s.attributes().op, CurrentOp::None, "scan declared idle");
-    }
-
-    #[test]
-    fn scan_of_empty_set_is_empty() {
+    fn iterators_over_an_empty_set_are_empty() {
         let n = node("empty", 16);
         let s = n.create_set("s", SetOptions::write_back()).unwrap();
-        assert_eq!(s.scan(2, |_| Ok(())).unwrap(), 0);
         let mut iters = s.page_iterators(2).unwrap();
         assert!(iters[0].next().is_none());
         assert!(iters[1].next().is_none());
     }
 
-    #[test]
-    fn worker_errors_abort_the_scan() {
-        let n = node("err", 16);
-        let s = n.create_set("s", SetOptions::write_back()).unwrap();
-        fill(&s, 50);
-        let r = s.scan(2, |_pin| Err(pangea_common::PangeaError::usage("boom")));
-        assert!(r.is_err());
-    }
-
+    /// A pool of 8 one-KB pages under a set several times larger: every
+    /// scan reloads spilled pages from disk and still sees every record.
     #[test]
     fn repeated_scans_reread_spilled_data() {
         let n = node("rescan", 8);
         let s = n.create_set("s", SetOptions::write_back()).unwrap();
-        fill(&s, 300);
+        fill(&s, 3000);
+        assert!(s.num_pages() > 16, "the set must outgrow the pool");
         for _ in 0..3 {
-            let cnt = AtomicU64::new(0);
-            s.scan(2, |pin| {
-                cnt.fetch_add(ObjectIter::new(&pin).count() as u64, Ordering::Relaxed);
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(cnt.load(Ordering::Relaxed), 300);
+            let mut records = 0;
+            for mut it in s.page_iterators(2).unwrap() {
+                while let Some(pin) = it.next() {
+                    records += ObjectIter::new(&pin.unwrap()).count();
+                }
+            }
+            assert_eq!(records, 3000);
         }
+        assert!(n.paging_stats().misses > 0, "spilled pages were read back");
     }
 }

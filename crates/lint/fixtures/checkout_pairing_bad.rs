@@ -1,29 +1,37 @@
 // Known-bad fixture for the checkout-pairing rule. Line numbers are
 // asserted exactly by tests/rules.rs — keep edits in sync.
 
-impl Pool {
+impl Peers {
     fn leaks_on_question_mark(&self, addr: &str) -> Result<()> {
-        let conn = self.checkout_peer(addr)?;
+        let conn = self.pool.checkout(addr)?;
         let hashes = conn.hash_list("set")?;
-        self.checkin_peer(addr, conn);
+        self.pool.checkin(addr, conn);
         Ok(hashes)
     }
 
     fn leaks_on_early_return(&self, addr: &str) -> Result<()> {
-        let conn = self.checkout_peer(addr)?;
+        let conn = self.pool.checkout(addr)?;
         if self.closed() {
             return Ok(());
         }
-        self.checkin_peer(addr, conn);
+        self.pool.checkin(addr, conn);
         Ok(())
     }
 
     fn never_consumed(&self, addr: &str) {
-        let conn = self.checkout_peer(addr);
+        let conn = self.pool.checkout(addr);
         conn.set_trace(None);
     }
 
     fn not_bound(&self, addr: &str) {
-        self.checkout_peer(addr);
+        self.pool.checkout(addr);
+    }
+
+    fn leaks_before_handing_off(&self, addr: &str) -> Result<Sink> {
+        let conn = self.pool.checkout(addr)?;
+        Ok(Sink {
+            set: self.validate()?,
+            conn,
+        })
     }
 }

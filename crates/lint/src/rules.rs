@@ -4,7 +4,7 @@
 //! | rule                   | invariant                                              |
 //! |------------------------|--------------------------------------------------------|
 //! | `guard-across-io`      | no lock guard live across a socket/client call         |
-//! | `checkout-pairing`     | every peer checkout reaches checkin/discard on all paths|
+//! | `checkout-pairing`     | every pool checkout reaches checkin/discard on all paths|
 //! | `opcode-coverage`      | every wire opcode has a handler arm                    |
 //! | `metric-name-registry` | metric names come from `pangea_obs::names`, not literals|
 //! | `no-unwrap-in-daemon`  | no `unwrap`/`expect` in daemon request-handling paths   |
@@ -94,8 +94,8 @@ const IO_METHODS: &[&str] = &[
     "connect",
     "connect_with",
     "connect_with_secret",
-    "checkout_peer",
-    "dial_peer",
+    "checkout",
+    "dial",
     "ping",
     "hash_list_for_each",
     "repair_ledger_for_each",
@@ -568,24 +568,26 @@ fn scan_live_range(
 // rule: checkout-pairing
 // ---------------------------------------------------------------------
 
-/// Every `checkout_peer` must reach `checkin_peer` or `discard_peer` on
-/// all paths — PR 8 shipped the bug where a failed `RecoverPush`
-/// stranded its checked-out peer connection.
+/// Every pooled connection checked out (`ClientPool::checkout`) must
+/// reach `checkin` or `discard` on all paths: a failed `RecoverPush`
+/// once stranded its checked-out peer connection this way. A checkout the function returns (its binding appears in
+/// the function's tail expression) hands the obligation to the value
+/// that owns it, as a load sink holds its stream.
 pub fn checkout_pairing(f: &LintedFile, out: &mut Vec<Diagnostic>) {
     if !in_scope_src(&f.rel) {
         return;
     }
     let toks = &f.toks;
     for i in 0..toks.len() {
-        if f.in_test[i] || toks[i].ident() != Some("checkout_peer") || !is_call(toks, i) {
+        if f.in_test[i] || toks[i].ident() != Some("checkout") || !is_call(toks, i) {
             continue;
         }
-        // Skip the definition itself (`fn checkout_peer(...)`).
+        // Skip the definition itself (`fn checkout(...)`).
         if i > 0 && toks[i - 1].ident() == Some("fn") {
             continue;
         }
         let line = toks[i].line;
-        // The checkout must be let-bound (a bare `self.checkout_peer(a)?;`
+        // The checkout must be let-bound (a bare `pool.checkout(a)?;`
         // leaks the connection immediately).
         let let_idx = (0..i).rev().find(|&j| {
             toks[j].ident() == Some("let")
@@ -593,31 +595,41 @@ pub fn checkout_pairing(f: &LintedFile, out: &mut Vec<Diagnostic>) {
                 || toks[j].is_punct('{')
                 || toks[j].is_punct('}')
         });
-        match let_idx {
-            Some(j) if toks[j].ident() == Some("let") => {}
+        let binding = match let_idx {
+            Some(j) if toks[j].ident() == Some("let") => {
+                let name = match toks[j + 1].ident() {
+                    Some("mut") => toks[j + 2].ident(),
+                    other => other,
+                };
+                name.unwrap_or_default()
+            }
             _ => {
                 push(
                     f,
                     line,
                     "checkout-pairing",
-                    "checkout_peer result must be let-bound so it can reach \
-                     checkin_peer or discard_peer"
+                    "checkout result must be let-bound so it can reach checkin or discard"
                         .to_string(),
                     out,
                 );
                 continue;
             }
-        }
+        };
         let after = stmt_end(toks, i) + 1;
-        let fn_end = enclosing_fn_end(toks, i);
+        let fn_end = enclosing_fn_end(toks, i).min(toks.len());
+        let tail = tail_start(toks, fn_end);
         // Scan to the first consumption; any `?`/`return` before it can
         // exit the function with the connection neither checked in nor
         // discarded.
         let mut consumed = false;
-        for tok in toks.iter().take(fn_end.min(toks.len())).skip(after) {
+        for (j, tok) in toks.iter().enumerate().take(fn_end).skip(after) {
             match tok.ident() {
-                Some("checkin_peer") | Some("discard_peer") => {
+                Some("checkin") | Some("discard") => {
                     consumed = true;
+                    break;
+                }
+                Some(name) if j >= tail && name == binding => {
+                    consumed = true; // handed to the caller
                     break;
                 }
                 Some("return") => {
@@ -627,7 +639,7 @@ pub fn checkout_pairing(f: &LintedFile, out: &mut Vec<Diagnostic>) {
                         "checkout-pairing",
                         format!(
                             "`return` at line {} exits before this checkout reaches \
-                             checkin_peer/discard_peer",
+                             checkin/discard",
                             tok.line
                         ),
                         out,
@@ -644,7 +656,7 @@ pub fn checkout_pairing(f: &LintedFile, out: &mut Vec<Diagnostic>) {
                     "checkout-pairing",
                     format!(
                         "`?` at line {} can exit before this checkout reaches \
-                         checkin_peer/discard_peer",
+                         checkin/discard",
                         tok.line
                     ),
                     out,
@@ -658,11 +670,31 @@ pub fn checkout_pairing(f: &LintedFile, out: &mut Vec<Diagnostic>) {
                 f,
                 line,
                 "checkout-pairing",
-                "checkout never reaches checkin_peer/discard_peer in this function".to_string(),
+                "checkout never reaches checkin/discard in this function".to_string(),
                 out,
             );
         }
     }
+}
+
+/// Start of the tail expression of the fn body closing at `fn_end`:
+/// the token after its last top-level `;` (or after its opening `{`).
+fn tail_start(toks: &[Tok], fn_end: usize) -> usize {
+    let mut depth = 0i32;
+    for j in (0..fn_end).rev() {
+        match &toks[j].kind {
+            TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => depth += 1,
+            TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => {
+                if depth == 0 {
+                    return j + 1;
+                }
+                depth -= 1;
+            }
+            TokKind::Punct(';') if depth == 0 => return j + 1,
+            _ => {}
+        }
+    }
+    0
 }
 
 // ---------------------------------------------------------------------

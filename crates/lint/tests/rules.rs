@@ -79,8 +79,8 @@ fn checkout_pairing_flags_all_leak_shapes() {
     );
     assert_eq!(
         lines_for(&f, "checkout-pairing"),
-        vec![6, 13, 22, 27],
-        "`?` leak, early-return leak, never consumed, not let-bound"
+        vec![6, 13, 22, 27, 31],
+        "`?` leak, early-return leak, never consumed, not let-bound, `?` before a hand-off"
     );
 }
 

@@ -126,11 +126,28 @@ struct ServerShared {
     busy_rejects: Counter,
 }
 
-impl ServerShared {
-    fn deregister(&self, id: u64) {
-        let mut conns = self.conns.lock();
-        conns.remove(&id);
-        self.conns_open.set(conns.len() as u64);
+/// A connection's registration in `conns`, released however its thread
+/// ends (a panicking handler included) or when it never starts: the
+/// socket is shut down, else the clone in `conns` keeps it open and the
+/// client waits forever, and a request being served leaves `in_flight`.
+struct ConnGuard {
+    shared: Arc<ServerShared>,
+    id: u64,
+    serving: bool,
+}
+
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        if self.serving {
+            self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+        let mut conns = self.shared.conns.lock();
+        let stream = conns.remove(&self.id);
+        self.shared.conns_open.set(conns.len() as u64);
+        drop(conns);
+        if let Some(stream) = stream {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -316,17 +333,18 @@ fn accept_loop(listener: TcpListener, shutdown: Arc<AtomicBool>, shared: Arc<Ser
             conns.insert(conn_id, shutdown_handle);
             shared.conns_open.set(conns.len() as u64);
         }
-        let conn_shared = Arc::clone(&shared);
+        let guard = ConnGuard {
+            shared: Arc::clone(&shared),
+            id: conn_id,
+            serving: false,
+        };
         let spawned = std::thread::Builder::new()
             .name("framed-conn".into())
-            .spawn(move || serve_conn(stream, conn_id, &conn_shared));
-        match spawned {
-            Ok(handle) => {
-                let mut threads = shared.threads.lock();
-                threads.retain(|h| !h.is_finished());
-                threads.push(handle);
-            }
-            Err(_) => shared.deregister(conn_id),
+            .spawn(move || serve_conn(stream, guard));
+        if let Ok(handle) = spawned {
+            let mut threads = shared.threads.lock();
+            threads.retain(|h| !h.is_finished());
+            threads.push(handle);
         }
     }
 }
@@ -334,7 +352,8 @@ fn accept_loop(listener: TcpListener, shutdown: Arc<AtomicBool>, shared: Arc<Ser
 /// Serves one connection until EOF, a fatal stream error, a refused
 /// handshake or a failed response write: read a frame, run it, write
 /// its response, read the next.
-fn serve_conn(mut stream: TcpStream, id: u64, shared: &ServerShared) {
+fn serve_conn(mut stream: TcpStream, mut guard: ConnGuard) {
+    let shared = Arc::clone(&guard.shared);
     let mut authenticated = shared.secret.is_none();
     loop {
         let (corr, payload) = match read_frame_corr(&mut stream) {
@@ -349,6 +368,7 @@ fn serve_conn(mut stream: TcpStream, id: u64, shared: &ServerShared) {
             }
         };
         shared.in_flight.fetch_add(1, Ordering::SeqCst);
+        guard.serving = true;
         let (response, close) = match Request::decode_traced(&payload) {
             Ok((Request::Hello { secret }, _)) => match &shared.secret {
                 Some(expected) if *expected == secret => {
@@ -375,12 +395,11 @@ fn serve_conn(mut stream: TcpStream, id: u64, shared: &ServerShared) {
         };
         let written = write_frame_corr(&mut stream, corr, &response.encode()).is_ok();
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        guard.serving = false;
         if close || !written {
-            let _ = stream.shutdown(Shutdown::Both);
             break;
         }
     }
-    shared.deregister(id);
 }
 
 /// Maximum metrics in one [`Response::Metrics`] chunk.
@@ -605,5 +624,52 @@ mod tests {
             client.ping().is_err(),
             "the connection closes after the drain"
         );
+    }
+
+    /// Panics on `DropSet`; answers `Ok` to anything else.
+    #[derive(Debug)]
+    struct Panicky;
+
+    impl FramedService for Panicky {
+        fn handle(&self, req: Request, _ctx: Option<TraceCtx>, _bytes: usize) -> Response {
+            if matches!(req, Request::DropSet { .. }) {
+                panic!("handler panics on purpose");
+            }
+            Response::Ok
+        }
+    }
+
+    /// A handler that panics ends its connection: the client's call
+    /// fails at once instead of waiting forever, the connection is
+    /// deregistered, nothing stays in flight, and the next connection
+    /// is served.
+    #[test]
+    fn a_panicking_handler_closes_its_connection() {
+        let server = FramedServer::bind(Arc::new(Panicky), "127.0.0.1:0", None).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let drop_set = Request::DropSet { set: "s".into() };
+        write_frame_corr(&mut stream, 1, &drop_set.encode()).unwrap();
+        match read_frame_corr(&mut stream) {
+            Ok(None) => {}
+            Err(PangeaError::Io(e))
+                if !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            other => panic!("the connection must close without an answer, got {other:?}"),
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.open_connections() > 0 {
+            assert!(Instant::now() < deadline, "the connection stays registered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(server.shared.in_flight.load(Ordering::SeqCst), 0);
+        PangeaClient::connect(server.local_addr())
+            .unwrap()
+            .ping()
+            .expect("the next connection is served");
     }
 }

@@ -40,6 +40,9 @@
 //! * [`PangeaClient`] — a thin typed client over one connection, and
 //!   [`for_each_chunk`], the one loop behind every cursor-paged read
 //!   (`Scan`, `HashList`, `RepairLedger`).
+//! * [`pool`] — [`ClientPool`], the one cache of idle connections (a
+//!   daemon's peers, the driver's workers, the manager's scrape targets)
+//!   and its one rule for a connection that went stale while idle.
 //!
 //! Byte accounting matches the in-process `SimNetwork` of
 //! `pangea-cluster`: *payload* bytes go to `IoStats::record_net`, and
@@ -54,6 +57,7 @@ pub mod frame;
 pub mod framed;
 mod load;
 pub mod pipeline;
+pub mod pool;
 pub mod proto;
 pub mod server;
 mod session;
@@ -67,9 +71,8 @@ pub use framed::{
     DEFAULT_DRAIN, DEFAULT_MAX_CONNS, METRICS_CHUNK, SPANS_CHUNK,
 };
 pub use pangea_obs::TraceCtx;
-pub use pipeline::{
-    BatchEntry, PipelinedPeer, PushBatch, MAX_PIPELINE_WINDOW, PIPELINE_WINDOW, PUSH_BATCH_BYTES,
-};
+pub use pipeline::{BatchEntry, PipelinedPeer, PushBatch, PIPELINE_WINDOW, PUSH_BATCH_BYTES};
+pub use pool::ClientPool;
 pub use proto::{error_response, Request, Response};
 pub use server::{Pangead, PangeadServer};
 pub use wire::{

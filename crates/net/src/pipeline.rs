@@ -17,11 +17,6 @@ use std::time::Instant;
 /// receiver's credit grant is the only thing that shrinks it.
 pub const PIPELINE_WINDOW: u32 = 8;
 
-/// Ceiling on any credit grant: the most unacked batches a receiver
-/// invites one sender to park in its socket and session state (about
-/// 8 MB of [`PUSH_BATCH_BYTES`] batches).
-pub const MAX_PIPELINE_WINDOW: u32 = 64;
-
 /// The one batch rule of every push — a mapper's ingest batches, a
 /// survivor's repair batches and, through `pangea-cluster`'s default
 /// `DispatchConfig`, a driver's load batches: a batch closes once its

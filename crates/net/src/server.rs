@@ -14,22 +14,18 @@ use crate::framed::{
     DEFAULT_DRAIN,
 };
 use crate::load::LoadWriters;
-use crate::pipeline::{PipelinedPeer, PushBatch, MAX_PIPELINE_WINDOW, PUSH_BATCH_BYTES};
+use crate::pipeline::{PipelinedPeer, PushBatch, PIPELINE_WINDOW, PUSH_BATCH_BYTES};
+use crate::pool::ClientPool;
 use crate::proto::{Request, Response};
 use crate::session::{backing_set_name, local_set, Session, SessionTable, Sink, INGEST, REPAIR};
 use crate::wire::{RecordPredicate, RepairFilter};
-use pangea_common::{record_key, FxHashMap, IoStats, PangeaError, Result, WriteCause};
+use pangea_common::{record_key, IoStats, PangeaError, Result, WriteCause};
 use pangea_core::{ObjectIter, SetOptions, SpillLedger, StorageNode};
 use pangea_obs::{names, Obs, TraceCtx};
-use parking_lot::Mutex;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Most distinct peer addresses the outbound pool caches idle
-/// connections for (see [`Pangead::checkin_peer`]).
-const PEER_POOL_CAP: usize = 64;
 
 /// In-memory entries a session dedup ledger holds before spilling
 /// sorted runs through the pool (≈512 KB of heap per session).
@@ -53,17 +49,11 @@ pub struct Pangead {
     repairs: SessionTable,
     /// The loader's writers, one per set that `Append`s are filling.
     loads: LoadWriters,
-    /// Pooled *idle* outbound connections to sibling daemons, keyed by
-    /// the advertised address they were opened against. A client is
-    /// checked out for the duration of one RPC — the pool lock is never
-    /// held across socket I/O — so repair pushes and shuffle pushes
-    /// reuse one dial per peer instead of reconnecting per push.
-    peers: Mutex<FxHashMap<String, PangeaClient>>,
-    /// The deployment secret this daemon presents when it dials *other*
-    /// daemons (repair peers). Independent of the inbound secret the
-    /// surrounding [`FramedServer`] enforces, though deployments
-    /// conventionally share one.
-    peer_secret: Option<String>,
+    /// Idle outbound connections to sibling daemons, by the address
+    /// they were dialed at: repair and shuffle pushes reuse one dial per
+    /// peer instead of reconnecting per push. Its dials present the
+    /// deployment secret set by [`Pangead::with_peer_secret`].
+    pub(crate) peers: ClientPool,
     /// Payload bytes and messages received by this daemon.
     stats: Arc<IoStats>,
     /// This daemon's observability bundle: the metrics registry (shared
@@ -87,8 +77,7 @@ impl Pangead {
             ingests: SessionTable::new(INGEST),
             repairs: SessionTable::new(REPAIR),
             loads: LoadWriters::default(),
-            peers: Mutex::new(FxHashMap::default()),
-            peer_secret: None,
+            peers: ClientPool::new(stats.registry().clone(), None, None),
             stats,
             obs,
             session_seq: AtomicU64::new(0),
@@ -100,22 +89,25 @@ impl Pangead {
         backing_set_name(set, kind, self.session_seq.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Sets the secret this daemon presents when dialing repair peers.
+    /// Sets the secret this daemon presents when dialing its peers —
+    /// independent of the inbound secret the surrounding
+    /// [`FramedServer`] enforces, though deployments share one.
     pub fn with_peer_secret(mut self, secret: Option<String>) -> Self {
-        self.peer_secret = secret;
+        self.peers = ClientPool::new(self.stats.registry().clone(), secret.as_deref(), None);
         self
     }
 
     /// The ack of a session append or end, stamped with this daemon's
     /// credit grant: how many more in-flight push batches its pool
     /// residency can absorb. Free pool bytes divided by the batch size
-    /// ([`PUSH_BATCH_BYTES`]), clamped to `[1, MAX_PIPELINE_WINDOW]` —
-    /// never 0, because a full pool must still admit one batch at a time
-    /// for the spill machinery to make progress against.
+    /// ([`PUSH_BATCH_BYTES`]), clamped to `[1, PIPELINE_WINDOW]` — never
+    /// 0, because a full pool must still admit one batch at a time for
+    /// the spill machinery to make progress against, and never above the
+    /// window no sender exceeds.
     fn session_ack(&self, (appended, bytes): (u64, u64)) -> Response {
         let p = self.node.paging_stats();
         let free = p.pool_capacity.saturating_sub(p.pool_used);
-        let credit = (free / PUSH_BATCH_BYTES as u64).clamp(1, MAX_PIPELINE_WINDOW as u64);
+        let credit = (free / PUSH_BATCH_BYTES as u64).clamp(1, PIPELINE_WINDOW as u64);
         Response::SessionAck {
             appended,
             bytes,
@@ -159,8 +151,7 @@ impl Pangead {
         reg.gauge(names::MEM_SHARE_BYTES).set(share_bytes);
         reg.gauge(names::MEM_SESSION_BYTES)
             .set(self.repairs.open_bytes() + self.ingests.open_bytes());
-        reg.gauge(names::POOL_PEERS)
-            .set(self.peers.lock().len() as u64);
+        reg.gauge(names::POOL_PEERS).set(self.peers.idle() as u64);
         // The tiered-memory signals: pin hits/misses and spill volume as
         // counters (the scrape loop computes rates), pool residency as
         // gauges — `paging.pool_used_bytes ≤ paging.pool_capacity_bytes`
@@ -338,26 +329,18 @@ impl Pangead {
                         }
                     }
                     for addr in &present_from {
-                        let mut peer = self.checkout_peer(addr)?;
                         // One `HASH_CHUNK` of the peer's share at a time,
                         // straight into the ledger: the heap this holds
                         // is a chunk plus the ledger's generation,
-                        // whatever the share's size.
-                        let seeded = peer.hash_list_for_each(&set, |hashes| {
-                            hashes
-                                .into_iter()
-                                .try_for_each(|h| ledger.insert_if_absent(h).map(drop))
-                        });
-                        match seeded {
-                            Ok(()) => self.checkin_peer(addr, peer),
-                            Err(e) => {
-                                // A failed RPC leaves the stream state
-                                // unknown; account for the drop so the
-                                // checkout counters stay truthful.
-                                self.discard_peer(peer);
-                                return Err(e);
-                            }
-                        }
+                        // whatever the share's size. A retried walk
+                        // re-inserts what it already saw, a no-op.
+                        self.peers.call(addr, |peer: &mut PangeaClient| {
+                            peer.hash_list_for_each(&set, |hashes| {
+                                hashes
+                                    .into_iter()
+                                    .try_for_each(|h| ledger.insert_if_absent(h).map(drop))
+                            })
+                        })?;
                     }
                     // Freeze the seeded ledger for `RepairLedger`
                     // paging: Absent-filtered survivors diff against
@@ -466,81 +449,6 @@ impl Pangead {
         }
     }
 
-    /// Connects to a sibling `pangead` with this daemon's peer secret.
-    fn dial_peer(&self, addr: &str) -> Result<PangeaClient> {
-        PangeaClient::connect_with_secret(addr, self.peer_secret.as_deref())
-            .map_err(|e| PangeaError::Remote(format!("dialing peer {addr}: {e}")))
-    }
-
-    /// Checks the pooled idle connection to `addr` out of the peer pool,
-    /// or dials afresh. A pooled connection may have gone stale while
-    /// idle (peer restarted at the same address) — that is detected on
-    /// the first submit over it, not probed for here: a validation ping
-    /// would cost a full round trip per checkout *and* serialize the
-    /// connection right before the pipelined pushers try to fill a
-    /// window, and every push path already retries through
-    /// [`Pangead::discard_peer`] + redial on RPC failure anyway.
-    /// Callers return the connection with [`Pangead::checkin_peer`] on
-    /// success and hand it to [`Pangead::discard_peer`] when an RPC on
-    /// it failed (its stream state is unknown). Every successful
-    /// checkout ends in exactly one of the two, so
-    /// `pool.checkouts == pool.checkins + pool.drops` holds at every
-    /// idle instant — the invariant the accounting unit test pins.
-    pub(crate) fn checkout_peer(&self, addr: &str) -> Result<PangeaClient> {
-        if let Some(client) = self.peers.lock().remove(addr) {
-            let reg = self.obs.registry();
-            reg.counter(names::POOL_CHECKOUTS).inc();
-            reg.counter(names::POOL_HITS).inc();
-            return Ok(client);
-        }
-        self.obs.registry().counter(names::POOL_DIALS).inc();
-        let client = self.dial_peer(addr)?;
-        // Counted only once the connection exists: a failed dial hands
-        // the caller nothing, so it must not look like a checkout that
-        // never came back.
-        self.obs.registry().counter(names::POOL_CHECKOUTS).inc();
-        Ok(client)
-    }
-
-    /// Returns an idle peer connection to the pool. Concurrent pushers
-    /// may race one in; last one in wins the single idle slot, the
-    /// loser just closes. The pool is bounded at [`PEER_POOL_CAP`]
-    /// distinct addresses, evicting an arbitrary idle entry when full:
-    /// entries for replaced or dead peers are never checked out again,
-    /// so an unbounded map would pin one dead socket per churned worker
-    /// address forever — and refusing inserts instead would stop
-    /// pooling new peers for the daemon's lifetime.
-    pub(crate) fn checkin_peer(&self, addr: &str, mut client: PangeaClient) {
-        // A connection with pipelined requests still outstanding is not
-        // idle — its stream carries unread responses that would poison
-        // whatever checks it out next. Callers are supposed to drain
-        // before checkin; treat a violation as a drop, not a landmine.
-        if client.pipelined() != 0 {
-            self.discard_peer(client);
-            return;
-        }
-        self.obs.registry().counter(names::POOL_CHECKINS).inc();
-        // An idle pooled connection must never carry a stale job's
-        // trace context into whatever checks it out next.
-        client.set_trace(None);
-        let mut peers = self.peers.lock();
-        if peers.len() >= PEER_POOL_CAP && !peers.contains_key(addr) {
-            if let Some(victim) = peers.keys().next().cloned() {
-                peers.remove(&victim);
-            }
-            self.obs.registry().counter(names::POOL_EVICTIONS).inc();
-        }
-        peers.insert(addr.to_string(), client);
-    }
-
-    /// Closes a checked-out connection whose RPC failed. Taking the
-    /// client by value makes the accounting structural: an error path
-    /// cannot forget the counter without also forgetting to close.
-    pub(crate) fn discard_peer(&self, client: PangeaClient) {
-        drop(client);
-        self.obs.registry().counter(names::POOL_DROPS).inc();
-    }
-
     /// Appends one tagged batch, tags as dedup keys, into this daemon's
     /// ingest session for `set`.
     pub(crate) fn ingest_append(
@@ -583,21 +491,19 @@ impl Pangead {
     ) -> Result<Response> {
         let source = self.get_set(source_set)?;
         // One pooled connection for the whole push: repeated pushes to
-        // the same replacement (per survivor × source × pass) no longer
-        // pay a fresh dial + handshake each (the ROADMAP hot-path item).
-        let mut client = self.checkout_peer(target_addr)?;
+        // the same replacement (per survivor × source × pass) pay one
+        // dial between them, not one each.
+        let mut client = self.peers.checkout(target_addr)?;
         client.set_trace(ctx);
         let mut peer = PipelinedPeer::new(client);
         match self.recover_push_with(&source, target_set, &mut peer, filter) {
             Ok(resp) => {
-                self.checkin_peer(target_addr, peer.client);
+                self.peers.checkin(target_addr, peer.client);
                 Ok(resp)
             }
             Err(e) => {
-                // Any mid-push failure leaves the stream state unknown;
-                // close the connection and account for it so the pool
-                // counters stay truthful on every error path.
-                self.discard_peer(peer.client);
+                // Any mid-push failure leaves the stream state unknown.
+                self.peers.discard(peer.client);
                 Err(e)
             }
         }
@@ -3064,6 +2970,77 @@ mod tests {
         let (out, back, _) = balanced(survivor.daemon());
         assert_eq!(out, 2);
         assert_eq!(back, 1);
+    }
+
+    /// A peer restarted at the same address leaves a dead idle
+    /// connection in the pusher's pool. The next `RecoverPush` and the
+    /// next map task into the new peer each ping it, find it dead, and
+    /// dial afresh, so both succeed.
+    #[test]
+    fn pushes_redial_a_peer_restarted_at_the_same_address() {
+        use crate::wire::{Job, KeySpec, MapSpec, SchemeSpec, TaskSpec};
+        const SECRET: &str = "restart-secret";
+        let pusher = PangeadServer::bind_with_secret(
+            node("restart-pusher"),
+            "127.0.0.1:0",
+            Some(SECRET.into()),
+        )
+        .unwrap();
+        let mut pc = PangeaClient::connect_with_secret(pusher.local_addr(), Some(SECRET)).unwrap();
+        pc.create_set("src", "write-through", None).unwrap();
+        let rows = ["a|1", "b|2", "c|3"];
+        load(&mut pc, "src", &rows);
+        let serve = |tag: &str, addr: &str| {
+            PangeadServer::bind_with_secret(node(tag), addr, Some(SECRET.into())).unwrap()
+        };
+        let mut peer = serve("restart-peer-1", "127.0.0.1:0");
+        let addr = peer.local_addr().to_string();
+        // The pusher plays slot 1 and routes everything to slot 0, the
+        // peer, so every record crosses the socket.
+        let spec = TaskSpec {
+            job: Job {
+                input: "src".into(),
+                output: "words".into(),
+                map: MapSpec::identity(),
+                reduce: None,
+                scheme: SchemeSpec::Hash {
+                    key_name: "row".into(),
+                    partitions: 1,
+                    key: KeySpec::WholeRecord,
+                },
+                nodes: 1,
+            },
+            source: 1,
+            dests: vec![(0, addr.clone())],
+        };
+        let mut push_both = |peer: &PangeadServer| {
+            let mut c = PangeaClient::connect_with_secret(peer.local_addr(), Some(SECRET)).unwrap();
+            c.create_set("tgt", "write-through", None).unwrap();
+            c.create_set("words", "write-through", None).unwrap();
+            c.recover_begin("tgt", &[]).unwrap();
+            c.ingest_begin("words", None).unwrap();
+            let pushed = pc
+                .recover_push("src", "tgt", &addr, &RepairFilter::All)
+                .expect("RecoverPush into the peer");
+            assert_eq!(pushed.appended, rows.len() as u64);
+            let mapped = pc.run_task(&spec).expect("map task into the peer");
+            assert_eq!(mapped.appended, rows.len() as u64);
+            assert_eq!(c.recover_end("tgt").unwrap().0, rows.len() as u64);
+            assert_eq!(c.ingest_end("words").unwrap().0, rows.len() as u64);
+        };
+        push_both(&peer);
+        peer.shutdown();
+        drop(peer);
+        let peer = serve("restart-peer-2", &addr);
+        push_both(&peer);
+        let reg = pusher.daemon().obs().registry();
+        let count = |name: &str| reg.counter(name).get();
+        assert_eq!(count("pool.dials"), 2, "one dial per peer incarnation");
+        assert_eq!(count("pool.drops"), 1, "the stale connection was dropped");
+        assert_eq!(
+            count("pool.checkouts"),
+            count("pool.checkins") + count("pool.drops")
+        );
     }
 
     /// The pipelined session contract over a real socket: several

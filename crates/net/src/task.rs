@@ -159,7 +159,7 @@ impl Pangead {
             });
             if let Err((addr, e)) = drained {
                 if let Some(peer) = route.conns.remove(&addr) {
-                    self.discard_peer(peer.client);
+                    self.peers.discard(peer.client);
                 }
                 return Err(e);
             }
@@ -169,9 +169,9 @@ impl Pangead {
         // the task failed on another destination; the failed connection
         // was already dropped by `ingest_into`, and any connection the
         // failure left with acks still in flight is discarded by
-        // `checkin_peer`'s pipelined guard.
+        // the pool's pipelined guard at checkin.
         for (addr, peer) in route.conns.drain() {
-            self.checkin_peer(&addr, peer.client);
+            self.peers.checkin(&addr, peer.client);
         }
         outcome?;
         // Mapper-side attribution: this node shipped `emitted_bytes` of
@@ -253,7 +253,7 @@ impl Router<'_> {
         let peer = match self.conns.entry(addr.to_string()) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(v) => {
-                let mut conn = daemon.checkout_peer(addr)?;
+                let mut conn = daemon.peers.checkout(addr)?;
                 conn.set_trace(self.ctx);
                 v.insert(PipelinedPeer::new(conn))
             }
@@ -266,7 +266,7 @@ impl Router<'_> {
                 // Dropped, not returned — and counted, so a failed push
                 // doesn't strand the checkout accounting.
                 if let Some(peer) = self.conns.remove(addr) {
-                    daemon.discard_peer(peer.client);
+                    daemon.peers.discard(peer.client);
                 }
                 Err(e)
             }

@@ -10,7 +10,7 @@ use pangea::cluster::{ClusterConfig, PartitionScheme, SimCluster};
 use pangea::common::{NodeId, PangeaError, KB};
 use pangea::coord::{MgrServer, RemoteCluster, WorkerAgent};
 use pangea::core::{NodeConfig, StorageNode};
-use pangea::net::{KeySpec, MapSpec, PangeadServer, WorkerState};
+use pangea::net::{KeySpec, MapSpec, PangeaClient, PangeadServer, WireMetric, WorkerState};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -250,12 +250,51 @@ fn full_control_plane_flow_over_loopback_tcp() {
     })
     .unwrap();
 
+    // -- Every pooled connection came back once: a load, a job, scans
+    // and a recovery later, nothing is checked out on the driver or on
+    // any worker.
+    let driver = cluster.workers().obs().registry();
+    let checkouts = pool_balance("the driver", |name| driver.counter(name).get());
+    assert!(checkouts > 0, "the driver's RPCs go through its pool");
+    for server in [&_s0, &_s1b, &_s2] {
+        let addr = server.local_addr();
+        let (metrics, _) = PangeaClient::connect_with_secret(addr, Some(SECRET))
+            .unwrap()
+            .metrics_dump()
+            .unwrap();
+        pool_balance(&format!("worker at {addr}"), |name| {
+            metrics
+                .iter()
+                .find_map(|m| match m {
+                    WireMetric::Counter { name: n, value } if n == name => Some(*value),
+                    _ => None,
+                })
+                .unwrap_or(0)
+        });
+    }
+
     // -- Clean exit deregisters (Left, not Dead — recovery skips it). --
     let (_s3, mut a3) = worker("w3", &mgr_addr, 3);
     a3.shutdown().unwrap();
     let workers = cluster.refresh_membership().unwrap();
     let w3 = workers.iter().find(|w| w.node == 3).unwrap();
     assert_eq!(w3.state, WorkerState::Left);
+}
+
+/// Asserts `pool.checkouts == pool.checkins + pool.drops` over one
+/// node's counters, and returns its checkouts.
+fn pool_balance(who: &str, counter: impl Fn(&str) -> u64) -> u64 {
+    let (out, back, drops) = (
+        counter("pool.checkouts"),
+        counter("pool.checkins"),
+        counter("pool.drops"),
+    );
+    assert_eq!(
+        out,
+        back + drops,
+        "{who}: {out} checkouts != {back} checkins + {drops} drops"
+    );
+    out
 }
 
 fn snapshot_set(cluster: &RemoteCluster, name: &str) -> BTreeMap<Vec<u8>, u32> {
