@@ -693,9 +693,9 @@ pub fn error_response(e: &PangeaError) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{
-        EmitSpec, FilterSpec, Job, KeySpec, MapSpec, WireCatalogEntry, WireMetric, WireWorker,
-        WorkerState,
+    use crate::{
+        CmpOp, EmitSpec, FilterSpec, Job, KeySpec, MapSpec, ReduceOp, WireCatalogEntry, WireMetric,
+        WireWorker, WorkerState,
     };
 
     fn span(op: &str) -> WireSpan {
@@ -1067,6 +1067,145 @@ mod tests {
             assert_eq!(ops.len(), opcodes.len(), "opcodes must be unique");
         }
         assert_eq!((Request::OPCODES.len(), Response::OPCODES.len()), (35, 22));
+    }
+
+    /// One `label hex` line per encoded value: one value per variant of
+    /// every tagged wire type, then every request sample (without and
+    /// with a trace context) and every response sample.
+    fn golden_lines() -> Vec<String> {
+        fn line<T: Wire>(label: &str, v: &T) -> String {
+            let mut w = ByteWriter::new();
+            v.put(&mut w);
+            hex(label, w.as_bytes())
+        }
+        fn hex(label: &str, bytes: &[u8]) -> String {
+            let digits: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            format!("{label} {digits}")
+        }
+        let key = KeySpec::Field {
+            delim: b'|',
+            index: 3,
+        };
+        let hash = SchemeSpec::Hash {
+            key_name: "uid".into(),
+            partitions: 6,
+            key,
+        };
+        let mut lines = vec![
+            line("KeySpec.WholeRecord", &KeySpec::WholeRecord),
+            line("KeySpec.Field", &key),
+            line("SchemeSpec.Hash", &hash),
+            line(
+                "SchemeSpec.RoundRobin",
+                &SchemeSpec::RoundRobin { partitions: 4 },
+            ),
+            line(
+                "RepairFilter.Lost",
+                &RepairFilter::Lost {
+                    scheme: hash,
+                    failed: 1,
+                    nodes: 3,
+                },
+            ),
+            line("RepairFilter.All", &RepairFilter::All),
+            line("RepairFilter.Absent", &RepairFilter::Absent),
+            line(
+                "FilterSpec.KeyEquals",
+                &FilterSpec::KeyEquals {
+                    key,
+                    value: b"7".to_vec(),
+                },
+            ),
+            line("FilterSpec.KeyPresent", &FilterSpec::KeyPresent { key }),
+            line(
+                "FilterSpec.KeyCompare",
+                &FilterSpec::KeyCompare {
+                    key,
+                    cmp: CmpOp::Ge,
+                    value: -42,
+                },
+            ),
+            line("EmitSpec.Record", &EmitSpec::Record),
+            line("EmitSpec.Key", &EmitSpec::Key(key)),
+            line(
+                "EmitSpec.Fields",
+                &EmitSpec::Fields {
+                    delim: b',',
+                    indices: vec![2, 0],
+                },
+            ),
+            line("EmitSpec.Tokens", &EmitSpec::Tokens { delim: b' ' }),
+            line(
+                "WireMetric.Counter",
+                &WireMetric::Counter {
+                    name: "c".into(),
+                    value: 42,
+                },
+            ),
+            line(
+                "WireMetric.Gauge",
+                &WireMetric::Gauge {
+                    name: "g".into(),
+                    value: 7,
+                },
+            ),
+            line(
+                "WireMetric.Histogram",
+                &WireMetric::Histogram {
+                    name: "h".into(),
+                    count: 3,
+                    sum: 999,
+                    buckets: vec![0, 1, 2],
+                },
+            ),
+        ];
+        for cmp in [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ] {
+            lines.push(line(&format!("CmpOp.{cmp:?}"), &cmp));
+        }
+        for op in [ReduceOp::Count, ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
+            let spec = ReduceSpec {
+                key,
+                op,
+                delim: b'|',
+                value_index: 2,
+            };
+            lines.push(line(&format!("ReduceSpec.{op:?}"), &spec));
+        }
+        for state in [WorkerState::Alive, WorkerState::Dead, WorkerState::Left] {
+            lines.push(line(&format!("WorkerState.{state:?}"), &state));
+        }
+        let ctx = TraceCtx { job: 7, span: 3 };
+        for (i, req) in request_samples().iter().enumerate() {
+            lines.push(hex(&format!("request.{i}.{}", req.name()), &req.encode()));
+            let traced = req.encode_traced(Some(&ctx));
+            lines.push(hex(&format!("traced.{i}.{}", req.name()), &traced));
+        }
+        for (i, resp) in response_samples().iter().enumerate() {
+            let label = format!("response.{i}.{}", resp.name());
+            lines.push(hex(&label, &resp.encode()));
+        }
+        lines
+    }
+
+    /// Every tagged wire value and every sample message encodes to the
+    /// bytes pinned in `tests/wire_golden.txt`. The protocol adds
+    /// opcodes and tags but never changes an existing encoding, so a
+    /// line here changes only when a sample is added.
+    #[test]
+    fn encodings_match_the_golden_bytes() {
+        let golden: Vec<&str> = include_str!("../tests/wire_golden.txt").lines().collect();
+        let lines = golden_lines();
+        for (got, want) in lines.iter().zip(&golden) {
+            assert_eq!(got, want, "encoding differs from the golden bytes");
+        }
+        assert_eq!(lines.len(), golden.len(), "golden line count differs");
     }
 
     #[test]
