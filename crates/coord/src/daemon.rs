@@ -17,8 +17,8 @@ use crate::signals::tick;
 use pangea_cluster::{CatalogEntry, Manager, PartitionScheme};
 use pangea_common::{Epoch, IoStats, NodeId, PangeaError, ReplicaGroupId, Result};
 use pangea_net::{
-    metrics_dump_response, serve_instrumented, FramedServer, FramedService, Request, Response,
-    ServerConfig, TraceCtx, WireCatalogEntry, WireSpan,
+    metrics_dump_response, serve_instrumented, FramedServer, FramedService, RemoteStats, Request,
+    Response, ServerConfig, TraceCtx, WireCatalogEntry, WireSpan,
 };
 use pangea_obs::{names, Obs, ScrapeStore};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -160,18 +160,11 @@ impl ManagerDaemon {
                 // The manager holds no storage node, so every paging
                 // field is zero by construction.
                 Ok(Response::Stats {
-                    net_bytes: net.net_bytes,
-                    net_messages: net.net_messages,
-                    disk_read_bytes: 0,
-                    disk_write_bytes: 0,
-                    repair_bytes: 0,
-                    shuffle_bytes: 0,
-                    paging_hits: 0,
-                    paging_misses: 0,
-                    paging_evictions: 0,
-                    paging_spill_bytes: 0,
-                    pool_used_bytes: 0,
-                    pool_capacity_bytes: 0,
+                    stats: RemoteStats {
+                        net_bytes: net.net_bytes,
+                        net_messages: net.net_messages,
+                        ..RemoteStats::default()
+                    },
                 })
             }
 

@@ -802,7 +802,7 @@ pub fn no_unwrap_in_daemon(f: &LintedFile, out: &mut Vec<Diagnostic>) {
 
 /// The inputs the opcode rule joins across.
 pub struct OpcodeCtx<'a> {
-    /// The protocol definition (the `messages!` table's
+    /// The protocol definition (the `wire_table!` table's
     /// `pub enum Request` / `pub enum Response`).
     pub proto: &'a LintedFile,
     /// Files whose non-test code must mention `Enum::Variant` for the

@@ -9,12 +9,11 @@
 //! sequential scan) so an application can talk to a remote node with the
 //! same vocabulary it uses in-process.
 
+use crate::algebra::{ReduceSpec, TaskReport, TaskSpec};
 use crate::frame::{read_frame_corr, write_frame_corr, FRAME_OVERHEAD};
 use crate::proto::{Request, Response};
-use crate::wire::{
-    ReduceSpec, RepairFilter, RepairPushReport, TaskReport, TaskSpec, WireMetric, WireSpan,
-};
-use pangea_common::{FxHashMap, IoStats, PangeaError, Result};
+use crate::wire::{wire_struct, RepairFilter, RepairPushReport, Wire, WireMetric, WireSpan};
+use pangea_common::{ByteReader, ByteWriter, FxHashMap, IoStats, PangeaError, Result};
 use pangea_obs::TraceCtx;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -51,6 +50,14 @@ pub struct RemoteStats {
     pub pool_used_bytes: u64,
     /// The remote node's total buffer-pool capacity in bytes.
     pub pool_capacity_bytes: u64,
+}
+
+wire_struct! {
+    RemoteStats {
+        net_bytes, net_messages, disk_read_bytes, disk_write_bytes, repair_bytes, shuffle_bytes,
+        paging_hits, paging_misses, paging_evictions, paging_spill_bytes, pool_used_bytes,
+        pool_capacity_bytes
+    }
 }
 
 /// A connected `pangead` client.
@@ -406,19 +413,7 @@ impl PangeaClient {
             filter: filter.clone(),
         };
         match self.call(&req)? {
-            Response::Pushed {
-                scanned,
-                pushed,
-                pushed_bytes,
-                appended,
-                appended_bytes,
-            } => Ok(RepairPushReport {
-                scanned,
-                pushed,
-                pushed_bytes,
-                appended,
-                appended_bytes,
-            }),
+            Response::Pushed { report } => Ok(report),
             other => Err(Self::unexpected(other)),
         }
     }
@@ -430,19 +425,7 @@ impl PangeaClient {
     pub fn run_task(&mut self, spec: &TaskSpec) -> Result<TaskReport> {
         let req = Request::TaskRun { spec: spec.clone() };
         match self.call(&req)? {
-            Response::TaskDone {
-                scanned,
-                emitted,
-                emitted_bytes,
-                appended,
-                appended_bytes,
-            } => Ok(TaskReport {
-                scanned,
-                emitted,
-                emitted_bytes,
-                appended,
-                appended_bytes,
-            }),
+            Response::TaskDone { report } => Ok(report),
             other => Err(Self::unexpected(other)),
         }
     }
@@ -620,33 +603,7 @@ impl PangeaClient {
     /// The remote node's counter snapshot.
     pub fn remote_stats(&mut self) -> Result<RemoteStats> {
         match self.call(&Request::Stats)? {
-            Response::Stats {
-                net_bytes,
-                net_messages,
-                disk_read_bytes,
-                disk_write_bytes,
-                repair_bytes,
-                shuffle_bytes,
-                paging_hits,
-                paging_misses,
-                paging_evictions,
-                paging_spill_bytes,
-                pool_used_bytes,
-                pool_capacity_bytes,
-            } => Ok(RemoteStats {
-                net_bytes,
-                net_messages,
-                disk_read_bytes,
-                disk_write_bytes,
-                repair_bytes,
-                shuffle_bytes,
-                paging_hits,
-                paging_misses,
-                paging_evictions,
-                paging_spill_bytes,
-                pool_used_bytes,
-                pool_capacity_bytes,
-            }),
+            Response::Stats { stats } => Ok(stats),
             other => Err(Self::unexpected(other)),
         }
     }

@@ -15,12 +15,17 @@
 //!   plane, and stats and trace probes. A request's header carries its
 //!   trace context.
 //! * [`wire`] — the crate's one field codec (`Wire`: integers,
-//!   strings, lists, options, pairs, trace contexts, and every type
-//!   below), and the wire forms of control-plane state: declarative key
-//!   specs, partitioning schemes, map specs and task specs (the
-//!   distributed map-shuffle ships these *to* the data), catalog
-//!   entries, and membership records served by the `pangea-coord`
-//!   manager daemon.
+//!   strings, lists, options, pairs, trace contexts, and every wire
+//!   type), its two declaration macros (`wire_table!`, the one table
+//!   every tagged type — messages and wire enums alike — is declared
+//!   in, and `wire_struct!`), and the wire forms of control-plane state:
+//!   declarative key specs, partitioning schemes, repair filters,
+//!   catalog entries, and membership records served by the
+//!   `pangea-coord` manager daemon.
+//! * `algebra` (crate-private; its types are re-exported here) — the
+//!   task algebra: filter, emit, map and reduce specs, and the job, task
+//!   spec and task report the distributed map-shuffle ships *to* the
+//!   data.
 //! * [`framed`] — [`FramedServer`], the server core shared by `pangead`
 //!   and `pangea-mgr`: one thread per connection runs that connection's
 //!   requests in order, behind a connection cap, an optional handshake
@@ -52,6 +57,7 @@
 //!
 //! [`StorageNode`]: pangea_core::StorageNode
 
+mod algebra;
 pub mod client;
 pub mod frame;
 pub mod framed;
@@ -64,6 +70,9 @@ mod session;
 mod task;
 pub mod wire;
 
+pub use algebra::{
+    CmpOp, EmitSpec, FilterSpec, Job, MapSpec, ReduceOp, ReduceSpec, TaskReport, TaskSpec,
+};
 pub use client::{for_each_chunk, PangeaClient, RemoteStats};
 pub use frame::{FRAME_OVERHEAD, MAX_FRAME};
 pub use framed::{
@@ -76,7 +85,6 @@ pub use pool::ClientPool;
 pub use proto::{error_response, Request, Response};
 pub use server::{Pangead, PangeadServer};
 pub use wire::{
-    ingest_tag, CmpOp, EmitSpec, FilterSpec, Job, KeySpec, MapSpec, ReduceOp, ReduceSpec,
-    RepairFilter, RepairPushReport, SchemeSpec, TaskReport, TaskSpec, WireCatalogEntry, WireMetric,
+    ingest_tag, KeySpec, RepairFilter, RepairPushReport, SchemeSpec, WireCatalogEntry, WireMetric,
     WireSpan, WireWorker, WorkerState,
 };

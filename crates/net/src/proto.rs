@@ -5,10 +5,13 @@
 //! shipped map tasks and their ingest sessions, worker-to-worker repair,
 //! the control plane, and statistics and trace probes.
 //!
-//! Both message families are declared once, in the `messages!` table
-//! below: each variant's docs, fields and opcode. The table generates the
-//! enums, their encoders and decoders, `name()` and the `OPCODES` list,
-//! so an opcode, its variant and its field order cannot drift apart.
+//! Both message families are declared once, in the `wire_table!` table
+//! below — the one table every tagged wire type is declared in: each
+//! variant's docs, fields and opcode. The table generates the enums,
+//! their encoders and decoders, `name()` and the `OPCODES` list, so an
+//! opcode, its variant and its field order cannot drift apart. Opcodes
+//! are stable over the protocol's life (add, never renumber — requests
+//! 4, 5 and 7–10 and responses 3, 4, 5, 7, 19 and 22 are retired).
 //! Every field travels through `Wire`, the crate's one field codec: a
 //! length-prefixed record in a [`ByteWriter`] stream, so the wire format
 //! inherits the codec's self-framing and its truncation checks.
@@ -20,102 +23,19 @@
 //! are all [`PangeaError::Corruption`]. One encoded message travels
 //! inside one [`crate::frame`] frame.
 
+use crate::client::RemoteStats;
 use crate::wire::{
-    ReduceSpec, RepairFilter, SchemeSpec, TaskSpec, Wire, WireCatalogEntry, WireMetric, WireSpan,
-    WireWorker,
+    wire_table, RepairFilter, RepairPushReport, SchemeSpec, Wire, WireCatalogEntry, WireMetric,
+    WireSpan, WireWorker,
 };
+use crate::{ReduceSpec, TaskReport, TaskSpec};
 use pangea_common::{ByteReader, ByteWriter, PangeaError, Result};
 use pangea_obs::TraceCtx;
 
-/// Declares the message enums from one table. Each variant names its
-/// fields and its opcode; opcodes are stable over the protocol's life
-/// (add, never renumber — requests 4, 5 and 7–10 and responses 3, 4,
-/// 5, 7, 19 and 22 are retired). Fields travel in declaration order, each through [`Wire`].
-/// For every enum this generates the enum itself, `OPCODES`, `name()`,
-/// and `encode_with`/`decode_with`, which put a caller-chosen header
-/// between the opcode and the fields.
-macro_rules! messages {
-    ($(
-        $(#[$meta:meta])*
-        pub enum $Enum:ident {
-            $(
-                $(#[$vmeta:meta])*
-                $Variant:ident $({ $($(#[$fmeta:meta])* $field:ident: $ty:ty,)* })? = $op:literal,
-            )*
-        }
-    )*) => {$(
-        $(#[$meta])*
-        pub enum $Enum {
-            $(
-                $(#[$vmeta])*
-                $Variant $({ $($(#[$fmeta])* $field: $ty,)* })?,
-            )*
-        }
-
-        impl $Enum {
-            /// Every `(opcode, name)` pair of this family, in declaration
-            /// order.
-            pub const OPCODES: &'static [(u64, &'static str)] =
-                &[$(($op, stringify!($Variant))),*];
-
-            /// This message's opcode name — the per-opcode label the
-            /// metrics registry and span records key on
-            /// (`rpc.count.TaskRun`, ...).
-            pub fn name(&self) -> &'static str {
-                match self {
-                    $(Self::$Variant { .. } => stringify!($Variant),)*
-                }
-            }
-
-            /// Encodes `opcode · head · fields`.
-            fn encode_with(&self, head: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
-                let mut w = ByteWriter::new();
-                match self {
-                    $(Self::$Variant $({ $($field,)* })? => {
-                        ($op as u64).put(&mut w);
-                        head(&mut w);
-                        $($($field.put(&mut w);)*)?
-                    })*
-                }
-                w.into_bytes()
-            }
-
-            /// Decodes what [`Self::encode_with`] wrote, `head` reading
-            /// the header. Every byte must be consumed.
-            fn decode_with<H>(
-                bytes: &[u8],
-                head: impl FnOnce(&mut ByteReader<'_>) -> Result<H>,
-            ) -> Result<(Self, H)> {
-                let mut r = ByteReader::new(bytes);
-                let decoded = match u64::get(&mut r)? {
-                    $($op => {
-                        let h = head(&mut r)?;
-                        (Self::$Variant $({ $($field: Wire::get(&mut r)?,)* })?, h)
-                    })*
-                    other => {
-                        return Err(PangeaError::Corruption(format!(
-                            "unknown {} opcode {other}",
-                            stringify!($Enum)
-                        )))
-                    }
-                };
-                if !r.is_exhausted() {
-                    return Err(PangeaError::Corruption(format!(
-                        "{} B trailing a {} message",
-                        bytes.len() - r.position(),
-                        decoded.0.name()
-                    )));
-                }
-                Ok(decoded)
-            }
-        }
-    )*};
-}
-
-messages! {
+wire_table! {
     /// A client/cluster → pangead message.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub enum Request {
+    pub enum Request: message {
         /// Liveness probe.
         Ping = 1,
         /// Shared-secret handshake. On daemons configured with a secret this
@@ -406,7 +326,7 @@ messages! {
 
     /// A pangead → client message.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub enum Response {
+    pub enum Response: message {
         /// Success without payload.
         Ok = 1,
         /// Set created; carries the node-local set id.
@@ -426,32 +346,8 @@ messages! {
         } = 6,
         /// Counter snapshot of the serving node.
         Stats {
-            /// Payload bytes received over the wire by this server.
-            net_bytes: u64,
-            /// Wire messages handled.
-            net_messages: u64,
-            /// Bytes read from the node's disks.
-            disk_read_bytes: u64,
-            /// Bytes written to the node's disks.
-            disk_write_bytes: u64,
-            /// Peer-repair payload bytes this node moved (pushed to a peer
-            /// or appended from one) during worker→worker recovery.
-            repair_bytes: u64,
-            /// Map-shuffle payload bytes this node moved (shipped to a peer
-            /// or appended from one) during a distributed map-shuffle.
-            shuffle_bytes: u64,
-            /// Buffer-pool page pins satisfied from resident frames.
-            paging_hits: u64,
-            /// Buffer-pool page pins that had to read from disk.
-            paging_misses: u64,
-            /// Pages evicted from the pool to make room.
-            paging_evictions: u64,
-            /// Bytes written to disk by spills and dirty evictions.
-            paging_spill_bytes: u64,
-            /// Bytes currently resident in the buffer pool.
-            pool_used_bytes: u64,
-            /// Total buffer-pool capacity in bytes.
-            pool_capacity_bytes: u64,
+            /// The node's counters.
+            stats: RemoteStats,
         } = 8,
         /// The operation failed on the serving node.
         Err {
@@ -539,16 +435,8 @@ messages! {
         /// Outcome of one [`Request::TaskRun`] (a worker's full
         /// scan-map-route-stream pass over its local input share).
         TaskDone {
-            /// Records scanned in the local input share.
-            scanned: u64,
-            /// Records that survived the map and were shipped.
-            emitted: u64,
-            /// Payload bytes shipped worker→worker.
-            emitted_bytes: u64,
-            /// Records the destinations appended after dedup.
-            appended: u64,
-            /// Payload bytes the destinations appended.
-            appended_bytes: u64,
+            /// The task's counters.
+            report: TaskReport,
         } = 24,
         /// The ack of every pipelined append, for loads, ingest and repair
         /// sessions alike: what one [`Request::Append`]/
@@ -568,16 +456,8 @@ messages! {
         /// Outcome of one [`Request::RecoverPush`] (a survivor's full
         /// scan-filter-stream pass against the replacement).
         Pushed {
-            /// Records scanned in the local source share.
-            scanned: u64,
-            /// Records that matched the filter and were shipped.
-            pushed: u64,
-            /// Payload bytes shipped worker→worker.
-            pushed_bytes: u64,
-            /// Records the replacement appended after dedup.
-            appended: u64,
-            /// Payload bytes the replacement appended.
-            appended_bytes: u64,
+            /// The push's counters.
+            report: RepairPushReport,
         } = 23,
         /// One [`Request::MetricsDump`] chunk: metrics (sorted by name) and
         /// retained spans, with a resume cursor when either list has more.
@@ -906,18 +786,20 @@ mod tests {
                 records: vec![b"x".to_vec(), vec![], b"yy".to_vec()],
             },
             Response::Stats {
-                net_bytes: 1,
-                net_messages: 2,
-                disk_read_bytes: 3,
-                disk_write_bytes: 4,
-                repair_bytes: 5,
-                shuffle_bytes: 6,
-                paging_hits: 7,
-                paging_misses: 8,
-                paging_evictions: 9,
-                paging_spill_bytes: 10,
-                pool_used_bytes: 11,
-                pool_capacity_bytes: 12,
+                stats: RemoteStats {
+                    net_bytes: 1,
+                    net_messages: 2,
+                    disk_read_bytes: 3,
+                    disk_write_bytes: 4,
+                    repair_bytes: 5,
+                    shuffle_bytes: 6,
+                    paging_hits: 7,
+                    paging_misses: 8,
+                    paging_evictions: 9,
+                    paging_spill_bytes: 10,
+                    pool_used_bytes: 11,
+                    pool_capacity_bytes: 12,
+                },
             },
             Response::Err {
                 message: "set 'x' missing".into(),
@@ -971,18 +853,22 @@ mod tests {
                 hashes: vec![1, u64::MAX, 42],
             },
             Response::Pushed {
-                scanned: counters.0,
-                pushed: counters.1,
-                pushed_bytes: counters.2,
-                appended: counters.3,
-                appended_bytes: counters.4,
+                report: RepairPushReport {
+                    scanned: counters.0,
+                    pushed: counters.1,
+                    pushed_bytes: counters.2,
+                    appended: counters.3,
+                    appended_bytes: counters.4,
+                },
             },
             Response::TaskDone {
-                scanned: counters.0,
-                emitted: counters.1,
-                emitted_bytes: counters.2,
-                appended: counters.3,
-                appended_bytes: counters.4,
+                report: TaskReport {
+                    scanned: counters.0,
+                    emitted: counters.1,
+                    emitted_bytes: counters.2,
+                    appended: counters.3,
+                    appended_bytes: counters.4,
+                },
             },
             Response::SessionAck {
                 appended: 12,

@@ -8,7 +8,7 @@
 //!   [`FramedServer`] core (`framed.rs`), which runs each connection's
 //!   requests on that connection's own thread.
 
-use crate::client::PangeaClient;
+use crate::client::{PangeaClient, RemoteStats};
 use crate::framed::{
     metrics_dump_response, serve_instrumented, FramedServer, FramedService, ServerConfig,
     DEFAULT_DRAIN,
@@ -18,7 +18,7 @@ use crate::pipeline::{PipelinedPeer, PushBatch, PIPELINE_WINDOW, PUSH_BATCH_BYTE
 use crate::pool::ClientPool;
 use crate::proto::{Request, Response};
 use crate::session::{backing_set_name, local_set, Session, SessionTable, Sink, INGEST, REPAIR};
-use crate::wire::{RecordPredicate, RepairFilter};
+use crate::wire::{RecordPredicate, RepairFilter, RepairPushReport};
 use pangea_common::{record_key, IoStats, PangeaError, Result, WriteCause};
 use pangea_core::{ObjectIter, SetOptions, SpillLedger, StorageNode};
 use pangea_obs::{names, Obs, TraceCtx};
@@ -283,7 +283,7 @@ impl Pangead {
                 let net = self.stats.snapshot();
                 let disk = self.node.disk_stats().snapshot();
                 let paging = self.node.paging_stats();
-                Ok(Response::Stats {
+                let stats = RemoteStats {
                     net_bytes: net.net_bytes,
                     net_messages: net.net_messages,
                     disk_read_bytes: disk.disk_read_bytes,
@@ -296,7 +296,8 @@ impl Pangead {
                     paging_spill_bytes: paging.spill_bytes,
                     pool_used_bytes: paging.pool_used,
                     pool_capacity_bytes: paging.pool_capacity,
-                })
+                };
+                Ok(Response::Stats { stats })
             }
             Request::HashList {
                 set,
@@ -543,8 +544,7 @@ impl Pangead {
             }
             other => Keep::Compiled(other.compile()?),
         };
-        let (mut scanned, mut pushed, mut pushed_bytes) = (0u64, 0u64, 0u64);
-        let (mut appended, mut appended_bytes) = (0u64, 0u64);
+        let mut report = RepairPushReport::default();
         let mut batch = PushBatch::default();
         // The windowed pipeline: batches are *submitted* and their acks
         // collected later, so the scan keeps producing while the
@@ -559,15 +559,15 @@ impl Pangead {
             let (a, b) = peer.submit(self.obs.registry(), |c| {
                 c.recover_append_submit(target_set, records)
             })?;
-            appended += a;
-            appended_bytes += b;
+            report.appended += a;
+            report.appended_bytes += b;
             Ok(())
         };
         for num in source.page_numbers() {
             let pin = source.pin_page(num)?;
             let mut it = ObjectIter::new(&pin);
             while let Some(rec) = it.next() {
-                scanned += 1;
+                report.scanned += 1;
                 let wanted = match &keep {
                     Keep::Compiled(f) => f(rec),
                     Keep::Absent(present) => !present.contains(record_key(rec))?,
@@ -575,8 +575,8 @@ impl Pangead {
                 if !wanted {
                     continue;
                 }
-                pushed += 1;
-                pushed_bytes += rec.len() as u64;
+                report.pushed += 1;
+                report.pushed_bytes += rec.len() as u64;
                 if let Some(full) = batch.push(rec.to_vec()) {
                     flush(peer, full)?;
                 }
@@ -584,18 +584,12 @@ impl Pangead {
         }
         flush(peer, batch.take())?;
         let (a, b) = peer.drain()?;
-        appended += a;
-        appended_bytes += b;
+        report.appended += a;
+        report.appended_bytes += b;
         // Survivor-side attribution: this node moved `pushed_bytes` of
         // repair payload to a peer without touching the driver.
-        self.stats.record_repair(pushed_bytes as usize);
-        Ok(Response::Pushed {
-            scanned,
-            pushed,
-            pushed_bytes,
-            appended,
-            appended_bytes,
-        })
+        self.stats.record_repair(report.pushed_bytes as usize);
+        Ok(Response::Pushed { report })
     }
 
     pub(crate) fn get_set(&self, name: &str) -> Result<pangea_core::LocalitySet> {
@@ -1707,7 +1701,7 @@ mod tests {
     /// gives it, so the end folds each key from both runs.
     #[test]
     fn reducing_session_replay_dedups_across_flushed_runs_without_page_walks() {
-        use crate::wire::{KeySpec, ReduceSpec};
+        use crate::{KeySpec, ReduceSpec};
         use std::collections::BTreeMap;
         const BATCH: u64 = 256;
         let fresh = 2 * LEDGER_SPILL_ENTRIES as u64 + 4 * BATCH;
@@ -2223,7 +2217,7 @@ mod tests {
     /// which stays tombstone-idempotent like the plain session.
     #[test]
     fn reducing_ingest_session_folds_partials_and_materializes_at_end() {
-        use crate::wire::{KeySpec, ReduceSpec};
+        use crate::{KeySpec, ReduceSpec};
         let d = Pangead::new(node("ingest-reduce"));
         d.handle(Request::CreateSet {
             name: "counts".into(),
@@ -2292,11 +2286,7 @@ mod tests {
 
     /// One source's reduce partials for keys `keys`, in the order its
     /// mapper ships them, tagged by position: `(tag, key|value)`.
-    fn partials(
-        reduce: &crate::wire::ReduceSpec,
-        source: u32,
-        keys: &[String],
-    ) -> Vec<(u64, Vec<u8>)> {
+    fn partials(reduce: &crate::ReduceSpec, source: u32, keys: &[String]) -> Vec<(u64, Vec<u8>)> {
         keys.iter()
             .enumerate()
             .map(|(ordinal, key)| {
@@ -2324,7 +2314,7 @@ mod tests {
     /// tombstone, and the next begin starts clean.
     #[test]
     fn a_run_going_backwards_fails_the_end_as_corruption() {
-        use crate::wire::{KeySpec, ReduceSpec};
+        use crate::{KeySpec, ReduceSpec};
         let d = Pangead::new(node("ingest-reduce-backwards"));
         d.handle(Request::CreateSet {
             name: "counts".into(),
@@ -2401,7 +2391,7 @@ mod tests {
     /// clean single-attempt session's record for record.
     #[test]
     fn interleaved_dead_attempt_and_retry_merge_like_one_clean_attempt() {
-        use crate::wire::{KeySpec, ReduceSpec};
+        use crate::{KeySpec, ReduceSpec};
         let d = Pangead::new(node("ingest-reduce-interleave"));
         let reduce = ReduceSpec::sum(KeySpec::WholeRecord, b'|', 1);
         // Three sources whose sorted keys overlap: every key is shipped
@@ -2501,7 +2491,7 @@ mod tests {
     /// pinned.
     #[test]
     fn reducing_sessions_leave_no_backing_sets_however_they_end() {
-        use crate::wire::{KeySpec, ReduceSpec};
+        use crate::{KeySpec, ReduceSpec};
         let d = Pangead::new(node("ingest-reduce-orphans"));
         let reduce = ReduceSpec::count(KeySpec::WholeRecord, b'|');
         // Past the ledger's in-memory generation, so it has flushed a
@@ -2593,7 +2583,7 @@ mod tests {
     /// the widest slot that fits runs.
     #[test]
     fn a_task_whose_source_overflows_a_tag_is_a_usage_error() {
-        use crate::wire::{Job, KeySpec, MapSpec, SchemeSpec, TaskSpec};
+        use crate::{Job, KeySpec, MapSpec, SchemeSpec, TaskSpec};
         let d = Pangead::new(node("task-wide-source"));
         d.handle(Request::CreateSet {
             name: "lines".into(),
@@ -2622,7 +2612,9 @@ mod tests {
         }
         assert!(matches!(
             d.run_task(&spec(u32::from(u16::MAX)), None),
-            Ok(Response::TaskDone { scanned: 0, .. })
+            Ok(Response::TaskDone {
+                report: crate::TaskReport { scanned: 0, .. }
+            })
         ));
     }
 
@@ -2632,7 +2624,7 @@ mod tests {
     /// daemons' ingest sessions — and a re-run task is idempotent.
     #[test]
     fn run_task_maps_and_routes_to_destination_ingests() {
-        use crate::wire::{Job, KeySpec, MapSpec, SchemeSpec, TaskSpec};
+        use crate::{Job, KeySpec, MapSpec, SchemeSpec, TaskSpec};
         let secret = Some("task-secret".to_string());
         let mapper =
             PangeadServer::bind_with_secret(node("task-mapper"), "127.0.0.1:0", secret.clone())
@@ -2669,7 +2661,7 @@ mod tests {
                     delim: b'|',
                     index: 1,
                 })
-                .with_filter(crate::wire::FilterSpec::KeyEquals {
+                .with_filter(crate::FilterSpec::KeyEquals {
                     key: KeySpec::Field {
                         delim: b'|',
                         index: 0,
@@ -2978,7 +2970,7 @@ mod tests {
     /// dial afresh, so both succeed.
     #[test]
     fn pushes_redial_a_peer_restarted_at_the_same_address() {
-        use crate::wire::{Job, KeySpec, MapSpec, SchemeSpec, TaskSpec};
+        use crate::{Job, KeySpec, MapSpec, SchemeSpec, TaskSpec};
         const SECRET: &str = "restart-secret";
         let pusher = PangeadServer::bind_with_secret(
             node("restart-pusher"),

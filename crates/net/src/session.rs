@@ -31,7 +31,8 @@
 //! and the merge refuses it as [`PangeaError::Corruption`] rather than
 //! sort it.
 
-use crate::wire::{tag_source, ReduceSpec};
+use crate::algebra::ReduceSpec;
+use crate::wire::tag_source;
 use pangea_common::{FxHashMap, FxHashSet, IoStats, PageNum, PangeaError, Result};
 use pangea_core::{
     LocalitySet, ReadPattern, RecordSlices, SeqWriter, SetOptions, SpillLedger, StorageNode,

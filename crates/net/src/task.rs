@@ -4,11 +4,12 @@
 //! routed output straight to every destination's ingest session, one
 //! pipelined connection per destination.
 
+use crate::algebra::{TaskReport, TaskSpec};
 use crate::client::PangeaClient;
 use crate::pipeline::{PipelinedPeer, PushBatch};
 use crate::proto::Response;
 use crate::server::{Pangead, ACC_ROOT_PARTITIONS};
-use crate::wire::{ingest_tag, SchemeSpec, TaskReport, TaskSpec};
+use crate::wire::{ingest_tag, SchemeSpec};
 use pangea_common::{FxHashMap, PangeaError, Result};
 use pangea_core::{HashConfig, ObjectIter, ReduceBuffer};
 use pangea_obs::TraceCtx;
@@ -46,7 +47,7 @@ impl Pangead {
     /// engine reference applies the identical rule per scanned node,
     /// so per-node parity holds for round-robin outputs too.
     ///
-    /// [`ReduceSpec`]: crate::wire::ReduceSpec
+    /// [`ReduceSpec`]: crate::ReduceSpec
     pub(crate) fn run_task(&self, spec: &TaskSpec, ctx: Option<TraceCtx>) -> Result<Response> {
         let job = &spec.job;
         let input = self.get_set(&job.input)?;
@@ -184,13 +185,7 @@ impl Pangead {
         } else {
             self.stats().record_shuffle(report.emitted_bytes as usize);
         }
-        Ok(Response::TaskDone {
-            scanned: report.scanned,
-            emitted: report.emitted,
-            emitted_bytes: report.emitted_bytes,
-            appended: report.appended,
-            appended_bytes: report.appended_bytes,
-        })
+        Ok(Response::TaskDone { report })
     }
 }
 

@@ -7,8 +7,8 @@ use pangea_common::PangeaError;
 use pangea_net::frame::{read_frame_corr, write_frame_corr, FRAME_OVERHEAD, MAX_FRAME};
 use pangea_net::{
     CmpOp, EmitSpec, FilterSpec, Job, KeySpec, MapSpec, ReduceOp, ReduceSpec, RepairFilter,
-    Request, Response, SchemeSpec, TaskSpec, TraceCtx, WireCatalogEntry, WireMetric, WireSpan,
-    WireWorker, WorkerState,
+    RepairPushReport, Request, Response, SchemeSpec, TaskReport, TaskSpec, TraceCtx,
+    WireCatalogEntry, WireMetric, WireSpan, WireWorker, WorkerState,
 };
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -432,11 +432,13 @@ proptest! {
             credit: counters[2],
         });
         roundtrip_resp(Response::Pushed {
-            scanned: counters[0],
-            pushed: counters[1],
-            pushed_bytes: counters[2],
-            appended: counters[3],
-            appended_bytes: counters[4],
+            report: RepairPushReport {
+                scanned: counters[0],
+                pushed: counters[1],
+                pushed_bytes: counters[2],
+                appended: counters[3],
+                appended_bytes: counters[4],
+            },
         });
     }
 
@@ -494,11 +496,13 @@ proptest! {
         });
         roundtrip_req(Request::IngestEnd { set: ident(&name) });
         roundtrip_resp(Response::TaskDone {
-            scanned: counters[0],
-            emitted: counters[1],
-            emitted_bytes: counters[2],
-            appended: counters[3],
-            appended_bytes: counters[4],
+            report: TaskReport {
+                scanned: counters[0],
+                emitted: counters[1],
+                emitted_bytes: counters[2],
+                appended: counters[3],
+                appended_bytes: counters[4],
+            },
         });
         roundtrip_resp(Response::SessionAck {
             appended: counters[0],
