@@ -670,8 +670,8 @@ impl ClusterCore {
                 src.try_for_each_record(|_, rec| {
                     scanned += 1;
                     map.for_each_emit(rec, &mut |mapped| {
-                        if let Some((key, value)) = reduce.accumulate(mapped) {
-                            reduce.fold_into(&mut acc, &key, value);
+                        if let Some((key, value)) = reduce.key_value(mapped) {
+                            reduce.fold_into(&mut acc, key, value);
                         }
                         Ok(())
                     })

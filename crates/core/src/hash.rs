@@ -87,6 +87,13 @@ struct RootPartition {
     depth: u32,
 }
 
+/// Page `idx` of a buffer's `pages`. A function of the field, not of the
+/// buffer, so a page's guard can live beside `&mut` borrows of the
+/// buffer's other fields (its merge function, its scratch value).
+fn page(pages: &[Option<PagePin>], idx: usize) -> &PagePin {
+    pages[idx].as_ref().expect("hash pages are always present")
+}
+
 /// A distributed aggregation hash map over Pangea pages: keys are byte
 /// strings, values any [`Record`]; collisions on insert are resolved by
 /// the merge function (the paper's `buffer->set(key, value)` for
@@ -221,12 +228,6 @@ where
         r.dir[slot] as usize
     }
 
-    fn page(&self, idx: usize) -> &PagePin {
-        self.pages[idx]
-            .as_ref()
-            .expect("hash pages are always present")
-    }
-
     /// Inserts `key → val`, merging with the existing value when the key
     /// is already present (the paper's `find` / `insert` / `set` flow,
     /// fused because aggregation always merges): one hash of the key,
@@ -237,7 +238,7 @@ where
         let root = hashpage::root_of(hash, self.roots.len() as u32);
         let mut page_idx = self.page_for(root, hash);
         {
-            let mut guard = self.page(page_idx).write();
+            let mut guard = page(&self.pages, page_idx).write();
             let probe = hashpage::find(&guard, hash, key);
             self.scratch.clear();
             match hashpage::value(&guard, probe) {
@@ -258,7 +259,7 @@ where
         loop {
             self.make_room(root, page_idx)?;
             page_idx = self.page_for(root, hash);
-            let mut guard = self.page(page_idx).write();
+            let mut guard = page(&self.pages, page_idx).write();
             if hashpage::append(&mut guard, hash, key, &self.scratch)? != HashInsert::Full {
                 return Ok(());
             }
@@ -270,7 +271,7 @@ where
     pub fn get(&self, key: &[u8]) -> Result<Option<V>> {
         let hash = hashpage::hash_key(key);
         let root = hashpage::root_of(hash, self.roots.len() as u32);
-        let guard = self.page(self.page_for(root, hash)).read();
+        let guard = page(&self.pages, self.page_for(root, hash)).read();
         hashpage::value(&guard, hashpage::find(&guard, hash, key))
             .map(V::decode)
             .transpose()
@@ -305,7 +306,7 @@ where
     fn split(&mut self, root: usize, page_idx: usize, new_pin: PagePin) -> Result<()> {
         let n_buckets = self.n_buckets;
         let old_depth = {
-            let mut old = self.page(page_idx).write();
+            let mut old = page(&self.pages, page_idx).write();
             let mut new = new_pin.write();
             let old_depth = hashpage::local_depth(&old);
             let moved = old[..hashpage::used_bytes(&old)].to_vec();

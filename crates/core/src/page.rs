@@ -158,15 +158,15 @@ impl<'a> Iterator for RecordSlices<'a> {
 /// The paper's object iterator (§8: `createObjectIterator(page)` /
 /// `objIter->next()`): owns a read guard on a pinned page and lends out
 /// record payloads one at a time without copying.
-pub struct ObjectIter {
-    guard: PageReadGuard,
+pub struct ObjectIter<'a> {
+    guard: PageReadGuard<'a>,
     pos: usize,
     used: usize,
 }
 
-impl ObjectIter {
+impl<'a> ObjectIter<'a> {
     /// Opens an iterator over a pinned record page.
-    pub fn new(pin: &PagePin) -> Self {
+    pub fn new(pin: &'a PagePin) -> Self {
         let guard = pin.read();
         let used = used_bytes(&guard);
         Self {

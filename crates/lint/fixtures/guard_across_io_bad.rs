@@ -32,4 +32,9 @@ impl Node {
         let seen = self.cursors.lock();
         self.workers.scan_chunk("events", *seen);
     }
+
+    fn page_guard_across_io(&self, pin: &PagePin) {
+        let page = pin.write();
+        self.client.call(&page[..]);
+    }
 }

@@ -71,14 +71,7 @@ fn push(f: &LintedFile, line: u32, rule: &'static str, msg: String, out: &mut Ve
 /// Methods whose *final* call produces a lock guard. `read`/`write`
 /// count only with empty argument lists (`io::Read::read(&mut buf)`
 /// always takes one).
-const LOCK_METHODS: &[&str] = &[
-    "lock",
-    "try_lock",
-    "lock_arc",
-    "read_arc",
-    "write_arc",
-    "upgradable_read",
-];
+const LOCK_METHODS: &[&str] = &["lock", "try_lock", "upgradable_read"];
 const LOCK_METHODS_EMPTY_ONLY: &[&str] = &["read", "write"];
 
 /// Result/Option adapters that may wrap a guard-producing call without

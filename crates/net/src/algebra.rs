@@ -366,9 +366,9 @@ impl ReduceSpec {
 
     /// Extracts `(group key, initial accumulator value)` from one
     /// *mapped* record; `None` drops the record from the fold (missing
-    /// or non-numeric value field).
-    pub fn accumulate(&self, mapped: &[u8]) -> Option<(Vec<u8>, i64)> {
-        let key = self.key.key_of(mapped);
+    /// or non-numeric value field). The key is a subslice of `mapped`,
+    /// so the combine folds each token without allocating.
+    pub fn key_value<'a>(&self, mapped: &'a [u8]) -> Option<(&'a [u8], i64)> {
         let value = match self.op {
             ReduceOp::Count => 1,
             ReduceOp::Sum | ReduceOp::Min | ReduceOp::Max => parse_i64(
@@ -379,7 +379,13 @@ impl ReduceSpec {
                 .key_slice(mapped),
             )?,
         };
-        Some((key, value))
+        Some((self.key.key_slice(mapped), value))
+    }
+
+    /// [`ReduceSpec::key_value`] with the key copied out of the record.
+    pub fn accumulate(&self, mapped: &[u8]) -> Option<(Vec<u8>, i64)> {
+        self.key_value(mapped)
+            .map(|(key, value)| (key.to_vec(), value))
     }
 
     /// The op's merge, in place: the one definition of the fold, which
@@ -411,13 +417,29 @@ impl ReduceSpec {
     }
 
     /// Encodes one `(key, value)` accumulator entry as a partial/output
-    /// record: `key ++ [delim] ++ decimal(value)`.
+    /// record: `key ++ [delim] ++ decimal(value)`, rendered straight into
+    /// the one allocation it returns.
     pub fn encode_record(&self, key: &[u8], value: i64) -> Vec<u8> {
-        let digits = value.to_string();
-        let mut out = Vec::with_capacity(key.len() + 1 + digits.len());
+        // `i64::MIN` is the longest rendering: a sign and 19 digits.
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = value.unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        if value < 0 {
+            at -= 1;
+            digits[at] = b'-';
+        }
+        let mut out = Vec::with_capacity(key.len() + 1 + digits.len() - at);
         out.extend_from_slice(key);
         out.push(self.delim);
-        out.extend_from_slice(digits.as_bytes());
+        out.extend_from_slice(&digits[at..]);
         out
     }
 
@@ -723,6 +745,7 @@ mod tests {
 
         // Count: every mapped record is worth 1; merge is addition.
         assert_eq!(count.accumulate(b"the"), Some((b"the".to_vec(), 1)));
+        assert_eq!(count.key_value(b"the"), Some((&b"the"[..], 1)));
         assert_eq!(merged(&count, 2, 3), 5);
         // Sum/min/max parse the value field; unparsable drops.
         let sum = ReduceSpec::sum(
@@ -734,6 +757,7 @@ mod tests {
             1,
         );
         assert_eq!(sum.accumulate(b"k|7"), Some((b"k".to_vec(), 7)));
+        assert_eq!(sum.key_value(b"k|7"), Some((&b"k"[..], 7)));
         assert_eq!(sum.accumulate(b"k|x"), None);
         assert_eq!(sum.accumulate(b"k"), None);
         let min = ReduceSpec::min(KeySpec::WholeRecord, b'|', 1);
@@ -748,5 +772,29 @@ mod tests {
         assert_eq!(count.decode_record(&enc).unwrap(), (&b"a|b"[..], -17));
         assert!(count.decode_record(b"no-delim").is_err());
         assert!(count.decode_record(b"k|nan").is_err());
+    }
+
+    /// The partial's decimal renders exactly as `i64`'s `Display`, the
+    /// rendering every stored partial and output row was written with.
+    #[test]
+    fn encode_record_renders_like_display() {
+        let count = ReduceSpec::count(KeySpec::WholeRecord, b'|');
+        for value in [
+            0,
+            1,
+            -1,
+            9,
+            -10,
+            1_000_000,
+            -987_654_321,
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MAX,
+        ] {
+            let enc = count.encode_record(b"key", value);
+            assert_eq!(enc, format!("key|{value}").into_bytes(), "{value}");
+            assert_eq!(enc.capacity(), enc.len(), "{value}: allocated to size");
+            assert_eq!(count.decode_record(&enc).unwrap(), (&b"key"[..], value));
+        }
     }
 }

@@ -103,8 +103,8 @@ impl Pangead {
                         while let Some(rec) = it.next() {
                             report.scanned += 1;
                             job.map.for_each_emit(rec, &mut |out| {
-                                if let Some((key, value)) = reduce.accumulate(out) {
-                                    acc.insert_merge(&key, value)?;
+                                if let Some((key, value)) = reduce.key_value(out) {
+                                    acc.insert_merge(key, value)?;
                                 }
                                 Ok(())
                             })?;

@@ -6,18 +6,13 @@
 //!
 //! * `lock()` / `read()` / `write()` return guards directly (no `Result`);
 //! * poisoning is ignored — a panic while holding a lock does not poison it
-//!   for later users (`into_inner` on the poison error);
-//! * `RwLock::read_arc` / `RwLock::write_arc` return owned, `'static`
-//!   guards that keep the `Arc` alive for the guard's lifetime.
+//!   for later users (`into_inner` on the poison error).
 //!
 //! Only what the workspace needs is provided; this is not a general
 //! replacement for the real crate.
 
 use std::fmt;
-use std::marker::PhantomData;
-use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
 
 /// Opt-in lock-acquisition-order deadlock detector (`--features
 /// lock-order`). Every shim lock gets a lazily assigned id; each
@@ -160,13 +155,6 @@ pub mod order {
             }
         });
     }
-}
-
-/// Marker standing in for parking_lot's `RawRwLock` type parameter in the
-/// owned-guard type aliases.
-#[derive(Debug)]
-pub struct RawRwLock {
-    _priv: (),
 }
 
 // ---------------------------------------------------------------------------
@@ -338,50 +326,6 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
-impl<T: ?Sized + 'static> RwLock<T> {
-    /// Acquires shared read access through an `Arc`, returning an owned
-    /// guard that keeps the lock alive for the guard's lifetime.
-    pub fn read_arc(this: &Arc<Self>) -> ArcRwLockReadGuard<RawRwLock, T> {
-        let arc = Arc::clone(this);
-        #[cfg(feature = "lock-order")]
-        let order_id = order::about_to_acquire(&this.order);
-        let guard = this.inner.read().unwrap_or_else(|e| e.into_inner());
-        #[cfg(feature = "lock-order")]
-        order::acquired(order_id);
-        // SAFETY: the guard borrows the RwLock stored behind `arc`'s heap
-        // allocation, which is pinned for as long as `arc` lives. The struct
-        // drops the guard before the Arc, so the borrow never dangles.
-        let guard: std::sync::RwLockReadGuard<'static, T> = unsafe { std::mem::transmute(guard) };
-        ArcRwLockReadGuard {
-            guard: ManuallyDrop::new(guard),
-            arc: ManuallyDrop::new(arc),
-            #[cfg(feature = "lock-order")]
-            order_id,
-            _raw: PhantomData,
-        }
-    }
-
-    /// Acquires exclusive write access through an `Arc`, returning an owned
-    /// guard that keeps the lock alive for the guard's lifetime.
-    pub fn write_arc(this: &Arc<Self>) -> ArcRwLockWriteGuard<RawRwLock, T> {
-        let arc = Arc::clone(this);
-        #[cfg(feature = "lock-order")]
-        let order_id = order::about_to_acquire(&this.order);
-        let guard = this.inner.write().unwrap_or_else(|e| e.into_inner());
-        #[cfg(feature = "lock-order")]
-        order::acquired(order_id);
-        // SAFETY: as in `read_arc`.
-        let guard: std::sync::RwLockWriteGuard<'static, T> = unsafe { std::mem::transmute(guard) };
-        ArcRwLockWriteGuard {
-            guard: ManuallyDrop::new(guard),
-            arc: ManuallyDrop::new(arc),
-            #[cfg(feature = "lock-order")]
-            order_id,
-            _raw: PhantomData,
-        }
-    }
-}
-
 impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.inner.try_read() {
@@ -441,72 +385,6 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     }
 }
 
-/// Owned shared-read guard obtained through [`RwLock::read_arc`]. The first
-/// type parameter mirrors parking_lot's raw-lock parameter and is unused.
-pub struct ArcRwLockReadGuard<R, T: ?Sized + 'static> {
-    guard: ManuallyDrop<std::sync::RwLockReadGuard<'static, T>>,
-    arc: ManuallyDrop<Arc<RwLock<T>>>,
-    #[cfg(feature = "lock-order")]
-    order_id: u64,
-    _raw: PhantomData<R>,
-}
-
-impl<R, T: ?Sized> Deref for ArcRwLockReadGuard<R, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<R, T: ?Sized> Drop for ArcRwLockReadGuard<R, T> {
-    fn drop(&mut self) {
-        #[cfg(feature = "lock-order")]
-        order::on_release(self.order_id);
-        // SAFETY: dropped exactly once, guard strictly before the Arc that
-        // owns the lock it borrows.
-        unsafe {
-            ManuallyDrop::drop(&mut self.guard);
-            ManuallyDrop::drop(&mut self.arc);
-        }
-    }
-}
-
-/// Owned exclusive-write guard obtained through [`RwLock::write_arc`].
-pub struct ArcRwLockWriteGuard<R, T: ?Sized + 'static> {
-    guard: ManuallyDrop<std::sync::RwLockWriteGuard<'static, T>>,
-    arc: ManuallyDrop<Arc<RwLock<T>>>,
-    #[cfg(feature = "lock-order")]
-    order_id: u64,
-    _raw: PhantomData<R>,
-}
-
-impl<R, T: ?Sized> Deref for ArcRwLockWriteGuard<R, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<R, T: ?Sized> DerefMut for ArcRwLockWriteGuard<R, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
-impl<R, T: ?Sized> Drop for ArcRwLockWriteGuard<R, T> {
-    fn drop(&mut self) {
-        #[cfg(feature = "lock-order")]
-        order::on_release(self.order_id);
-        // SAFETY: as in ArcRwLockReadGuard::drop.
-        unsafe {
-            ManuallyDrop::drop(&mut self.guard);
-            ManuallyDrop::drop(&mut self.arc);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,24 +404,6 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn arc_guards_keep_lock_alive() {
-        let l = Arc::new(RwLock::new(7u32));
-        let g = RwLock::read_arc(&l);
-        drop(l); // guard still owns a clone
-        assert_eq!(*g, 7);
-    }
-
-    #[test]
-    fn arc_write_guard_mutates() {
-        let l = Arc::new(RwLock::new(0u32));
-        {
-            let mut g = RwLock::write_arc(&l);
-            *g = 9;
-        }
-        assert_eq!(*l.read(), 9);
     }
 
     /// The detector panics on the second half of an A→B / B→A

@@ -8,8 +8,9 @@
 //! # Safety invariants
 //!
 //! * The allocation lives until the `Arena` is dropped; all raw slices
-//!   handed out are invalidated before then by the buffer pool (guards
-//!   borrow from frames, frames are dropped before the pool's arena).
+//!   handed out are invalidated before then by the buffer pool (a guard
+//!   borrows the pin or evicted frame it came from, which holds the pool,
+//!   and with it the arena, alive).
 //! * Callers of [`Arena::slice`] / [`Arena::slice_mut`] must guarantee that
 //!   `[offset, offset+len)` lies inside the arena (checked here with
 //!   asserts) **and** that the range is not aliased mutably elsewhere —

@@ -15,8 +15,12 @@
 //! placed by a [`pangea_alloc::PoolAllocator`]. Page bytes are only
 //! reachable through [`pool::PageReadGuard`] / [`pool::PageWriteGuard`],
 //! which hold a per-frame reader-writer lock, so the usual Rust aliasing
-//! rules are enforced dynamically per page. All `unsafe` in the workspace's
-//! storage layer is confined to [`arena`] and the guard constructors in
+//! rules are enforced dynamically per page. A guard borrows the
+//! [`pool::PagePin`] (or [`pool::EvictedFrame`]) it came from: the borrow
+//! checker keeps the pin, and with it the page's block and the arena,
+//! alive for as long as the guard, so taking a guard costs the frame
+//! lock and no reference count. All `unsafe` in the workspace's storage
+//! layer is confined to [`arena`] and the guard constructors in
 //! [`pool`], with invariants documented at each site.
 
 pub mod arena;

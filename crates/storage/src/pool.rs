@@ -16,7 +16,7 @@
 use crate::arena::Arena;
 use pangea_alloc::{allocator_by_name, PoolAllocator};
 use pangea_common::{AccessClock, FxHashMap, IoStats, PageId, PangeaError, Result, SetId, Tick};
-use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, RawRwLock, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,7 +57,7 @@ pub(crate) struct Frame {
     dirty: AtomicBool,
     last_access: AtomicU64,
     /// Guards the page's bytes in the arena.
-    lock: Arc<RwLock<()>>,
+    lock: RwLock<()>,
 }
 
 #[derive(Debug)]
@@ -165,7 +165,7 @@ impl BufferPool {
             pin_count: AtomicU32::new(1),
             dirty: AtomicBool::new(true),
             last_access: AtomicU64::new(tick),
-            lock: Arc::new(RwLock::new(())),
+            lock: RwLock::new(()),
         });
         frames.insert(page, Arc::clone(&frame));
         Ok(PagePin {
@@ -356,40 +356,31 @@ impl PagePin {
     }
 
     /// Acquires shared read access to the page bytes, bumping recency.
-    pub fn read(&self) -> PageReadGuard {
+    pub fn read(&self) -> PageReadGuard<'_> {
         self.frame
             .last_access
             .store(self.pool.clock.advance(), Ordering::Relaxed);
-        let guard = RwLock::read_arc(&self.frame.lock);
+        let lock = self.frame.lock.read();
         // SAFETY: the frame's arena block [offset, offset+len) is exclusive
-        // to this frame (allocator non-overlap), the arena outlives the
-        // guard (guard holds `pool`, which owns the arena), and mutation is
-        // excluded by the held read lock.
-        let slice = unsafe { self.pool.arena.slice(self.frame.offset, self.frame.len) };
-        PageReadGuard {
-            _lock: guard,
-            _pool: Arc::clone(&self.pool),
-            ptr: slice.as_ptr(),
-            len: self.frame.len,
-        }
+        // to this frame (allocator non-overlap) and stays reserved while
+        // the pin borrowed for `'_` lives; the arena lives in `pool`, which
+        // the pin keeps alive; and mutation is excluded by the held read
+        // lock.
+        let bytes = unsafe { self.pool.arena.slice(self.frame.offset, self.frame.len) };
+        PageReadGuard { _lock: lock, bytes }
     }
 
     /// Acquires exclusive write access to the page bytes, bumping recency
     /// and marking the page dirty.
-    pub fn write(&self) -> PageWriteGuard {
+    pub fn write(&self) -> PageWriteGuard<'_> {
         self.frame
             .last_access
             .store(self.pool.clock.advance(), Ordering::Relaxed);
         self.frame.dirty.store(true, Ordering::Release);
-        let guard = RwLock::write_arc(&self.frame.lock);
+        let lock = self.frame.lock.write();
         // SAFETY: as in `read`, plus exclusivity from the held write lock.
-        let slice = unsafe { self.pool.arena.slice_mut(self.frame.offset, self.frame.len) };
-        PageWriteGuard {
-            _lock: guard,
-            _pool: Arc::clone(&self.pool),
-            ptr: slice.as_mut_ptr(),
-            len: self.frame.len,
-        }
+        let bytes = unsafe { self.pool.arena.slice_mut(self.frame.offset, self.frame.len) };
+        PageWriteGuard { _lock: lock, bytes }
     }
 }
 
@@ -409,44 +400,40 @@ impl Drop for PagePin {
     }
 }
 
-/// Shared read access to a page's bytes.
-pub struct PageReadGuard {
-    _lock: ArcRwLockReadGuard<RawRwLock, ()>,
-    _pool: Arc<PoolInner>,
-    ptr: *const u8,
-    len: usize,
+/// Shared read access to a page's bytes. Borrows the [`PagePin`] (or
+/// [`EvictedFrame`]) it came from, which keeps the block reserved and
+/// the arena alive, and holds the frame's read lock.
+pub struct PageReadGuard<'a> {
+    _lock: RwLockReadGuard<'a, ()>,
+    bytes: &'a [u8],
 }
 
-impl Deref for PageReadGuard {
+impl Deref for PageReadGuard<'_> {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        // SAFETY: constructed from a valid arena slice; read lock held.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        self.bytes
     }
 }
 
-/// Exclusive write access to a page's bytes.
-pub struct PageWriteGuard {
-    _lock: ArcRwLockWriteGuard<RawRwLock, ()>,
-    _pool: Arc<PoolInner>,
-    ptr: *mut u8,
-    len: usize,
+/// Exclusive write access to a page's bytes. Borrows the [`PagePin`] it
+/// came from and holds the frame's write lock.
+pub struct PageWriteGuard<'a> {
+    _lock: RwLockWriteGuard<'a, ()>,
+    bytes: &'a mut [u8],
 }
 
-impl Deref for PageWriteGuard {
+impl Deref for PageWriteGuard<'_> {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        // SAFETY: constructed from a valid arena slice; write lock held.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        self.bytes
     }
 }
 
-impl DerefMut for PageWriteGuard {
+impl DerefMut for PageWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut [u8] {
-        // SAFETY: constructed from a valid arena slice; write lock held.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
+        self.bytes
     }
 }
 
@@ -470,17 +457,13 @@ impl EvictedFrame {
     }
 
     /// The evicted page's bytes (for flushing).
-    pub fn bytes(&self) -> PageReadGuard {
-        let guard = RwLock::read_arc(&self.frame.lock);
+    pub fn bytes(&self) -> PageReadGuard<'_> {
+        let lock = self.frame.lock.read();
         // SAFETY: the block is still reserved in the allocator until this
-        // EvictedFrame drops; no pins exist (checked at eviction).
-        let slice = unsafe { self.pool.arena.slice(self.frame.offset, self.frame.len) };
-        PageReadGuard {
-            _lock: guard,
-            _pool: Arc::clone(&self.pool),
-            ptr: slice.as_ptr(),
-            len: self.frame.len,
-        }
+        // EvictedFrame, borrowed for `'_`, drops; no pins exist (checked
+        // at eviction).
+        let bytes = unsafe { self.pool.arena.slice(self.frame.offset, self.frame.len) };
+        PageReadGuard { _lock: lock, bytes }
     }
 
     /// Page length in bytes.
@@ -562,6 +545,31 @@ mod tests {
         drop(ev);
         assert_eq!(p.used(), 0, "arena block recycled");
         assert_eq!(p.stats().snapshot().pages_evicted, 1);
+    }
+
+    #[test]
+    fn guards_borrow_their_pin() {
+        let p = pool(1 << 16);
+        let pin = p.create_page(pid(1, 0), 64).unwrap();
+        let counts = |pin: &PagePin| (Arc::strong_count(&pin.pool), Arc::strong_count(&pin.frame));
+        let idle = counts(&pin);
+        {
+            let _read = pin.read();
+            assert_eq!(counts(&pin), idle, "a read guard takes no Arc");
+        }
+        {
+            let _write = pin.write();
+            assert_eq!(counts(&pin), idle, "a write guard takes no Arc");
+        }
+        drop(pin);
+        let ev = p.evict(pid(1, 0)).unwrap().unwrap();
+        let idle = (Arc::strong_count(&ev.pool), Arc::strong_count(&ev.frame));
+        let _bytes = ev.bytes();
+        assert_eq!(
+            (Arc::strong_count(&ev.pool), Arc::strong_count(&ev.frame)),
+            idle,
+            "a flush guard takes no Arc"
+        );
     }
 
     #[test]
