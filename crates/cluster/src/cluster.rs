@@ -471,27 +471,27 @@ impl DistSet {
     /// batching per destination. `origin` is the node (or client) the
     /// records are sent from, for network accounting; loading from
     /// outside the cluster uses [`DistSet::loader`].
-    pub fn dispatcher(&self, origin: NodeId) -> Result<Dispatcher> {
-        Ok(Dispatcher {
-            inner: self.inner.dispatcher(origin)?,
-        })
+    pub fn dispatcher(&self, origin: NodeId) -> Result<EngineDispatcher> {
+        self.inner.dispatcher(origin)
     }
 
     /// [`DistSet::dispatcher`] with explicit batching thresholds.
-    pub fn dispatcher_with(&self, origin: NodeId, config: DispatchConfig) -> Result<Dispatcher> {
-        Ok(Dispatcher {
-            inner: self.inner.dispatcher_with(origin, config)?,
-        })
+    pub fn dispatcher_with(
+        &self,
+        origin: NodeId,
+        config: DispatchConfig,
+    ) -> Result<EngineDispatcher> {
+        self.inner.dispatcher_with(origin, config)
     }
 
     /// A dispatcher for records loaded from outside the cluster (every
     /// delivery crosses the wire).
-    pub fn loader(&self) -> Result<Dispatcher> {
+    pub fn loader(&self) -> Result<EngineDispatcher> {
         self.dispatcher(NodeId(u32::MAX))
     }
 
     /// [`DistSet::loader`] with explicit batching thresholds.
-    pub fn loader_with(&self, config: DispatchConfig) -> Result<Dispatcher> {
+    pub fn loader_with(&self, config: DispatchConfig) -> Result<EngineDispatcher> {
         self.dispatcher_with(NodeId(u32::MAX), config)
     }
 
@@ -515,32 +515,6 @@ impl DistSet {
     /// Total records across alive nodes.
     pub fn total_records(&self) -> Result<u64> {
         self.inner.total_records()
-    }
-}
-
-/// Routes records to workers according to a partitioning scheme, paying
-/// network costs per flushed batch (see [`DispatchConfig`]).
-#[derive(Debug)]
-pub struct Dispatcher {
-    inner: EngineDispatcher,
-}
-
-impl Dispatcher {
-    /// Routes one record, returning the node it lands on. Delivery may
-    /// be deferred until the destination's batch flushes.
-    pub fn dispatch(&mut self, record: &[u8]) -> Result<NodeId> {
-        self.inner.dispatch(record)
-    }
-
-    /// Records dispatched so far.
-    pub fn dispatched(&self) -> u64 {
-        self.inner.dispatched()
-    }
-
-    /// Flushes all batches, seals all writers, and publishes statistics
-    /// to the manager.
-    pub fn finish(self) -> Result<()> {
-        self.inner.finish()
     }
 }
 

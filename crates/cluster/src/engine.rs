@@ -1194,7 +1194,8 @@ impl EngineSet {
 }
 
 /// Routes records to workers according to a partitioning scheme, paying
-/// network costs per flushed batch rather than per record.
+/// network costs per flushed batch rather than per record (see
+/// [`DispatchConfig`]).
 pub struct EngineDispatcher {
     sinks: BatchedSinks,
     set_name: String,

@@ -21,7 +21,7 @@ pub mod network;
 pub mod partition;
 pub mod replication;
 
-pub use cluster::{ClusterConfig, Dispatcher, DistSet, SimCluster, SimWorkers};
+pub use cluster::{ClusterConfig, DistSet, SimCluster, SimWorkers};
 pub use engine::{
     Catalog, ClusterCore, DispatchConfig, EngineDispatcher, EngineSet, MapShuffleReport,
     PeerRepair, RecordSink, RecoveryReport, ReplicaReport, TaskExec, WorkerBackend,

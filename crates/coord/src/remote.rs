@@ -25,8 +25,8 @@ use pangea_cluster::{PartitionKind, PartitionScheme};
 use pangea_common::ReplicaGroupId;
 use pangea_common::{Epoch, FxHashMap, IoStats, NodeId, PangeaError, Result};
 use pangea_net::{
-    for_each_chunk, ClientPool, Job, MapSpec, PangeaClient, PipelinedPeer, ReduceSpec,
-    RepairFilter, RepairPushReport, TaskReport, TaskSpec, WireSpan, WireWorker, WorkerState,
+    for_each_chunk, ClientPool, Job, MapSpec, PangeaClient, PushStream, ReduceSpec, RepairFilter,
+    RepairPushReport, Request, TaskReport, TaskSpec, WireSpan, WireWorker, WorkerState,
 };
 use pangea_obs::{Obs, SpanRecord, TraceCtx};
 use parking_lot::{Mutex, RwLock};
@@ -50,7 +50,7 @@ struct RemoteWorkersInner {
     /// slot replacement at a new address never reuses a stale one). A
     /// connection is checked out for the duration of an RPC, so one
     /// slow or hung worker never blocks RPCs to others.
-    pool: ClientPool,
+    pool: Arc<ClientPool>,
     /// Shared payload-byte ledger across all per-worker clients.
     stats: Arc<IoStats>,
     /// Driver-side observability bundle over the same registry as
@@ -99,7 +99,11 @@ impl RemoteWorkers {
         Self {
             inner: Arc::new(RemoteWorkersInner {
                 slots: RwLock::new(Vec::new()),
-                pool: ClientPool::new(stats.registry().clone(), secret, Some(Arc::clone(&stats))),
+                pool: Arc::new(ClientPool::new(
+                    stats.registry().clone(),
+                    secret,
+                    Some(Arc::clone(&stats)),
+                )),
                 stats: Arc::clone(&stats),
                 obs: Obs::with_registry(stats.registry().clone()),
                 last_job: Mutex::new(None),
@@ -246,89 +250,39 @@ fn unavailable(n: NodeId, e: PangeaError) -> PangeaError {
     }
 }
 
-/// A sink streaming one load into one remote set over a connection of
-/// its own, held for the dispatcher's life. Its `Append` batches ride
-/// the window loop every pipelined pusher runs ([`PipelinedPeer`], at
-/// [`PIPELINE_WINDOW`] and paced by the worker's credit), and
-/// the worker's set-owned writer seals each page as it fills. `finish`
+/// A sink streaming one load into one remote set on a [`PushStream`]
+/// of its own, held for the dispatcher's life: its `Append` batches
+/// ride the stream's window, paced by the worker's credit, and the
+/// worker's set-owned writer seals each page as it fills. `finish`
 /// drains the window and sends `AppendEnd`, which seals the tail page:
 /// the load is durable once `finish` returns, as a shuffle's output is
 /// once `IngestEnd` returns. Each ack charges its batch's payload bytes
 /// to the shared ledger, mirroring a `SimNetwork` transfer. Loads run
-/// outside traced jobs, so the stream carries no trace context.
-///
-/// [`PIPELINE_WINDOW`]: pangea_net::PIPELINE_WINDOW
+/// outside traced jobs, so the stream carries no trace context. An I/O
+/// failure means the worker is gone, which callers see as the typed
+/// [`PangeaError::NodeUnavailable`].
 #[derive(Debug)]
 struct RemoteSink {
-    workers: RemoteWorkers,
     node: NodeId,
-    addr: String,
     set: String,
-    /// The stream; `None` once it failed or was sealed.
-    peer: Option<PipelinedPeer>,
-}
-
-impl RemoteSink {
-    /// A stream failure: an I/O error means the worker is gone, which
-    /// callers see as the typed [`PangeaError::NodeUnavailable`]. The
-    /// stream is discarded either way — its state is unknown.
-    fn fail(&mut self, e: PangeaError) -> PangeaError {
-        self.discard();
-        unavailable(self.node, e)
-    }
-
-    /// Closes the stream, if still open, without pooling it.
-    fn discard(&mut self) {
-        if let Some(peer) = self.peer.take() {
-            self.workers.inner.pool.discard(peer.into_client());
-        }
-    }
-
-    fn stream(&mut self) -> Result<&mut PipelinedPeer> {
-        let node = self.node;
-        self.peer
-            .as_mut()
-            .ok_or_else(|| PangeaError::usage(format!("the load stream to {node} is closed")))
-    }
+    stream: PushStream,
 }
 
 impl RecordSink for RemoteSink {
     fn append(&mut self, _from: NodeId, records: Vec<Vec<u8>>) -> Result<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        let reg = Arc::clone(self.workers.inner.obs.registry());
-        let set = self.set.clone();
-        let sent = self
-            .stream()
-            .and_then(|peer| peer.submit(&reg, |c| c.append_submit(&set, records)));
-        sent.map(drop).map_err(|e| self.fail(e))
+        let set = &self.set;
+        let request = |records| Request::Append {
+            set: set.clone(),
+            records,
+        };
+        let sent = self.stream.send(records, request);
+        sent.map_err(|e| unavailable(self.node, e))
     }
 
-    fn finish(mut self: Box<Self>) -> Result<()> {
-        let set = self.set.clone();
-        let sealed = self.stream().and_then(|peer| {
-            peer.drain()?;
-            peer.client().append_end(&set)
-        });
-        if let Err(e) = sealed {
-            return Err(self.fail(e));
-        }
-        if let Some(peer) = self.peer.take() {
-            self.workers
-                .inner
-                .pool
-                .checkin(&self.addr, peer.into_client());
-        }
-        Ok(())
-    }
-}
-
-impl Drop for RemoteSink {
-    /// A load abandoned before `finish` leaves its stream in an unknown
-    /// state: discarded, never pooled.
-    fn drop(&mut self) {
-        self.discard();
+    fn finish(self: Box<Self>) -> Result<()> {
+        let Self { node, set, stream } = *self;
+        let sealed = stream.finish_with(|c| c.append_end(&set));
+        sealed.map(drop).map_err(|e| unavailable(node, e))
     }
 }
 
@@ -359,21 +313,13 @@ impl WorkerBackend for RemoteWorkers {
     }
 
     fn open_sink(&self, n: NodeId, set: &str) -> Result<Box<dyn RecordSink>> {
-        // A stream checkout: the pooled connection when a ping proves it
-        // live, else a fresh dial. The sink owns it from here and hands
-        // it back to the pool when the load is sealed.
         let addr = self.addr_of(n)?;
-        let client = self
-            .inner
-            .pool
-            .checkout(&addr)
-            .map_err(|e| unavailable(n, e))?;
+        let stream =
+            PushStream::open(&self.inner.pool, &addr, None).map_err(|e| unavailable(n, e))?;
         Ok(Box::new(RemoteSink {
-            workers: self.clone(),
             node: n,
-            addr,
             set: set.to_string(),
-            peer: Some(PipelinedPeer::new(client)),
+            stream,
         }))
     }
 

@@ -37,4 +37,9 @@ impl Node {
         let page = pin.write();
         self.client.call(&page[..]);
     }
+
+    fn push_stream_send_across_io(&mut self, batch: Vec<Vec<u8>>) {
+        let set = self.set.lock();
+        self.loads.send(batch, |records| append(&set, records));
+    }
 }

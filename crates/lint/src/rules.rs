@@ -79,7 +79,9 @@ const LOCK_METHODS_EMPTY_ONLY: &[&str] = &["read", "write"];
 const GUARD_WRAPPERS: &[&str] = &["unwrap", "expect", "unwrap_or_else", "ok"];
 
 /// Method names that are IO wherever they appear: the wire client's
-/// RPC surface plus connection setup.
+/// RPC surface, connection setup, and a push stream's `send` and
+/// `finish_with`. Its plain `finish` is left out, as storage writers
+/// share the name; it is caught through the `stream` receiver base.
 const IO_METHODS: &[&str] = &[
     "call",
     "submit",
@@ -98,7 +100,8 @@ const IO_METHODS: &[&str] = &[
     "trace_push",
     "ingest_append_submit",
     "ingest_append_await",
-    "recover_append_submit",
+    "send",
+    "finish_with",
 ];
 
 /// Free functions that perform socket IO directly.

@@ -27,9 +27,10 @@ fn guard_across_io_flags_all_bad_shapes() {
     );
     assert_eq!(
         lines_for(&f, "guard-across-io"),
-        vec![6, 12, 18, 27, 32, 37],
+        vec![6, 12, 18, 27, 32, 37, 42],
         "named guard, if-let scrutinee (the PR 3 shape), match scrutinee, \
-         unwrap-wrapped guard, a paged scan under a guard, a page guard"
+         unwrap-wrapped guard, a paged scan under a guard, a page guard, \
+         a push stream's send under a guard"
     );
 }
 

@@ -249,8 +249,9 @@ impl PangeaClient {
     /// Sends one batch of records into the remote set's loader writer
     /// and returns `(correlation, payload_bytes)` for a later
     /// [`PangeaClient::ingest_append_await`]; a load ends with
-    /// [`PangeaClient::append_end`]. Takes the batch by value, like
-    /// [`PangeaClient::recover_append_submit`].
+    /// [`PangeaClient::append_end`]. Takes the batch by value: the
+    /// hot path hands its buffer over instead of copying every payload
+    /// byte a second time. Net-payload accounting is deferred to the ack.
     pub fn append_submit(&mut self, set: &str, records: Vec<Vec<u8>>) -> Result<(u64, usize)> {
         let payload_bytes: usize = records.iter().map(Vec::len).sum();
         let corr = self.submit(&Request::Append {
@@ -360,25 +361,6 @@ impl PangeaClient {
             Response::Ok => Ok(()),
             other => Err(Self::unexpected(other)),
         }
-    }
-
-    /// Sends one batch of candidate records into an open repair session
-    /// and returns `(correlation, payload_bytes)` for a later
-    /// [`PangeaClient::ingest_append_await`]. Takes the batch by value
-    /// — the streaming hot path hands its buffer over instead of copying
-    /// every payload byte a second time. Net-payload accounting is
-    /// deferred to the ack.
-    pub fn recover_append_submit(
-        &mut self,
-        set: &str,
-        records: Vec<Vec<u8>>,
-    ) -> Result<(u64, usize)> {
-        let payload_bytes: usize = records.iter().map(Vec::len).sum();
-        let corr = self.submit(&Request::RecoverAppend {
-            set: set.to_string(),
-            records,
-        })?;
-        Ok((corr, payload_bytes))
     }
 
     /// Seals a repair session; returns its `(appended, appended_bytes)`
@@ -536,7 +518,7 @@ impl PangeaClient {
     /// returns `(correlation, payload_bytes)` for a later
     /// [`PangeaClient::ingest_append_await`], which reports what the tag
     /// dedup appended. Takes the batch by value, like
-    /// [`PangeaClient::recover_append_submit`].
+    /// [`PangeaClient::append_submit`].
     pub fn ingest_append_submit(
         &mut self,
         set: &str,
@@ -550,13 +532,12 @@ impl PangeaClient {
         Ok((corr, payload_bytes))
     }
 
-    /// Awaits one pipelined batch — a load batch from
-    /// [`PangeaClient::append_submit`], an ingest batch from
-    /// [`PangeaClient::ingest_append_submit`] or a repair batch from
-    /// [`PangeaClient::recover_append_submit`], which all ack with one
-    /// [`Response::SessionAck`]; returns `(appended, appended_bytes,
-    /// credit)` — `credit` is the receiver's current pool-residency
-    /// grant, at least 1.
+    /// Awaits one pipelined batch — a submitted `Append` (see
+    /// [`PangeaClient::append_submit`]), `IngestAppend` (see
+    /// [`PangeaClient::ingest_append_submit`]) or `RecoverAppend`,
+    /// which all ack with one [`Response::SessionAck`]; returns
+    /// `(appended, appended_bytes, credit)` — `credit` is the
+    /// receiver's current pool-residency grant, at least 1.
     pub fn ingest_append_await(
         &mut self,
         corr: u64,

@@ -38,10 +38,12 @@
 //!   machine, shared by shuffle ingest and peer repair; `load`
 //!   (crate-private) — the set-owned writers a loader's `Append`s fill;
 //!   `task` (crate-private) — the mapper a shipped `TaskRun` runs.
-//! * [`pipeline`] — [`PipelinedPeer`], the one window loop every
-//!   pipelined push runs: mapper ingest, repair streaming and a
-//!   driver's load; and [`PushBatch`], the one batch rule they fill
-//!   their batches by ([`PUSH_BATCH_BYTES`] encoded bytes).
+//! * [`pipeline`] — [`PushStream`], the one sender every push runs on
+//!   (mapper ingest, repair streaming and a driver's load): a pooled
+//!   connection with a credit-paced window of batches in flight, its
+//!   summed acks, and its check-in or discard; and [`PushBatch`], the
+//!   one batch rule they fill their batches by ([`PUSH_BATCH_BYTES`]
+//!   encoded bytes).
 //! * [`PangeaClient`] — a thin typed client over one connection, and
 //!   [`for_each_chunk`], the one loop behind every cursor-paged read
 //!   (`Scan`, `HashList`, `RepairLedger`).
@@ -80,7 +82,7 @@ pub use framed::{
     DEFAULT_DRAIN, DEFAULT_MAX_CONNS, METRICS_CHUNK, SPANS_CHUNK,
 };
 pub use pangea_obs::TraceCtx;
-pub use pipeline::{BatchEntry, PipelinedPeer, PushBatch, PIPELINE_WINDOW, PUSH_BATCH_BYTES};
+pub use pipeline::{BatchEntry, PushBatch, PushStream, PIPELINE_WINDOW, PUSH_BATCH_BYTES};
 pub use pool::ClientPool;
 pub use proto::{error_response, Request, Response};
 pub use server::{Pangead, PangeadServer};

@@ -33,7 +33,8 @@ pub struct ClientPool {
     idle: Mutex<FxHashMap<String, PangeaClient>>,
     secret: Option<String>,
     stats: Option<Arc<IoStats>>,
-    reg: Arc<Registry>,
+    /// Where `pool.*` is counted, and a stream's credit stalls beside it.
+    pub(crate) reg: Arc<Registry>,
 }
 
 impl ClientPool {

@@ -14,7 +14,7 @@ use crate::framed::{
     DEFAULT_DRAIN,
 };
 use crate::load::LoadWriters;
-use crate::pipeline::{PipelinedPeer, PushBatch, PIPELINE_WINDOW, PUSH_BATCH_BYTES};
+use crate::pipeline::{PushBatch, PushStream, PIPELINE_WINDOW, PUSH_BATCH_BYTES};
 use crate::pool::ClientPool;
 use crate::proto::{Request, Response};
 use crate::session::{backing_set_name, local_set, Session, SessionTable, Sink, INGEST, REPAIR};
@@ -53,7 +53,7 @@ pub struct Pangead {
     /// they were dialed at: repair and shuffle pushes reuse one dial per
     /// peer instead of reconnecting per push. Its dials present the
     /// deployment secret set by [`Pangead::with_peer_secret`].
-    pub(crate) peers: ClientPool,
+    pub(crate) peers: Arc<ClientPool>,
     /// Payload bytes and messages received by this daemon.
     stats: Arc<IoStats>,
     /// This daemon's observability bundle: the metrics registry (shared
@@ -77,7 +77,7 @@ impl Pangead {
             ingests: SessionTable::new(INGEST),
             repairs: SessionTable::new(REPAIR),
             loads: LoadWriters::default(),
-            peers: ClientPool::new(stats.registry().clone(), None, None),
+            peers: Arc::new(ClientPool::new(stats.registry().clone(), None, None)),
             stats,
             obs,
             session_seq: AtomicU64::new(0),
@@ -93,7 +93,8 @@ impl Pangead {
     /// independent of the inbound secret the surrounding
     /// [`FramedServer`] enforces, though deployments share one.
     pub fn with_peer_secret(mut self, secret: Option<String>) -> Self {
-        self.peers = ClientPool::new(self.stats.registry().clone(), secret.as_deref(), None);
+        let reg = self.stats.registry().clone();
+        self.peers = Arc::new(ClientPool::new(reg, secret.as_deref(), None));
         self
     }
 
@@ -490,44 +491,26 @@ impl Pangead {
         filter: &RepairFilter,
         ctx: Option<TraceCtx>,
     ) -> Result<Response> {
-        let source = self.get_set(source_set)?;
-        // One pooled connection for the whole push: repeated pushes to
-        // the same replacement (per survivor × source × pass) pay one
-        // dial between them, not one each.
-        let mut client = self.peers.checkout(target_addr)?;
-        client.set_trace(ctx);
-        let mut peer = PipelinedPeer::new(client);
-        match self.recover_push_with(&source, target_set, &mut peer, filter) {
-            Ok(resp) => {
-                self.peers.checkin(target_addr, peer.client);
-                Ok(resp)
-            }
-            Err(e) => {
-                // Any mid-push failure leaves the stream state unknown.
-                self.peers.discard(peer.client);
-                Err(e)
-            }
-        }
-    }
-
-    /// The push body, with the peer checked out by [`Pangead::
-    /// recover_push`]. An `Absent` filter streams the replacement's
-    /// seeded ledger in `HASH_CHUNK` pages into a local [`SpillLedger`]
-    /// — the survivor never materializes the whole ledger in heap, so a
-    /// huge replacement share costs this node at most the ledger's
-    /// in-memory generation plus pool-paged runs.
-    fn recover_push_with(
-        &self,
-        source: &pangea_core::LocalitySet,
-        target_set: &str,
-        peer: &mut PipelinedPeer,
-        filter: &RepairFilter,
-    ) -> Result<Response> {
         enum Keep {
             Compiled(RecordPredicate),
             Absent(SpillLedger),
         }
+        let source = self.get_set(source_set)?;
+        // One pooled stream for the whole push: repeated pushes to the
+        // same replacement (per survivor × source × pass) pay one dial
+        // between them, not one each. Its window keeps the scan
+        // producing while the replacement appends, and the
+        // replacement's credit grants shrink it when its pool runs hot:
+        // repair streaming is the heaviest sustained push in the system,
+        // exactly the traffic a memory-pressured receiver must be able
+        // to slow down.
+        let mut stream = PushStream::open(&self.peers, target_addr, ctx)?;
         let keep = match filter {
+            // The replacement's seeded ledger streams in `HASH_CHUNK`
+            // pages into a local [`SpillLedger`]: the survivor never
+            // materializes the whole ledger in heap, so a huge
+            // replacement share costs this node at most the ledger's
+            // in-memory generation plus pool-paged runs.
             RepairFilter::Absent => {
                 let mut present = SpillLedger::new(
                     &self.node,
@@ -537,32 +520,21 @@ impl Pangead {
                 // The snapshot enumerates each seeded hash exactly
                 // once, so a plain insert (no membership probe) is
                 // enough.
-                peer.client.repair_ledger_for_each(target_set, |hashes| {
-                    hashes.into_iter().try_for_each(|h| present.insert(h))
+                stream.call(|c| {
+                    c.repair_ledger_for_each(target_set, |hashes| {
+                        hashes.into_iter().try_for_each(|h| present.insert(h))
+                    })
                 })?;
                 Keep::Absent(present)
             }
             other => Keep::Compiled(other.compile()?),
         };
+        let request = |records: Vec<Vec<u8>>| Request::RecoverAppend {
+            set: target_set.to_string(),
+            records,
+        };
         let mut report = RepairPushReport::default();
         let mut batch = PushBatch::default();
-        // The windowed pipeline: batches are *submitted* and their acks
-        // collected later, so the scan keeps producing while the
-        // replacement appends. The replacement's credit grants shrink
-        // the window when its pool runs hot — repair streaming is the
-        // heaviest sustained push in the system, exactly the traffic a
-        // memory-pressured receiver must be able to slow down.
-        let mut flush = |peer: &mut PipelinedPeer, records: Vec<Vec<u8>>| -> Result<()> {
-            if records.is_empty() {
-                return Ok(());
-            }
-            let (a, b) = peer.submit(self.obs.registry(), |c| {
-                c.recover_append_submit(target_set, records)
-            })?;
-            report.appended += a;
-            report.appended_bytes += b;
-            Ok(())
-        };
         for num in source.page_numbers() {
             let pin = source.pin_page(num)?;
             let mut it = ObjectIter::new(&pin);
@@ -578,14 +550,12 @@ impl Pangead {
                 report.pushed += 1;
                 report.pushed_bytes += rec.len() as u64;
                 if let Some(full) = batch.push(rec.to_vec()) {
-                    flush(peer, full)?;
+                    stream.send(full, request)?;
                 }
             }
         }
-        flush(peer, batch.take())?;
-        let (a, b) = peer.drain()?;
-        report.appended += a;
-        report.appended_bytes += b;
+        stream.send(batch.take(), request)?;
+        (report.appended, report.appended_bytes) = stream.finish()?;
         // Survivor-side attribution: this node moved `pushed_bytes` of
         // repair payload to a peer without touching the driver.
         self.stats.record_repair(report.pushed_bytes as usize);

@@ -62,20 +62,27 @@ pub fn bucket_bound(index: usize) -> u64 {
 
 /// Estimates the `q`-quantile (`0.0..=1.0`) of a log2 bucket vector, as
 /// produced by [`Histogram::snapshot`] or shipped over the wire. The
-/// estimate is the power-of-two upper bound of the bucket containing
-/// the quantile rank — coarse, but monotone and allocation-free.
+/// quantile rank's bucket `i` spans `[2^(i-1), 2^i)`, and the estimate
+/// interpolates linearly inside it: the `k`-th of the bucket's `c`
+/// observations sits at the middle of the `k`-th of `c` equal slices.
+/// Monotone in `q` and allocation-free.
 pub fn quantile_from_buckets(buckets: &[u64], q: f64) -> u64 {
     let total: u64 = buckets.iter().sum();
     if total == 0 {
         return 0;
     }
-    let rank = ((total as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
+    let rank = (((total as f64) * q.clamp(0.0, 1.0)).ceil() as u64).max(1);
     let mut seen = 0u64;
     for (i, &c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= rank.max(1) {
-            return bucket_bound(i);
+        if seen + c >= rank {
+            if i == 0 {
+                return 0;
+            }
+            let lo = 2f64.powi(i as i32 - 1);
+            let within = ((rank - seen) as f64 - 0.5) / c as f64;
+            return (lo + lo * within) as u64;
         }
+        seen += c;
     }
     bucket_bound(buckets.len().saturating_sub(1))
 }
@@ -585,11 +592,30 @@ mod tests {
         assert_eq!(count, 8);
         assert_eq!(sum, 1_003_006);
         assert_eq!(buckets.iter().sum::<u64>(), 8);
-        // p50 lands on the 4th observation (value 3, bucket bound 4);
-        // p99 lands at the 1M observation (bucket bound 2^20).
-        assert_eq!(h.quantile(0.5), 4);
-        assert_eq!(h.quantile(0.99), 1 << 20);
+        // p50 lands on the 4th observation (value 3), the second of
+        // two in [2, 4): 2 + 2 * 1.5/2. p99 lands on the 1M
+        // observation, alone in [2^19, 2^20): its middle.
+        assert_eq!(h.quantile(0.5), 3);
+        assert_eq!(h.quantile(0.99), 3 << 18);
         assert_eq!(quantile_from_buckets(&[], 0.5), 0);
+    }
+
+    #[test]
+    fn quantiles_interpolate_inside_a_bucket() {
+        // 1 000 values spread evenly across [2^10, 2^11).
+        let h = Histogram::new();
+        for i in 0..1000u64 {
+            h.observe(1024 + i * 1024 / 1000);
+        }
+        let mid = 1024.0 + 512.0;
+        let p50 = h.quantile(0.5) as f64;
+        assert!(
+            (p50 - mid).abs() <= 0.1 * mid,
+            "p50 {p50} vs midpoint {mid}"
+        );
+        let qs: Vec<u64> = (0..=100).map(|q| h.quantile(q as f64 / 100.0)).collect();
+        assert!(qs.windows(2).all(|w| w[0] <= w[1]), "monotone in q: {qs:?}");
+        assert!(qs.iter().all(|&v| (1024..2048).contains(&v)), "{qs:?}");
     }
 
     #[test]

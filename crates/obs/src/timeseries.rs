@@ -476,7 +476,7 @@ mod tests {
         assert_eq!(store.histogram_window_quantile("w0", "h", 1000, 0.99), 0);
         // A single sample: its cumulative quantile.
         let mut buckets = vec![0u64; 64];
-        buckets[4] = 10; // ten observations bounded by 16
+        buckets[4] = 10; // ten observations in [8, 16)
         store.record_metrics(
             "w0",
             store.now_ms(),
@@ -489,7 +489,8 @@ mod tests {
                 },
             }],
         );
-        assert_eq!(store.histogram_window_quantile("w0", "h", 10_000, 0.5), 16);
+        // The 5th of ten: 8 + 8 * 4.5/10.
+        assert_eq!(store.histogram_window_quantile("w0", "h", 10_000, 0.5), 11);
         // A restart: the next snapshot is smaller everywhere. The
         // windowed delta must be empty → quantile 0, not garbage.
         let mut smaller = vec![0u64; 64];

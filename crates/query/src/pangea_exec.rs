@@ -582,7 +582,8 @@ impl PangeaTpch {
             PartitionScheme::hash("custkey", self.partitions, key_field(0)),
         )?;
         let customer = self.cluster.get_dist_set("customer").expect("loaded");
-        let mut dispatchers: FxHashMap<NodeId, pangea_cluster::Dispatcher> = FxHashMap::default();
+        let mut dispatchers: FxHashMap<NodeId, pangea_cluster::EngineDispatcher> =
+            FxHashMap::default();
         customer.try_for_each_record(|from, rec| {
             let d = match dispatchers.entry(from) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
